@@ -11,6 +11,10 @@ guarded Runge-Kutta step.  Two coupling modes exist:
   growth field.  This evaluates the exact coupled rate and restores the
   integrator's full order; the analytic benchmark relies on it.
 
+Either way the first stage is the rate at the step start, which the
+snapshot solve has already produced, so it is handed to the integrator
+rather than evaluated (and, with substeps, solved for) a second time.
+
 The loop is sequential and deterministic; repeated runs of the same
 scenario produce byte-identical diagnostics.
 """
@@ -21,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, growth as growth_mod, tensor
+# stress_field is not called here (solutions carry their stress), but
+# bench/tracing.py wraps coupled.stress_field, so the name stays importable
 from .elasticity import EquilibriumProblem, solve_equilibrium, stress_field
 from .errors import GuardViolation, IoError, MorphosimError
 from .materials import ZeroGrowthLaw
@@ -158,25 +164,24 @@ def run_coupled(scenario):
 
     while True:
         try:
-            problem, sol, nut = driver.solve_state(
+            _, sol, nut = driver.solve_state(
                 t, driver.growth_for_solves(G))
         except MorphosimError as exc:
             traj.status = "solver_failure"
             traj.error = exc
             return traj
-        P = stress_field(problem, sol.displacement)
-        pnorm_cells = np.mean(tensor.frobenius_norm(P), axis=1)
+        pnorm = tensor.frobenius_norm(sol.stress)
         state = SystemState(
             t=t, growth=G.copy(), displacement=sol.displacement,
             lifted=sol.lifted_data, nutrient=nut.concentration,
-            stress_nodes=fem.nodal_from_cells(mesh, pnorm_cells))
+            stress_nodes=fem.nodal_from_cells(mesh, np.mean(pnorm, axis=1)))
         report = growth_mod.det_guard(G, guards)
         traj.states.append(state)
         traj.diagnostics.append(StepDiagnostics(
             t=t,
             min_det_growth=report.min_det,
             max_growth_norm=report.max_norm,
-            max_stress=float(np.max(tensor.frobenius_norm(P))),
+            max_stress=float(np.max(pnorm)),
             nutrient_min=nut.min_value,
             equilibrium_iterations=sol.iterations,
             rho_hat=sol.rho_hat,
@@ -213,7 +218,8 @@ def run_coupled(scenario):
 
         rhs = driver.make_rhs(t, Y_frozen, N_frozen)
         try:
-            G = growth_mod.rk4_step(G, rhs, t, dt_k, guards=guards)
+            G = growth_mod.rk4_step(G, rhs, t, dt_k, guards=guards,
+                                    k1=rate_now)
         except GuardViolation as exc:
             traj.status = "guard_violation"
             traj.error = exc
@@ -245,14 +251,10 @@ def trajectory_csv(trajectory):
     return "\n".join(lines) + "\n"
 
 
-def _vtk_text(mesh, state):
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "morphosim fields at t=%.17g" % state.t,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        "POINTS %d double" % mesh.num_vertices,
-    ]
+def _vtk_mesh_block(mesh):
+    """POINTS, CELLS and CELL_TYPES sections, the part of every snapshot
+    file that depends only on the mesh."""
+    lines = ["POINTS %d double" % mesh.num_vertices]
     for v in mesh.vertices:
         lines.append("%.17g %.17g 0" % (v[0], v[1]))
     lines.append("CELLS %d %d" % (mesh.num_cells, 4 * mesh.num_cells))
@@ -260,6 +262,21 @@ def _vtk_text(mesh, state):
         lines.append("3 %d %d %d" % (c[0], c[1], c[2]))
     lines.append("CELL_TYPES %d" % mesh.num_cells)
     lines.extend(["5"] * mesh.num_cells)
+    return "\n".join(lines)
+
+
+def _vtk_text(mesh, state, mesh_block=None):
+    """Legacy VTK text of one snapshot; pass `mesh_block` (from
+    `_vtk_mesh_block`) to reuse the mesh part across snapshots."""
+    if mesh_block is None:
+        mesh_block = _vtk_mesh_block(mesh)
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "morphosim fields at t=%.17g" % state.t,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        mesh_block,
+    ]
     lines.append("POINT_DATA %d" % mesh.num_vertices)
     lines.append("VECTORS displacement double")
     for u in state.displacement:
@@ -280,6 +297,7 @@ def write_outputs(trajectory, mesh, config):
     if isinstance(config, str):
         config = OutputConfig(directory=config)
     paths = []
+    mesh_block = None
     try:
         os.makedirs(config.directory, exist_ok=True)
         csv_path = os.path.join(config.directory, "run.csv")
@@ -287,18 +305,19 @@ def write_outputs(trajectory, mesh, config):
             fh.write(trajectory_csv(trajectory))
         paths.append(csv_path)
         if config.write_fields and trajectory.states:
+            mesh_block = _vtk_mesh_block(mesh)
             last = len(trajectory.states) - 1
             for k, state in enumerate(trajectory.states):
                 if k % max(config.every, 1) and k != last:
                     continue
                 path = os.path.join(config.directory, "fields_%06d.vtk" % k)
                 with open(path, "w") as fh:
-                    fh.write(_vtk_text(mesh, state))
+                    fh.write(_vtk_text(mesh, state, mesh_block))
                 paths.append(path)
         if trajectory.failed and trajectory.states:
             snap = os.path.join(config.directory, "failure_snapshot.vtk")
             with open(snap, "w") as fh:
-                fh.write(_vtk_text(mesh, trajectory.states[-1]))
+                fh.write(_vtk_text(mesh, trajectory.states[-1], mesh_block))
             note = os.path.join(config.directory, "failure.txt")
             with open(note, "w") as fh:
                 fh.write("status: %s\n" % trajectory.status)

@@ -14,7 +14,7 @@ Both converge to the same discrete solution; the residual of either is
 the weak form of the stress divergence plus traction terms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +72,7 @@ class EquilibriumSolution:
     residual_norm: float
     rho_hat: float                # largest observed increment ratio (0 if <2)
     method: str
+    stress: np.ndarray            # Piola stress of u at the quadrature points
 
     @property
     def deformation(self):
@@ -101,14 +102,16 @@ def _lift_solver(mesh):
     return mesh._cache["lift_solver"]
 
 
-def lift_dirichlet(mesh, dirichlet_data):
+def lift_dirichlet(mesh, dirichlet_data, with_gradient=False):
     """Extend boundary positions into the domain: ``f_tilde = id + E(f - id)``
     with E the discrete harmonic extension (natural condition on the
     Neumann part).
 
     Affine data on a full Dirichlet boundary is reproduced exactly.  The
     extension must stay locally orientation preserving; otherwise
-    LiftDegenerate is raised.
+    LiftDegenerate is raised.  With `with_gradient`, returns
+    ``(f_tilde, grad f_tilde)``, the per-cell gradient the orientation
+    check computed.
     """
     lu, Kfc, free_idx, nodes = _lift_solver(mesh)
     shift = np.zeros((mesh.num_vertices, 2))
@@ -124,11 +127,25 @@ def lift_dirichlet(mesh, dirichlet_data):
     if np.any(np.linalg.det(jac) <= 0.0):
         raise LiftDegenerate("lifted Dirichlet data folds some cell "
                              "(det grad f_tilde <= 0)")
-    return f_tilde
+    return (f_tilde, jac) if with_gradient else f_tilde
 
 
 # ---------------------------------------------------------------------------
 # per-problem workspace
+
+
+def _dof_maps(mesh):
+    """Cached elastic dof maps: fixed dofs, free-dof mask, element dofs."""
+    if "elastic_dofs" not in mesh._cache:
+        nodes = mesh.elastic_dirichlet_nodes()
+        fixed = (2 * nodes[:, None] + np.arange(2)).ravel()
+        free = np.ones(2 * mesh.num_vertices, dtype=bool)
+        free[fixed] = False
+        edofs = 2 * mesh.cells[:, :, None] + np.arange(2)
+        for shared in (fixed, free, edofs):
+            shared.flags.writeable = False
+        mesh._cache["elastic_dofs"] = (fixed, free, edofs)
+    return mesh._cache["elastic_dofs"]
 
 
 class _Workspace:
@@ -157,22 +174,17 @@ class _Workspace:
                         "%.3g" % dev)
         self.detGq = detGq
         self.Ginvq = np.linalg.inv(self.Gq)
-        self.f_tilde = lift_dirichlet(mesh, problem.dirichlet_data)
-        self.grad_ft = fem.interpolate_gradient(mesh, self.f_tilde)
-        nodes = mesh.elastic_dirichlet_nodes()
-        if len(nodes) == 0:
+        self.f_tilde, self.grad_ft = lift_dirichlet(
+            mesh, problem.dirichlet_data, with_gradient=True)
+        if len(mesh.elastic_dirichlet_nodes()) == 0:
             raise ValidationError("elastic Dirichlet part must be non-empty")
-        self.fixed_dofs = (2 * nodes[:, None] + np.arange(2)).ravel()
-        free = np.ones(2 * mesh.num_vertices, dtype=bool)
-        free[self.fixed_dofs] = False
-        self.free = free
+        self.fixed_dofs, self.free, self.edofs = _dof_maps(mesh)
         if problem.neumann_traction is not None:
             self.traction_load = fem.boundary_load_vector(
                 mesh, ~mesh.facet_elastic_dirichlet,
                 problem.neumann_traction, 2)
         else:
             self.traction_load = np.zeros(2 * mesh.num_vertices)
-        self.edofs = 2 * mesh.cells[:, :, None] + np.arange(2)
 
     def elastic_state(self, u):
         """F_el = (grad u + grad f_tilde) G^{-1} at the quadrature points."""
@@ -196,13 +208,15 @@ class _Workspace:
             "cqij,cqkj->cqik", DW, self.Ginvq)
 
     def residual(self, u):
-        """Weak residual over all dofs and its norm on the free dofs."""
+        """Weak residual over all dofs, its norm on the free dofs, and the
+        stress it was built from."""
         P = self.stress(u)
         contrib = np.einsum("cq,cqia,cAa->cAi", self.weights, P, self.grads)
-        r = np.zeros(2 * self.mesh.num_vertices)
-        np.add.at(r, self.edofs, contrib)
+        # bincount adds in index order, as a scatter-add would
+        r = np.bincount(self.edofs.ravel(), weights=contrib.ravel(),
+                        minlength=2 * self.mesh.num_vertices)
         r -= self.traction_load
-        return r, float(np.linalg.norm(r[self.free]))
+        return r, float(np.linalg.norm(r[self.free])), P
 
     def coefficient_tensor(self, u):
         """Fourth-order stiffness coefficients at the quadrature points:
@@ -212,15 +226,10 @@ class _Workspace:
         with H the energy Hessian at the current elastic state.
         """
         Fel = self.elastic_state(u)
-
-        def block(lo, hi):
-            H = self.energy.second_derivative(self.qpoints[lo:hi], Fel[lo:hi])
-            A = np.einsum("cqipjr,cqap,cqbr->cqijab", H,
-                          self.Ginvq[lo:hi], self.Ginvq[lo:hi], optimize=True)
-            return self.detGq[lo:hi, :, None, None, None, None] * A
-
-        parts = fem.chunked_map(block, self.mesh.num_cells)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        H = self.energy.second_derivative(self.qpoints, Fel)
+        A = np.einsum("cqipjr,cqap,cqbr->cqijab", H, self.Ginvq, self.Ginvq,
+                      optimize=True)
+        return self.detGq[:, :, None, None, None, None] * A
 
     def stiffness(self, u):
         A = self.coefficient_tensor(u)
@@ -255,7 +264,8 @@ def residual(problem, u):
     """Weak equilibrium residual of the displacement u (full vector, free
     norm).  Raises OutsideAdmissibleBall with the worst cell on guard
     failure."""
-    return prepare(problem).residual(u)
+    r, rn, _ = prepare(problem).residual(u)
+    return r, rn
 
 
 def assemble_linearized_at_zero(problem):
@@ -318,7 +328,7 @@ def frozen_update(problem, u):
     Kff, _, free = system.reduced()
     lu = fem._factorize_spd(Kff)
     u = _initial_guess(ws, u)
-    r, _ = ws.residual(u)
+    r, _, _ = ws.residual(u)
     unew = u.reshape(-1)
     unew[free] -= lu.solve(r[free])
     return unew.reshape(-1, 2)
@@ -339,11 +349,11 @@ def solve_fixed_point(problem, initial=None):
     ws = prepare(problem)
     opts = problem.options
     u = _initial_guess(ws, initial)
-    r, rn = ws.residual(u)
+    r, rn, P = ws.residual(u)
     floor = opts.tol_residual if opts.tol_residual is not None else 1e-10
     if rn <= floor:
         return EquilibriumSolution(u, ws.f_tilde, 0, [], rn, 0.0,
-                                   "fixed_point")
+                                   "fixed_point", P)
     system = assemble_linearized_at_zero(problem)
     Kff, _, free = system.reduced()
     lu = fem._factorize_spd(Kff)
@@ -367,11 +377,11 @@ def solve_fixed_point(problem, initial=None):
                 raise ContractionLost(
                     "increment ratio >= 1 for three consecutive sweeps "
                     "(last ratio %.3g)" % ratio)
-        r, rn = ws.residual(u)
+        r, rn, P = ws.residual(u)
         _diag_line(opts, k, inc, rn, rho_hat)
         if inc <= tol_inc and rn <= tol_res:
             return EquilibriumSolution(u, ws.f_tilde, k, increments, rn,
-                                       rho_hat, "fixed_point")
+                                       rho_hat, "fixed_point", P)
     raise NoConvergence("fixed-point iteration did not converge in %d sweeps "
                         "(residual %.3e); data may lie outside the "
                         "contraction regime" % (opts.max_iterations, rn),
@@ -380,14 +390,17 @@ def solve_fixed_point(problem, initial=None):
 
 def solve_newton(problem, initial=None):
     """Newton's method with the tangent reassembled at the current iterate
-    and optional backtracking on the potential."""
+    and optional backtracking on the potential.  The potential of an
+    accepted trial is the next sweep's base value (the trial iterate and
+    the updated one are equal bit for bit)."""
     ws = prepare(problem)
     opts = problem.options
     u = _initial_guess(ws, initial)
-    r, rn = ws.residual(u)
+    r, rn, P = ws.residual(u)
     floor = opts.tol_residual if opts.tol_residual is not None else 1e-10
     if rn <= floor:
-        return EquilibriumSolution(u, ws.f_tilde, 0, [], rn, 0.0, "newton")
+        return EquilibriumSolution(u, ws.f_tilde, 0, [], rn, 0.0, "newton",
+                                   P)
     system = ws.stiffness(u)
     scale = float(np.max(np.abs(system.matrix.data)))
     tol_inc, tol_res = _tolerances(problem, ws, scale)
@@ -395,7 +408,8 @@ def solve_newton(problem, initial=None):
     rho_hat = 0.0
     if rn <= tol_res:
         return EquilibriumSolution(u, ws.f_tilde, 0, increments, rn,
-                                   rho_hat, "newton")
+                                   rho_hat, "newton", P)
+    base = None
     for k in range(1, opts.max_iterations + 1):
         if k > 1:
             system = ws.stiffness(u)
@@ -409,7 +423,8 @@ def solve_newton(problem, initial=None):
         step = 1.0
         if opts.line_search:
             slope = float(r[free] @ delta)
-            base = ws.potential(u)
+            if base is None:
+                base = ws.potential(u)
             # absolute slack keeps the test meaningful once energy
             # differences reach rounding level near the solution
             slack = 64.0 * np.finfo(float).eps * (1.0 + abs(base))
@@ -426,17 +441,18 @@ def solve_newton(problem, initial=None):
             else:
                 raise NoConvergence("line search failed at sweep %d" % k,
                                     iterations=k)
+            base = value
         flat = u.reshape(-1)
         flat[free] += step * delta
         inc = step * float(np.linalg.norm(delta))
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 1e-300:
             rho_hat = max(rho_hat, inc / increments[-2])
-        r, rn = ws.residual(u)
+        r, rn, P = ws.residual(u)
         _diag_line(opts, k, inc, rn, rho_hat)
         if inc <= tol_inc and rn <= tol_res:
             return EquilibriumSolution(u, ws.f_tilde, k, increments, rn,
-                                       rho_hat, "newton")
+                                       rho_hat, "newton", P)
     raise NoConvergence("Newton did not converge in %d sweeps (residual %.3e)"
                         % (opts.max_iterations, rn),
                         iterations=opts.max_iterations)
@@ -454,8 +470,5 @@ def solve_equilibrium(problem, initial=None):
         u1 = frozen_update(problem, initial if initial is not None
                            else np.zeros((problem.mesh.num_vertices, 2)))
         sol = solve_newton(problem, initial=u1)
-        return EquilibriumSolution(sol.displacement, sol.lifted_data,
-                                   sol.iterations + 1,
-                                   sol.increment_history, sol.residual_norm,
-                                   sol.rho_hat, "hybrid")
+        return replace(sol, iterations=sol.iterations + 1, method="hybrid")
     raise ValueError("unknown method %r" % (method,))

@@ -8,8 +8,6 @@ symmetric right-hand-side correction, so the reduced operator stays
 symmetric positive definite and amenable to conjugate gradients.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,33 +17,6 @@ import scipy.sparse.linalg as spla
 from .errors import (AssemblyError, EllipticityViolation, NoConvergence,
                      SingularSystem)
 from .mesh import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS
-
-
-def thread_count():
-    """Assembly parallelism cap from MORPHOSIM_THREADS (absent = 1)."""
-    value = os.environ.get("MORPHOSIM_THREADS")
-    if not value:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def chunked_map(fn, n, threads=None, min_chunk=1024):
-    """Evaluate ``fn(lo, hi)`` over contiguous chunks covering ``[0, n)``.
-
-    With more than one thread the chunks run on a thread pool; results are
-    returned in chunk order either way, so accumulation downstream is
-    deterministic.
-    """
-    threads = thread_count() if threads is None else threads
-    if threads <= 1 or n <= min_chunk:
-        return [fn(0, n)]
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    jobs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        return list(pool.map(lambda span: fn(*span), jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +44,17 @@ class SparseSystem:
         return np.nonzero(mask)[0]
 
     def reduced(self):
-        """(K_ff, b_f - K_fc u_c, free_index) for the elimination solve."""
+        """(K_ff, b_f - K_fc u_c, free_index) for the elimination solve.
+
+        The K_fc u_c product is skipped when every fixed value is zero: it
+        is then exactly zero for finite K, and b_f - 0 is b_f bit for bit.
+        """
         free = self.free_dofs()
-        K = self.matrix
-        Kff = K[free][:, free].tocsc()
+        Kf = self.matrix[free]
+        Kff = Kf[:, free].tocsc()
         bf = self.rhs[free]
-        if len(self.fixed_dofs):
-            Kfc = K[free][:, self.fixed_dofs]
-            bf = bf - Kfc @ self.fixed_values
+        if np.any(np.asarray(self.fixed_values) != 0.0):
+            bf = bf - Kf[:, self.fixed_dofs] @ self.fixed_values
         return Kff, bf, free
 
     def symmetry_error(self):
@@ -172,9 +146,19 @@ def solve_sparse(system, tol=1e-12, direct_threshold=50000,
         Iterative path exhausted its budget or the residual check failed.
     """
     Kff, bf, _ = system.reduced()
+    x, _ = solve_reduced(Kff, bf, tol=tol, direct_threshold=direct_threshold,
+                         max_iterations=max_iterations)
+    return system.full_solution(x)
+
+
+def solve_reduced(Kff, bf, tol=1e-12, direct_threshold=50000,
+                  max_iterations=None):
+    """Solve an already reduced system ``K_ff x = b_f`` as `solve_sparse`
+    does; returns the free values and the residual norm ``|K_ff x - b_f|``
+    that the solve was verified against (0.0 without free dofs)."""
     n = Kff.shape[0]
     if n == 0:
-        return system.full_solution(np.zeros(0))
+        return np.zeros(0), 0.0
     if not np.all(np.isfinite(bf)):
         raise AssemblyError("non-finite right-hand side")
     if n <= direct_threshold:
@@ -188,7 +172,7 @@ def solve_sparse(system, tol=1e-12, direct_threshold=50000,
     if resid > tol * max(scale, 1e-300) and resid > 10 * tol * max(1.0, np.linalg.norm(x)):
         raise NoConvergence("linear solve residual %.3e exceeds tolerance"
                             % resid)
-    return system.full_solution(x)
+    return x, float(resid)
 
 
 def smallest_eigenvalue_estimate(system, iterations=200, tol=1e-5, seed=7):
@@ -438,14 +422,19 @@ def interpolate_gradient(mesh, values):
 def nodal_from_cells(mesh, cell_values):
     """Volume-weighted transfer of per-cell values to the vertices."""
     cell_values = np.asarray(cell_values, dtype=float)
+    n = mesh.num_vertices
     vols = mesh.cell_volumes()
-    acc = np.zeros((mesh.num_vertices,) + cell_values.shape[1:])
-    den = np.zeros(mesh.num_vertices)
-    weighted = vols.reshape((-1,) + (1,) * (cell_values.ndim - 1)) * cell_values
-    for A in range(3):
-        np.add.at(acc, mesh.cells[:, A], weighted)
-        np.add.at(den, mesh.cells[:, A], vols)
-    return acc / den.reshape((-1,) + (1,) * (cell_values.ndim - 1))
+    column = (-1,) + (1,) * (cell_values.ndim - 1)
+    weighted = np.tile((vols.reshape(column) * cell_values).reshape(
+        len(vols), -1), (3, 1))
+    # corner-major order: each vertex sums its cells' contributions in the
+    # same order as one scatter-add per corner would
+    corners = mesh.cells.T.ravel()
+    acc = np.empty((n, weighted.shape[1]))
+    for j in range(weighted.shape[1]):
+        acc[:, j] = np.bincount(corners, weights=weighted[:, j], minlength=n)
+    den = np.bincount(corners, weights=np.tile(vols, 3), minlength=n)
+    return acc.reshape((n,) + cell_values.shape[1:]) / den.reshape(column)
 
 
 def growth_at_quadrature(mesh, growth):

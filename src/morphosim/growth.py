@@ -87,23 +87,29 @@ def _check_stage(G, config, label):
                              report=report)
 
 
-def rk4_step(G, rhs, t, dt, guards=None):
+def rk4_step(G, rhs, t, dt, guards=None, k1=None):
     """One classical 4th-order Runge-Kutta step of ``dG/dt = rhs(t, G)``.
 
     `rhs` receives the stage time and the full stacked field (n, d, d) and
     must return the stacked rate.  Stage states are guard-checked when a
     GuardConfig is supplied; non-finite rates also raise GuardViolation.
+    A caller that already holds ``rhs(t, G)`` passes it as `k1`, which
+    then serves as the first stage (checked like the others) instead of a
+    fresh evaluation.
     """
     G = np.asarray(G, dtype=float)
 
-    def rate(ts, Gs):
-        k = np.asarray(rhs(ts, Gs), dtype=float)
+    def finite(ts, k):
+        k = np.asarray(k, dtype=float)
         if not np.all(np.isfinite(k)):
             raise GuardViolation("non-finite growth rate at t = %.6g" % ts)
         return k
 
+    def rate(ts, Gs):
+        return finite(ts, rhs(ts, Gs))
+
     _check_stage(G, guards, "step start (t = %.6g)" % t)
-    k1 = rate(t, G)
+    k1 = rate(t, G) if k1 is None else finite(t, k1)
     s2 = G + 0.5 * dt * k1
     _check_stage(s2, guards, "stage 2 (t = %.6g)" % (t + 0.5 * dt))
     k2 = rate(t + 0.5 * dt, s2)

@@ -92,18 +92,35 @@ class PolarWellEnergy(EnergyModel):
             raise SingularMatrix("energy evaluated at non-positive determinant")
         return d
 
+    # The polar helpers below run after `_det`, which has made the same
+    # determinant check as `tensor.polar_rotation`; in 2-d only the
+    # non-finite check is left to do before the closed form.
+
+    def _rotation(self, F):
+        if F.shape[-1] != 2:
+            return tensor.polar_rotation(F)
+        tensor._check_finite(F)
+        return tensor._polar_rotation_2d(F)
+
+    def _rotation_derivative(self, F):
+        if F.shape[-1] != 2:
+            return tensor.polar_rotation_derivative(F)
+        tensor._check_finite(F)
+        return tensor._polar_rotation_derivative_2d(F)
+
     def evaluate(self, x, F):
         F = np.asarray(F, dtype=float)
         d = self._det(F)
         p = self.p
-        return tensor.dist_so(F) ** 2 + d ** p + d ** (-p) - 2.0
+        dist = tensor.frobenius_norm(F - self._rotation(F))
+        return dist ** 2 + d ** p + d ** (-p) - 2.0
 
     def first_derivative(self, x, F):
         F = np.asarray(F, dtype=float)
         d = self._det(F)
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
-        R = tensor.polar_rotation(F)
+        R = self._rotation(F)
         return 2.0 * (F - R) + hprime[..., None, None] * tensor.cofactor(F)
 
     def second_derivative(self, x, F):
@@ -114,7 +131,7 @@ class PolarWellEnergy(EnergyModel):
         hsecond = p * (p - 1) * d ** (p - 2) + p * (p + 1) * d ** (-p - 2)
         dd = self.dim
         I4 = np.einsum("ik,jl->ijkl", np.eye(dd), np.eye(dd))
-        DR = tensor.polar_rotation_derivative(F)
+        DR = self._rotation_derivative(F)
         cof = tensor.cofactor(F)
         H = 2.0 * (I4 - DR)
         H = H + hsecond[..., None, None, None, None] * np.einsum(
@@ -257,7 +274,8 @@ class NutrientModel:
     `diffusion(G, Y, x)` returns stacked symmetric matrices (units
     area/time) with smallest eigenvalue >= `ellipticity_nu`;
     `absorption(G, Y, x)` returns stacked non-negative scalars (units
-    1/time).
+    1/time).  `coefficients(G, Y, x)` returns both; models whose two
+    coefficients share work override it to do that work once.
     """
 
     ellipticity_nu = 1e-8
@@ -267,6 +285,9 @@ class NutrientModel:
 
     def absorption(self, G, Y, x):
         raise NotImplementedError
+
+    def coefficients(self, G, Y, x):
+        return self.diffusion(G, Y, x), self.absorption(G, Y, x)
 
 
 def _spatial_matrix(value, x, d):
@@ -319,6 +340,11 @@ class DetRatioNutrientModel(NutrientModel):
     def absorption(self, G, Y, x):
         r = self._ratio(G, Y)
         return _spatial_scalar(self.beta0, x) / r
+
+    def coefficients(self, G, Y, x):
+        r = self._ratio(G, Y)
+        return (r[..., None, None] * _spatial_matrix(self.d0, x, self.dim),
+                _spatial_scalar(self.beta0, x) / r)
 
 
 class ConstantNutrientModel(NutrientModel):

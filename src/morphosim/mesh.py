@@ -136,13 +136,16 @@ class Mesh:
     def facet_cells(self):
         """Index of the unique cell adjacent to each boundary facet."""
         if "facet_cells" not in self._cache:
-            owner = {}
-            for ci, tri in enumerate(self.cells):
-                for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                    key = (a, b) if a < b else (b, a)
-                    owner[key] = ci
-            self._cache["facet_cells"] = np.array(
-                [owner[tuple(sorted(f))] for f in self.facets], dtype=int)
+            def keys(pairs):
+                pairs = np.sort(pairs, axis=1).astype(np.int64)
+                return pairs[:, 0] * self.num_vertices + pairs[:, 1]
+
+            # cell edges in cell order (0-1, 1-2, 2-0 per cell); validation
+            # made every facet a boundary edge, which has exactly one owner
+            edge_keys = keys(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
+            order = np.argsort(edge_keys)
+            pos = np.searchsorted(edge_keys[order], keys(self.facets))
+            self._cache["facet_cells"] = order[pos] // 3
         return self._cache["facet_cells"]
 
     def facet_normals(self):
@@ -155,11 +158,12 @@ class Mesh:
             n /= np.linalg.norm(n, axis=1)[:, None]
             # orient away from the opposite vertex of the adjacent cell
             cells = self.cells[self.facet_cells()]
-            for k in range(len(self.facets)):
-                others = [v for v in cells[k] if v not in set(self.facets[k])]
-                inward = self.vertices[others[0]] - p0[k]
-                if np.dot(n[k], inward) > 0.0:
-                    n[k] = -n[k]
+            off_facet = ((cells != self.facets[:, :1])
+                         & (cells != self.facets[:, 1:]))
+            opposite = cells[np.arange(len(cells)), np.argmax(off_facet, axis=1)]
+            inward = self.vertices[opposite] - p0
+            flip = n[:, 0] * inward[:, 0] + n[:, 1] * inward[:, 1] > 0.0
+            n[flip] = -n[flip]
             self._cache["normals"] = n
         return self._cache["normals"]
 
@@ -170,16 +174,22 @@ class Mesh:
             self._cache["flengths"] = np.linalg.norm(p1 - p0, axis=1)
         return self._cache["flengths"]
 
-    def _nodes_of(self, facet_mask):
-        if not np.any(facet_mask):
-            return np.array([], dtype=int)
-        return np.unique(self.facets[facet_mask].ravel())
+    def _nodes_of(self, key, facet_mask):
+        """Sorted vertices of the masked facets, cached read-only."""
+        if key not in self._cache:
+            if np.any(facet_mask):
+                nodes = np.unique(self.facets[facet_mask].ravel())
+            else:
+                nodes = np.array([], dtype=int)
+            nodes.flags.writeable = False
+            self._cache[key] = nodes
+        return self._cache[key]
 
     def elastic_dirichlet_nodes(self):
-        return self._nodes_of(self.facet_elastic_dirichlet)
+        return self._nodes_of("elastic_nodes", self.facet_elastic_dirichlet)
 
     def nutrient_dirichlet_nodes(self):
-        return self._nodes_of(self.facet_nutrient_dirichlet)
+        return self._nodes_of("nutrient_nodes", self.facet_nutrient_dirichlet)
 
     def total_volume(self):
         return float(np.sum(self.cell_volumes()))

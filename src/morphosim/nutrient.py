@@ -56,8 +56,7 @@ def nutrient_coefficient_fields(problem):
     Yq = np.broadcast_to(Y[:, None], (mesh.num_cells, nq, 2, 2))
     Gq = fem.growth_at_quadrature(mesh, problem.growth)
     x = mesh.quad_points()
-    D = problem.model.diffusion(Gq, Yq, x)
-    beta = problem.model.absorption(Gq, Yq, x)
+    D, beta = problem.model.coefficients(Gq, Yq, x)
     return np.asarray(D, dtype=float), np.asarray(beta, dtype=float)
 
 
@@ -98,10 +97,9 @@ def solve_nutrient(problem, tol=1e-12):
     system = fem.assemble_scalar_operator(
         mesh, D, reaction=beta, neumann_flux=flux, dirichlet=dirichlet,
         ellipticity_nu=problem.model.ellipticity_nu)
-    N = fem.solve_sparse(system, tol=tol)
-
-    Kff, bf, free = system.reduced()
-    resid = float(np.linalg.norm(Kff @ N[free] - bf)) if len(free) else 0.0
+    Kff, bf, _ = system.reduced()
+    x, resid = fem.solve_reduced(Kff, bf, tol=tol)
+    N = system.full_solution(x)
     min_value = float(np.min(N))
     scale = max(1.0, float(np.max(np.abs(N))))
     if mesh.delaunay_like and min_value < -1e-10 * scale:

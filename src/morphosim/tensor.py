@@ -159,14 +159,7 @@ def polar_rotation(F):
     if np.any(detF <= singularity_threshold(F)):
         raise SingularMatrix("polar decomposition requires det F > 0")
     if d == 2:
-        p = F[..., 0, 0] + F[..., 1, 1]
-        q = F[..., 0, 1] - F[..., 1, 0]
-        r = np.hypot(p, q)
-        R = np.empty_like(F)
-        R[..., 0, 0] = R[..., 1, 1] = p / r
-        R[..., 0, 1] = q / r
-        R[..., 1, 0] = -q / r
-        return R
+        return _polar_rotation_2d(F)
     if d == 3:
         U, _, Vt = np.linalg.svd(F)
         R = U @ Vt
@@ -191,22 +184,7 @@ def polar_rotation_derivative(F):
     d = F.shape[-1]
     R = polar_rotation(F)
     if d == 2:
-        p = F[..., 0, 0] + F[..., 1, 1]
-        q = F[..., 0, 1] - F[..., 1, 0]
-        r2 = p * p + q * q
-        r = np.sqrt(r2)
-        dp = np.array([[1.0, 0.0], [0.0, 1.0]])
-        dq = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        shape = F.shape[:-2]
-        dr = (p[..., None, None] * dp + q[..., None, None] * dq) / r[..., None, None]
-        dpr = dp / r[..., None, None] - (p / r2)[..., None, None] * dr
-        dqr = dq / r[..., None, None] - (q / r2)[..., None, None] * dr
-        DR = np.empty(shape + (2, 2, 2, 2))
-        DR[..., 0, 0, :, :] = dpr
-        DR[..., 1, 1, :, :] = dpr
-        DR[..., 0, 1, :, :] = dqr
-        DR[..., 1, 0, :, :] = -dqr
-        return DR
+        return _polar_rotation_derivative_2d(F)
     if d == 3:
         S = transpose(R) @ F
         S = 0.5 * (S + transpose(S))
@@ -217,6 +195,39 @@ def polar_rotation_derivative(F):
         a = np.einsum("...mp,...pkl->...mkl", Binv, w)
         return np.einsum("...is,smj,...mkl->...ijkl", R, _EPS3, a)
     raise ValueError("only d in {2, 3} is supported")
+
+
+def _polar_rotation_2d(F):
+    """Closed-form 2-d rotation factor ``(F + cof F) / |F + cof F|_row``.
+    Unchecked: the caller has established finite entries and det F > 0."""
+    p = F[..., 0, 0] + F[..., 1, 1]
+    q = F[..., 0, 1] - F[..., 1, 0]
+    r = np.hypot(p, q)
+    R = np.empty_like(F)
+    R[..., 0, 0] = R[..., 1, 1] = p / r
+    R[..., 0, 1] = q / r
+    R[..., 1, 0] = -q / r
+    return R
+
+
+def _polar_rotation_derivative_2d(F):
+    """Derivative of `_polar_rotation_2d`, under the same preconditions."""
+    p = F[..., 0, 0] + F[..., 1, 1]
+    q = F[..., 0, 1] - F[..., 1, 0]
+    r2 = p * p + q * q
+    r = np.sqrt(r2)
+    dp = np.array([[1.0, 0.0], [0.0, 1.0]])
+    dq = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    shape = F.shape[:-2]
+    dr = (p[..., None, None] * dp + q[..., None, None] * dq) / r[..., None, None]
+    dpr = dp / r[..., None, None] - (p / r2)[..., None, None] * dr
+    dqr = dq / r[..., None, None] - (q / r2)[..., None, None] * dr
+    DR = np.empty(shape + (2, 2, 2, 2))
+    DR[..., 0, 0, :, :] = dpr
+    DR[..., 1, 1, :, :] = dpr
+    DR[..., 0, 1, :, :] = dqr
+    DR[..., 1, 0, :, :] = -dqr
+    return DR
 
 
 def dist_so(F):

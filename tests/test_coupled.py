@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from morphosim import fem
+from morphosim import coupled, fem
 from morphosim.benchmarks import analytic_growth_scenario, identity_scenario
 from morphosim.coupled import run_coupled, trajectory_csv, write_outputs
+from morphosim.growth import rk4_step
 from morphosim.elasticity import EquilibriumProblem, residual
 from morphosim.nutrient import NutrientProblem, nutrient_coefficient_fields
 from morphosim.scenario import load_scenario
@@ -185,3 +186,119 @@ class TestAdaptiveStepping:
         assert traj.status == "guard_violation"
         assert "underflow" in str(traj.error)
         assert traj.states[-1].t < 0.95
+
+
+def substeps_reference(sc):
+    """Coupled loop that re-solves every Runge-Kutta stage, the first one
+    included; returns (t, G, u) per snapshot."""
+    driver = coupled._CoupledDriver(sc)
+    G = sc.initial_growth_nodal()
+    grid = sc.time
+    t = grid.t0
+    states = []
+    while True:
+        _, sol, _ = driver.solve_state(t, G)
+        states.append((t, G, sol.displacement))
+        remaining = grid.t_end - t
+        if remaining <= 1e-12 * max(1.0, abs(grid.t_end)):
+            return states
+        dt = min(grid.dt, remaining)
+        G = rk4_step(G, driver.make_rhs(t, None, None), t, dt)
+        t = grid.t_end if dt >= remaining - 1e-15 else t + dt
+
+
+class TestFirstStageReuse:
+    def test_substeps_solve_count_and_values(self, monkeypatch):
+        reference = substeps_reference(
+            analytic_growth_scenario(nx=4, dt=1e-2, t_end=0.05))
+        calls = []
+        solve = coupled.solve_equilibrium
+
+        def counting(problem, initial=None):
+            calls.append(problem)
+            return solve(problem, initial=initial)
+        monkeypatch.setattr(coupled, "solve_equilibrium", counting)
+        traj = run_coupled(analytic_growth_scenario(nx=4, dt=1e-2,
+                                                    t_end=0.05))
+        steps = len(traj.states) - 1
+        assert steps == 5
+        # the snapshot solve doubles as stage 1: one solve at t0, then
+        # three stage solves and one snapshot solve per step
+        assert len(calls) == 1 + 4 * steps
+        assert len(reference) == len(traj.states)
+        for (t, G, u), state in zip(reference, traj.states):
+            assert t == state.t
+            assert np.array_equal(G, state.growth)
+            assert np.array_equal(u, state.displacement)
+
+    def test_staggered_run_evaluates_law_once_per_step(self, scenario_dir,
+                                                       monkeypatch):
+        sc = load_scenario(scenario_dir / "stress_modulated.cfg")
+        sc.time.t_end = 0.05
+        calls = []
+        evaluate = sc.growth_law.evaluate
+
+        def counting(*args):
+            calls.append(1)
+            return evaluate(*args)
+        monkeypatch.setattr(sc.growth_law, "evaluate", counting)
+        traj = run_coupled(sc)
+        assert traj.status == "completed"
+        steps = len(traj.states) - 1
+        assert len(calls) == 4 * steps
+
+
+def vtk_text_reference(mesh, state):
+    """Snapshot text formatted in one pass, mesh included (reference)."""
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "morphosim fields at t=%.17g" % state.t,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        "POINTS %d double" % mesh.num_vertices,
+    ]
+    for v in mesh.vertices:
+        lines.append("%.17g %.17g 0" % (v[0], v[1]))
+    lines.append("CELLS %d %d" % (mesh.num_cells, 4 * mesh.num_cells))
+    for c in mesh.cells:
+        lines.append("3 %d %d %d" % (c[0], c[1], c[2]))
+    lines.append("CELL_TYPES %d" % mesh.num_cells)
+    lines.extend(["5"] * mesh.num_cells)
+    lines.append("POINT_DATA %d" % mesh.num_vertices)
+    lines.append("VECTORS displacement double")
+    for u in state.displacement:
+        lines.append("%.17g %.17g 0" % (u[0], u[1]))
+    for name, values in (("nutrient", state.nutrient),
+                         ("growth_det", np.linalg.det(state.growth)),
+                         ("stress_frobenius", state.stress_nodes)):
+        lines.append("SCALARS %s double 1" % name)
+        lines.append("LOOKUP_TABLE default")
+        for value in values:
+            lines.append("%.17g" % value)
+    return "\n".join(lines) + "\n"
+
+
+class TestVtkMeshBlockReuse:
+    def test_files_match_single_pass_formatting(self, scenario_dir,
+                                                tmp_path):
+        sc = load_scenario(scenario_dir / "stress_modulated.cfg")
+        sc.time.t_end = 0.03
+        traj = run_coupled(sc)
+        paths = write_outputs(traj, sc.mesh, str(tmp_path / "ok"))
+        vtks = sorted(p for p in paths if p.endswith(".vtk"))
+        assert len(vtks) == len(traj.states)
+        for path, state in zip(vtks, traj.states):
+            with open(path) as fh:
+                assert fh.read() == vtk_text_reference(sc.mesh, state)
+
+    def test_failure_snapshot_matches(self, tmp_path):
+        sc = analytic_growth_scenario(nx=4, dt=5e-2, t_end=0.99)
+        sc.output.write_fields = False
+        traj = run_coupled(sc)
+        assert traj.failed
+        sc.output.directory = str(tmp_path / "fail")
+        paths = write_outputs(traj, sc.mesh, sc.output)
+        snap = [p for p in paths if p.endswith("failure_snapshot.vtk")]
+        with open(snap[0]) as fh:
+            assert fh.read() == vtk_text_reference(sc.mesh,
+                                                   traj.states[-1])

@@ -337,3 +337,109 @@ class TestEnergy:
                                  initial=warm_init)
         assert np.max(np.abs(warm.displacement
                              - cold.displacement)) <= 1e-10
+
+
+def newton_recomputing_base(problem):
+    """Newton with line search that evaluates the base potential afresh at
+    every sweep.  Returns (u, increments, residual norm, potential calls)."""
+    ws = elasticity.prepare(problem)
+    u = np.zeros((problem.mesh.num_vertices, 2))
+    r, rn = residual(problem, u)
+    system = ws.stiffness(u)
+    tol_inc, tol_res = elasticity._tolerances(
+        problem, ws, float(np.max(np.abs(system.matrix.data))))
+    increments, calls = [], 0
+    for k in range(1, problem.options.max_iterations + 1):
+        if k > 1:
+            system = ws.stiffness(u)
+        Kff, _, free = system.reduced()
+        delta = -fem._factorize_spd(Kff).solve(r[free])
+        slope = float(r[free] @ delta)
+        base = ws.potential(u)
+        slack = 64.0 * np.finfo(float).eps * (1.0 + abs(base))
+        step = 1.0
+        calls += 1
+        while True:
+            trial = u.reshape(-1).copy()
+            trial[free] += step * delta
+            try:
+                value = ws.potential(trial.reshape(-1, 2))
+            except OutsideAdmissibleBall:
+                value = np.inf
+            calls += 1
+            if value <= base + 1e-4 * step * slope + slack:
+                break
+            step *= 0.5
+        u.reshape(-1)[free] += step * delta
+        increments.append(step * float(np.linalg.norm(delta)))
+        r, rn = residual(problem, u)
+        if increments[-1] <= tol_inc and rn <= tol_res:
+            return u, increments, rn, calls
+    raise AssertionError("reference Newton did not converge")
+
+
+class TestComputedOnce:
+    """Values a solve already holds are reused, bit for bit."""
+
+    @staticmethod
+    def contraction(method, traction=0.01):
+        mesh = rectangle_mesh(6, 6, elastic_dirichlet="left")
+        return make_problem(
+            mesh, traction=lambda pts, n: traction * np.asarray(n),
+            method=method)
+
+    @pytest.mark.parametrize("method", ["fixed_point", "newton", "hybrid"])
+    def test_solution_carries_its_stress(self, method):
+        problem = self.contraction(method)
+        sol = solve_equilibrium(problem)
+        assert sol.iterations > 0
+        assert np.array_equal(sol.stress,
+                              stress_field(problem, sol.displacement))
+
+    def test_zero_sweep_solution_carries_its_stress(self):
+        problem = make_problem(rectangle_mesh(4, 4), method="newton")
+        sol = solve_equilibrium(problem)
+        assert sol.iterations == 0
+        assert np.array_equal(sol.stress,
+                              stress_field(problem, sol.displacement))
+
+    @pytest.mark.parametrize("traction", [0.01, 0.35])
+    def test_newton_base_reuse_matches_recomputed_base(self, traction):
+        u, increments, rn, calls = newton_recomputing_base(
+            self.contraction("newton", traction))
+        problem = self.contraction("newton", traction)
+        ws = elasticity.prepare(problem)
+        potential = ws.potential
+        counted = []
+
+        def counting(v):
+            counted.append(1)
+            return potential(v)
+        ws.potential = counting
+        sol = solve_newton(problem)
+        assert np.array_equal(sol.displacement, u)
+        assert sol.increment_history == increments
+        assert sol.residual_norm == rn
+        # one base evaluation per solve instead of one per sweep
+        assert len(counted) == calls - (sol.iterations - 1)
+
+    def test_bincount_residual_matches_scatter_add(self):
+        problem = self.contraction("fixed_point")
+        ws = elasticity.prepare(problem)
+        rng = np.random.default_rng(4)
+        u = 0.01 * rng.standard_normal((problem.mesh.num_vertices, 2))
+        u.reshape(-1)[ws.fixed_dofs] = 0.0
+        r, rn, P = ws.residual(u)
+        contrib = np.einsum("cq,cqia,cAa->cAi", ws.weights, P, ws.grads)
+        expected = np.zeros(2 * problem.mesh.num_vertices)
+        np.add.at(expected, ws.edofs, contrib)
+        expected -= ws.traction_load
+        assert np.array_equal(r, expected)
+        assert rn == float(np.linalg.norm(expected[ws.free]))
+
+    def test_workspace_takes_the_lift_gradient(self):
+        problem = self.contraction("fixed_point")
+        ws = elasticity.prepare(problem)
+        assert np.array_equal(ws.grad_ft,
+                              fem.interpolate_gradient(problem.mesh,
+                                                       ws.f_tilde))

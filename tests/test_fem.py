@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,25 +213,52 @@ class TestGradients:
         assert np.allclose(nodal, 3.5)
 
 
-class TestThreads:
-    def test_threaded_assembly_is_deterministic(self):
-        mesh = rectangle_mesh(8, 8)
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((mesh.num_cells, NQ, 2, 2, 2, 2))
 
-        def block(lo, hi):
-            return A[lo:hi] * 2.0
+def nodal_from_cells_scatter_add(mesh, cell_values):
+    """Loop-per-corner scatter-add transfer (reference for the bincount
+    version)."""
+    cell_values = np.asarray(cell_values, dtype=float)
+    vols = mesh.cell_volumes()
+    acc = np.zeros((mesh.num_vertices,) + cell_values.shape[1:])
+    den = np.zeros(mesh.num_vertices)
+    column = (-1,) + (1,) * (cell_values.ndim - 1)
+    weighted = vols.reshape(column) * cell_values
+    for A in range(3):
+        np.add.at(acc, mesh.cells[:, A], weighted)
+        np.add.at(den, mesh.cells[:, A], vols)
+    return acc / den.reshape(column)
 
-        single = np.concatenate(fem.chunked_map(block, mesh.num_cells,
-                                                threads=1, min_chunk=1))
-        multi = np.concatenate(fem.chunked_map(block, mesh.num_cells,
-                                               threads=4, min_chunk=1))
-        assert np.array_equal(single, multi)
 
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.delenv("MORPHOSIM_THREADS", raising=False)
-        assert fem.thread_count() == 1
-        monkeypatch.setenv("MORPHOSIM_THREADS", "4")
-        assert fem.thread_count() == 4
-        monkeypatch.setenv("MORPHOSIM_THREADS", "junk")
-        assert fem.thread_count() == 1
+class TestComputedOnce:
+    @pytest.mark.parametrize("mode", ["crossed", "diagonal"])
+    @pytest.mark.parametrize("trailing", [(), (2,), (2, 2)])
+    def test_nodal_from_cells_matches_scatter_add(self, mode, trailing):
+        mesh = rectangle_mesh(5, 4, mode=mode)
+        rng = np.random.default_rng(8)
+        vals = rng.standard_normal((mesh.num_cells,) + trailing)
+        got = fem.nodal_from_cells(mesh, vals)
+        assert got.shape == (mesh.num_vertices,) + trailing
+        assert np.array_equal(got, nodal_from_cells_scatter_add(mesh, vals))
+
+    def test_zero_dirichlet_reduction_is_exact(self):
+        mesh = rectangle_mesh(4, 4, elastic_dirichlet="left")
+        system = fem.assemble_vector_operator(mesh, hessian_tensor(mesh))
+        rng = np.random.default_rng(2)
+        system.rhs = rng.standard_normal(system.rhs.shape)
+        assert not np.any(system.fixed_values)
+        Kff, bf, free = system.reduced()
+        K = system.matrix
+        expected = system.rhs[free] - K[free][:, system.fixed_dofs] @ \
+            system.fixed_values
+        assert np.array_equal(bf, expected)
+        assert (Kff != K[free][:, free]).nnz == 0
+
+    def test_solve_reduced_reports_verified_residual(self):
+        mesh = rectangle_mesh(4, 4)
+        system = fem.assemble_scalar_operator(mesh, np.eye(2), reaction=1.0,
+                                              dirichlet=2.0)
+        Kff, bf, free = system.reduced()
+        x, resid = fem.solve_reduced(Kff, bf)
+        full = fem.solve_sparse(system)
+        assert np.array_equal(full[free], x)
+        assert resid == float(np.linalg.norm(Kff @ x - bf))

@@ -100,6 +100,41 @@ class TestRK4:
                      guards=GuardConfig(det_min=0.1, norm_max=10.0))
 
 
+class TestGivenFirstStage:
+    """A caller holding rhs(t, G) hands it over as the first stage."""
+
+    @staticmethod
+    def rhs_and_state():
+        rng = np.random.default_rng(3)
+        G = np.eye(2) + 0.1 * rng.standard_normal((7, 2, 2))
+        H = 0.3 * rng.standard_normal((2, 2))
+        calls = []
+
+        def rhs(ts, Gs):
+            calls.append(ts)
+            return Gs @ H + ts * Gs
+        return G, rhs, calls
+
+    def test_bitwise_identical_to_evaluating_it(self):
+        G, rhs, calls = self.rhs_and_state()
+        guards = GuardConfig(det_min=0.1, norm_max=10.0)
+        ref = rk4_step(G, rhs, 0.2, 0.05, guards=guards)
+        assert len(calls) == 4
+        k1 = rhs(0.2, G)
+        del calls[:]
+        got = rk4_step(G, rhs, 0.2, 0.05, guards=guards, k1=k1)
+        assert len(calls) == 3 and 0.2 not in calls
+        assert np.array_equal(got, ref)
+
+    def test_given_stage_is_checked(self):
+        G, rhs, _ = self.rhs_and_state()
+        with pytest.raises(GuardViolation, match="non-finite"):
+            rk4_step(G, rhs, 0.0, 0.1, k1=np.full_like(G, np.inf))
+        with pytest.raises(GuardViolation, match="step start"):
+            rk4_step(0.2 * G, rhs, 0.0, 0.1, k1=rhs(0.0, 0.2 * G),
+                     guards=GuardConfig(det_min=0.1, norm_max=10.0))
+
+
 class TestStepControl:
     def test_constant_rate_keeps_dt(self):
         assert picard_step_control(0.0, 0.0, 1.0, 0.25) == 0.25

@@ -345,3 +345,51 @@ class TestNutrientModels:
         x = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         beta = model.absorption(G, G, x)
         assert np.allclose(beta, [0.0, 0.5, 1.0])
+
+
+class TestComputedOnce:
+    """The energy checks det F once; the nutrient model forms its
+    determinant ratio once.  Results equal the separate computations."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_energy_matches_public_polar_kernels(self, dim):
+        rng = np.random.default_rng(6)
+        F = sample_admissible(rng, 50, d=dim)
+        e = PolarWellEnergy(dim=dim)
+        d = np.linalg.det(F)
+        hp = 2.0 * d - 2.0 * d ** -3.0
+        hs = 2.0 * d ** 0.0 + 6.0 * d ** -4.0
+        eye = np.eye(dim)
+        cof = tensor.cofactor(F)
+        W = tensor.dist_so(F) ** 2 + d ** 2.0 + d ** -2.0 - 2.0
+        P = 2.0 * (F - tensor.polar_rotation(F)) + hp[..., None, None] * cof
+        H = 2.0 * (np.einsum("ik,jl->ijkl", eye, eye)
+                   - tensor.polar_rotation_derivative(F))
+        H = H + hs[..., None, None, None, None] * np.einsum(
+            "...ij,...kl->...ijkl", cof, cof)
+        H = H + hp[..., None, None, None, None] * \
+            tensor.cofactor_derivative(F)
+        assert np.array_equal(e.evaluate(X0, F), W)
+        assert np.array_equal(e.first_derivative(X0, F), P)
+        assert np.array_equal(e.second_derivative(X0, F), H)
+
+    def test_energy_keeps_its_checks(self):
+        e = PolarWellEnergy(dim=2)
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        for method in (e.evaluate, e.first_derivative, e.second_derivative):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                method(X0, bad)
+            with pytest.raises(SingularMatrix):
+                method(X0, np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("model", [
+        DetRatioNutrientModel(d0=np.diag([1.5, 0.5]), beta0=0.7),
+        ConstantNutrientModel(d0=np.diag([1.0, 3.0]), beta0=0.2)])
+    def test_nutrient_coefficients_match_separate_calls(self, model):
+        rng = np.random.default_rng(9)
+        G = sample_admissible(rng, 40)
+        Y = sample_admissible(rng, 40)
+        x = rng.uniform(0.0, 1.0, size=(40, 2))
+        D, beta = model.coefficients(G, Y, x)
+        assert np.array_equal(D, model.diffusion(G, Y, x))
+        assert np.array_equal(beta, model.absorption(G, Y, x))

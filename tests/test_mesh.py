@@ -138,3 +138,66 @@ class TestMeshFile:
     def test_missing_file(self):
         with pytest.raises(IoError):
             read_mesh("/nonexistent/path.mesh")
+
+
+def facet_cells_by_dict(mesh):
+    """Per-cell loop with a dict of edge owners (reference)."""
+    owner = {}
+    for ci, tri in enumerate(mesh.cells):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            owner[(a, b) if a < b else (b, a)] = ci
+    return np.array([owner[tuple(sorted(f))] for f in mesh.facets], dtype=int)
+
+
+def facet_normals_by_loop(mesh):
+    """Per-facet orientation loop (reference)."""
+    p0 = mesh.vertices[mesh.facets[:, 0]]
+    edge = mesh.vertices[mesh.facets[:, 1]] - p0
+    n = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    cells = mesh.cells[facet_cells_by_dict(mesh)]
+    for k in range(len(mesh.facets)):
+        others = [v for v in cells[k] if v not in set(mesh.facets[k])]
+        if np.dot(n[k], mesh.vertices[others[0]] - p0[k]) > 0.0:
+            n[k] = -n[k]
+    return n
+
+
+def shuffled_copy(mesh, seed=0):
+    """Same mesh with cells rotated and reordered and facets reversed and
+    reordered, so owners and orientations are not in generator order."""
+    rng = np.random.default_rng(seed)
+    cells = np.roll(mesh.cells, 1, axis=1)[rng.permutation(mesh.num_cells)]
+    order = rng.permutation(len(mesh.facets))
+    return Mesh(mesh.vertices, cells, mesh.facets[order][:, ::-1],
+                mesh.facet_elastic_dirichlet[order],
+                mesh.facet_nutrient_dirichlet[order])
+
+
+class TestVectorizedFacets:
+    @pytest.mark.parametrize("mode", ["crossed", "diagonal"])
+    def test_match_loop_reference(self, mode):
+        base = rectangle_mesh(5, 3, mode=mode,
+                              extent=((-1.0, 0.0), (2.0, 0.5)))
+        for mesh in (base, shuffled_copy(base)):
+            assert np.array_equal(mesh.facet_cells(),
+                                  facet_cells_by_dict(mesh))
+            assert np.array_equal(mesh.facet_normals(),
+                                  facet_normals_by_loop(mesh))
+
+    def test_match_loop_reference_after_file_round_trip(self, tmp_path):
+        path = tmp_path / "m.mesh"
+        write_mesh(shuffled_copy(rectangle_mesh(4, 4), seed=3), path)
+        mesh = read_mesh(path)
+        assert np.array_equal(mesh.facet_cells(), facet_cells_by_dict(mesh))
+        assert np.array_equal(mesh.facet_normals(),
+                              facet_normals_by_loop(mesh))
+
+    def test_dirichlet_nodes_are_cached_read_only(self):
+        mesh = rectangle_mesh(3, 3, elastic_dirichlet="left")
+        nodes = mesh.elastic_dirichlet_nodes()
+        assert nodes is mesh.elastic_dirichlet_nodes()
+        assert np.array_equal(
+            nodes, np.unique(mesh.facets[mesh.facet_elastic_dirichlet]))
+        with pytest.raises(ValueError):
+            nodes[0] = 0
