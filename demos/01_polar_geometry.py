@@ -23,7 +23,7 @@ for name, F in samples.items():
 
 print()
 print("=== the energy well ===")
-energy = PolarWellEnergy(dim=2)
+energy = PolarWellEnergy()
 print("W(identity)      =", energy.evaluate(np.zeros(2), np.eye(2)))
 print("W(rotation(1.0)) =", energy.evaluate(np.zeros(2), rotation(1.0)))
 print("W(diag(2, 1))    =", energy.evaluate(np.zeros(2), np.diag([2.0, 1.0])))

@@ -18,7 +18,7 @@ from morphosim import (EquilibriumProblem, PolarWellEnergy, SolverOptions,
 def make_problem(traction):
     mesh = rectangle_mesh(16, 16, elastic_dirichlet="left")
     return EquilibriumProblem(
-        mesh, PolarWellEnergy(dim=2),
+        mesh, PolarWellEnergy(),
         growth=lambda pts: np.broadcast_to(
             np.eye(2), np.asarray(pts).shape[:-1] + (2, 2)).copy(),
         dirichlet_data=lambda pts: np.asarray(pts, dtype=float),

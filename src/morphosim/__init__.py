@@ -11,13 +11,12 @@ from . import errors
 from .coupled import SystemState, Trajectory, run_coupled, write_outputs
 from .elasticity import (EquilibriumProblem, EquilibriumSolution,
                          SolverOptions, assemble_linearized_at_zero,
-                         elastic_energy, frozen_update, lift_dirichlet,
-                         residual, solve_equilibrium, solve_fixed_point,
-                         solve_newton, stress_field)
+                         elastic_energy, lift_dirichlet, residual,
+                         solve_equilibrium, solve_fixed_point, solve_newton,
+                         stress_field)
 from .fem import (SparseSystem, assemble_scalar_operator,
                   assemble_vector_operator, interpolate_gradient,
-                  nodal_from_cells, smallest_eigenvalue_estimate,
-                  solve_sparse)
+                  nodal_from_cells, solve_sparse)
 from .growth import (GuardConfig, TimeGrid, det_guard, picard_step_control,
                      rk4_step)
 from .materials import (CheckReport, ConstantNutrientModel,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from . import fem, growth as growth_mod, tensor
+from . import growth as growth_mod
 from .coupled import run_coupled
 from .elasticity import (EquilibriumProblem, SolverOptions, solve_fixed_point,
                          solve_newton)
@@ -20,7 +20,7 @@ from .materials import (DetRatioNutrientModel, PolarWellEnergy,
                         ProductGrowthLaw, ZeroGrowthLaw)
 from .mesh import rectangle_mesh
 from .nutrient import NutrientProblem, solve_nutrient
-from .scenario import OutputConfig, Scenario
+from .scenario import Scenario
 
 
 @dataclass
@@ -67,12 +67,12 @@ def identity_scenario(name, nx=16, dt=0.05, t_end=0.25, method="fixed_point"):
     """Unstressed reference configuration: identity data, no growth."""
     mesh = rectangle_mesh(nx, nx)
     return Scenario(
-        name=name, mesh=mesh, energy=PolarWellEnergy(dim=2),
+        name=name, mesh=mesh, energy=PolarWellEnergy(),
         growth_law=ZeroGrowthLaw(),
         nutrient_model=DetRatioNutrientModel(d0=1.0, beta0=0.0),
         f_nodes=ex.parse_vector("x, y", 2),
         fn_node=ex.parse("1"),
-        g0_kind="identity", compatible=True,
+        g0_kind="identity",
         time=TimeGrid(t_end=t_end, dt=dt),
         solver=SolverOptions(method=method))
 
@@ -105,12 +105,12 @@ def analytic_growth_scenario(nx=16, dt=1e-3, t_end=0.5, method="fixed_point",
     pulling the whole boundary along, stress free for all times."""
     mesh = rectangle_mesh(nx, nx)
     return Scenario(
-        name="analytic_growth", mesh=mesh, energy=PolarWellEnergy(dim=2),
+        name="analytic_growth", mesh=mesh, energy=PolarWellEnergy(),
         growth_law=ProductGrowthLaw(),
         nutrient_model=DetRatioNutrientModel(d0=1.0, beta0=0.0),
         f_nodes=ex.parse_vector("x / (1 - t), y / (1 - t)", 2),
         fn_node=ex.parse("1"),
-        g0_kind="identity", compatible=True,
+        g0_kind="identity",
         time=TimeGrid(t_end=t_end, dt=dt),
         guards=GuardConfig(),
         solver=SolverOptions(method=method, warm_start=warm_start),
@@ -158,7 +158,7 @@ def compatible_growth_problem(n, amplitude=0.05, method="newton"):
     grad = ex.gradient_evaluator(g0)
     boundary = ex.vector_evaluator(g0)
     problem = EquilibriumProblem(
-        mesh, PolarWellEnergy(dim=2),
+        mesh, PolarWellEnergy(),
         growth=lambda pts: grad(0.0, pts),
         dirichlet_data=lambda pts: boundary(0.0, pts),
         options=SolverOptions(method=method))
@@ -189,7 +189,7 @@ def contraction_problem(nx=16, traction=0.01, method="fixed_point"):
     """Small normal traction on the Neumann part, unit growth."""
     mesh = rectangle_mesh(nx, nx, elastic_dirichlet="left")
     return EquilibriumProblem(
-        mesh, PolarWellEnergy(dim=2),
+        mesh, PolarWellEnergy(),
         growth=lambda pts: np.broadcast_to(
             np.eye(2), np.asarray(pts).shape[:-1] + (2, 2)).copy(),
         dirichlet_data=lambda pts: np.asarray(pts, dtype=float),

@@ -8,20 +8,21 @@ Dirichlet part.  Two solution methods are provided:
   ``u -> u - L^{-1}[residual(u)]`` with the stiffness L assembled once at
   u = 0 (a chord iteration, contractive for small data), and
 * `solve_newton` reassembles the tangent at every step (with optional
-  backtracking on the potential).
+  backtracking on the potential); the `hybrid` method is Newton whose
+  first sweep uses the frozen linearization.
 
 Both converge to the same discrete solution; the residual of either is
 the weak form of the stress divergence plus traction terms.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fem, tensor
-from .errors import (ContractionLost, EllipticityViolation, LiftDegenerate,
-                     NoConvergence, OutsideAdmissibleBall, SingularJacobian,
-                     SingularMatrix, SingularSystem, ValidationError)
+from .errors import (ContractionLost, LiftDegenerate, NoConvergence,
+                     OutsideAdmissibleBall, SingularJacobian, SingularMatrix,
+                     SingularSystem, ValidationError)
 
 
 @dataclass
@@ -39,7 +40,6 @@ class SolverOptions:
     max_iterations: int = 50
     line_search: bool = True
     warm_start: bool = True
-    check_ellipticity: bool = False
     growth_radius: float = None  # optional guard on max|G - 1| at nodes
     diagnostics: object = None   # file-like sink for per-iteration CSV
 
@@ -273,14 +273,7 @@ def assemble_linearized_at_zero(problem):
     the lifted Dirichlet data), with homogeneous constraints on the elastic
     Dirichlet part.  Symmetric positive definite for admissible data."""
     ws = prepare(problem)
-    system = ws.stiffness(np.zeros((ws.mesh.num_vertices, 2)))
-    if problem.options.check_ellipticity:
-        lam = fem.smallest_eigenvalue_estimate(system)
-        if lam <= 0.0:
-            raise EllipticityViolation(
-                "linearized operator not positive definite "
-                "(smallest eigenvalue %.3e)" % lam)
-    return system
+    return ws.stiffness(np.zeros((ws.mesh.num_vertices, 2)))
 
 
 def elastic_energy(problem, u):
@@ -317,21 +310,6 @@ def _initial_guess(ws, initial):
     u = np.array(initial, dtype=float, copy=True).reshape(-1, 2)
     u.reshape(-1)[ws.fixed_dofs] = 0.0
     return u
-
-
-def frozen_update(problem, u):
-    """One application of the frozen-linearization map
-    ``u -> u - L^{-1}[residual(u)]`` (the solver's inner step, exposed for
-    verification)."""
-    ws = prepare(problem)
-    system = assemble_linearized_at_zero(problem)
-    Kff, _, free = system.reduced()
-    lu = fem._factorize_spd(Kff)
-    u = _initial_guess(ws, u)
-    r, _, _ = ws.residual(u)
-    unew = u.reshape(-1)
-    unew[free] -= lu.solve(r[free])
-    return unew.reshape(-1, 2)
 
 
 def solve_fixed_point(problem, initial=None):
@@ -392,23 +370,30 @@ def solve_newton(problem, initial=None):
     """Newton's method with the tangent reassembled at the current iterate
     and optional backtracking on the potential.  The potential of an
     accepted trial is the next sweep's base value (the trial iterate and
-    the updated one are equal bit for bit)."""
+    the updated one are equal bit for bit).
+
+    With ``options.method == "hybrid"`` the first sweep uses the frozen
+    linearization `assemble_linearized_at_zero` instead of the tangent at
+    the start iterate."""
     ws = prepare(problem)
     opts = problem.options
+    method = "hybrid" if opts.method == "hybrid" else "newton"
     u = _initial_guess(ws, initial)
     r, rn, P = ws.residual(u)
     floor = opts.tol_residual if opts.tol_residual is not None else 1e-10
     if rn <= floor:
-        return EquilibriumSolution(u, ws.f_tilde, 0, [], rn, 0.0, "newton",
-                                   P)
-    system = ws.stiffness(u)
+        return EquilibriumSolution(u, ws.f_tilde, 0, [], rn, 0.0, method, P)
+    if method == "hybrid":
+        system = assemble_linearized_at_zero(problem)
+    else:
+        system = ws.stiffness(u)
     scale = float(np.max(np.abs(system.matrix.data)))
     tol_inc, tol_res = _tolerances(problem, ws, scale)
     increments = []
     rho_hat = 0.0
     if rn <= tol_res:
         return EquilibriumSolution(u, ws.f_tilde, 0, increments, rn,
-                                   rho_hat, "newton", P)
+                                   rho_hat, method, P)
     base = None
     for k in range(1, opts.max_iterations + 1):
         if k > 1:
@@ -452,23 +437,17 @@ def solve_newton(problem, initial=None):
         _diag_line(opts, k, inc, rn, rho_hat)
         if inc <= tol_inc and rn <= tol_res:
             return EquilibriumSolution(u, ws.f_tilde, k, increments, rn,
-                                       rho_hat, "newton", P)
+                                       rho_hat, method, P)
     raise NoConvergence("Newton did not converge in %d sweeps (residual %.3e)"
                         % (opts.max_iterations, rn),
                         iterations=opts.max_iterations)
 
 
 def solve_equilibrium(problem, initial=None):
-    """Dispatch on the configured method; `hybrid` runs one frozen sweep
-    and hands the iterate to Newton."""
+    """Dispatch on the configured method (`hybrid` runs `solve_newton`)."""
     method = problem.options.method
     if method == "fixed_point":
         return solve_fixed_point(problem, initial=initial)
-    if method == "newton":
+    if method in ("newton", "hybrid"):
         return solve_newton(problem, initial=initial)
-    if method == "hybrid":
-        u1 = frozen_update(problem, initial if initial is not None
-                           else np.zeros((problem.mesh.num_vertices, 2)))
-        sol = solve_newton(problem, initial=u1)
-        return replace(sol, iterations=sol.iterations + 1, method="hybrid")
     raise ValueError("unknown method %r" % (method,))

@@ -5,7 +5,8 @@ Degrees of freedom: scalar problems use one dof per vertex; vector
 problems interleave components, ``dof = 2 * vertex + component``.
 Dirichlet constraints are imposed by row/column elimination with a
 symmetric right-hand-side correction, so the reduced operator stays
-symmetric positive definite and amenable to conjugate gradients.
+symmetric positive definite, which the pivot check of its sparse LU
+factorization verifies.
 """
 
 from dataclasses import dataclass, field
@@ -94,65 +95,24 @@ def _factorize_spd(Kcsc):
     return lu
 
 
-def _cg_jacobi(K, b, tol, max_iterations):
-    """Plain conjugate gradients with a diagonal preconditioner.
-
-    Raises SingularSystem on a non-positive curvature direction and
-    NoConvergence when the iteration budget runs out.
-    """
-    diag = K.diagonal()
-    if np.any(diag <= 0.0):
-        raise SingularSystem("non-positive diagonal entry")
-    x = np.zeros_like(b)
-    r = b.copy()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x, 0
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
-    for k in range(max_iterations):
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x, k
-        Kp = K @ p
-        pKp = float(p @ Kp)
-        if pKp <= 0.0:
-            raise SingularSystem("conjugate gradient breakdown (pAp <= 0)")
-        alpha = rz / pKp
-        x += alpha * p
-        r -= alpha * Kp
-        z = r / diag
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    raise NoConvergence("conjugate gradients did not reach tol %.1e in %d "
-                        "iterations" % (tol, max_iterations),
-                        iterations=max_iterations)
-
-
-def solve_sparse(system, tol=1e-12, direct_threshold=50000,
-                 max_iterations=None):
-    """Solve an assembled system; returns the full nodal vector.
-
-    Direct sparse factorization below `direct_threshold` free dofs,
-    Jacobi-preconditioned conjugate gradients above.  The solution is
-    verified against ``||K x - b|| <= tol * ||b||`` (absolute when b = 0).
+def solve_sparse(system, tol=1e-12):
+    """Solve an assembled system by sparse direct factorization; returns
+    the full nodal vector.  The solution is verified against
+    ``||K x - b|| <= tol * ||b||`` (absolute when b = 0).
 
     Raises
     ------
     SingularSystem
-        Non-positive pivot or CG breakdown (operator not SPD / singular).
+        Non-positive or vanishing pivot (operator not SPD / singular).
     NoConvergence
-        Iterative path exhausted its budget or the residual check failed.
+        The residual check failed.
     """
     Kff, bf, _ = system.reduced()
-    x, _ = solve_reduced(Kff, bf, tol=tol, direct_threshold=direct_threshold,
-                         max_iterations=max_iterations)
+    x, _ = solve_reduced(Kff, bf, tol=tol)
     return system.full_solution(x)
 
 
-def solve_reduced(Kff, bf, tol=1e-12, direct_threshold=50000,
-                  max_iterations=None):
+def solve_reduced(Kff, bf, tol=1e-12):
     """Solve an already reduced system ``K_ff x = b_f`` as `solve_sparse`
     does; returns the free values and the residual norm ``|K_ff x - b_f|``
     that the solve was verified against (0.0 without free dofs)."""
@@ -161,48 +121,13 @@ def solve_reduced(Kff, bf, tol=1e-12, direct_threshold=50000,
         return np.zeros(0), 0.0
     if not np.all(np.isfinite(bf)):
         raise AssemblyError("non-finite right-hand side")
-    if n <= direct_threshold:
-        lu = _factorize_spd(Kff)
-        x = lu.solve(bf)
-    else:
-        x, _ = _cg_jacobi(Kff.tocsr(), bf, tol,
-                          max_iterations or max(1000, 20 * n))
+    x = _factorize_spd(Kff).solve(bf)
     scale = np.linalg.norm(bf)
     resid = np.linalg.norm(Kff @ x - bf)
     if resid > tol * max(scale, 1e-300) and resid > 10 * tol * max(1.0, np.linalg.norm(x)):
         raise NoConvergence("linear solve residual %.3e exceeds tolerance"
                             % resid)
     return x, float(resid)
-
-
-def smallest_eigenvalue_estimate(system, iterations=200, tol=1e-5, seed=7):
-    """Inverse power iteration for the smallest eigenvalue of the reduced
-    operator (symmetric input assumed); ~1e-3 relative accuracy."""
-    Kff, _, _ = system.reduced()
-    n = Kff.shape[0]
-    if n == 0:
-        raise ValueError("no free degrees of freedom")
-    try:
-        lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SingularSystem("factorization failed: %s" % exc)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ (Kff @ v))
-    for _ in range(iterations):
-        w = lu.solve(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise SingularSystem("inverse iteration collapsed")
-        v = w / nw
-        lam_next = float(v @ (Kff @ v))
-        if abs(lam_next - lam) <= tol * max(abs(lam_next), 1e-300):
-            return lam_next
-        lam = lam_next
-    raise NoConvergence("eigenvalue estimate did not settle in %d iterations"
-                        % iterations, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +206,14 @@ def dirichlet_constraints(mesh, nodes, data, n_components):
     """(dofs, values) for strong imposition of `data` at `nodes`.
 
     `data` may be a callable on points, a constant, or an array of nodal
-    values aligned with `nodes`.
+    values aligned with `nodes`; None means homogeneous.  A
+    ``(dofs, values)`` pair passes through as arrays.
     """
+    if isinstance(data, tuple) and len(data) == 2:
+        dofs, values = data
+        return np.asarray(dofs, dtype=int), np.asarray(values, dtype=float)
+    if data is None:
+        data = 0.0
     nodes = np.asarray(nodes, dtype=int)
     if callable(data):
         values = np.asarray(data(mesh.vertices[nodes]), dtype=float)
@@ -300,15 +231,13 @@ def dirichlet_constraints(mesh, nodes, data, n_components):
     return dofs, values.ravel().copy()
 
 
-def assemble_vector_operator(mesh, coeff, neumann_load=None, volume_load=None,
-                             dirichlet=None):
+def assemble_vector_operator(mesh, coeff, dirichlet=None):
     """Stiffness of the second-order system with fourth-order coefficient A:
 
         (v, u)  ->  int_Omega A[i, j, a, b] d_a v^i d_b u^j dx
 
-    plus weak Neumann loads on the elastic-Neumann boundary part, weak
-    volume loads, and strong Dirichlet values on the elastic-Dirichlet
-    part.
+    with strong Dirichlet values on the elastic-Dirichlet part and a zero
+    load vector (boundary loads come from `boundary_load_vector`).
 
     Parameters
     ----------
@@ -316,8 +245,6 @@ def assemble_vector_operator(mesh, coeff, neumann_load=None, volume_load=None,
         Coefficient tensor per quadrature point; index order is
         (test component, trial component, test derivative,
         trial derivative).
-    neumann_load : callable(points, normals) -> (k, q, 2), optional
-    volume_load : (cells, nq, 2) array or callable(points), optional
     dirichlet : callable(points) -> (k, 2), array, constant, or
         (dofs, values) pair; None means homogeneous.
     """
@@ -329,28 +256,10 @@ def assemble_vector_operator(mesh, coeff, neumann_load=None, volume_load=None,
     Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", w, A, g, g, optimize=True)
     edofs = (2 * mesh.cells[:, :, None] + np.arange(2)).reshape(-1, 6)
     K = _scatter(2 * mesh.num_vertices, edofs, Ke.reshape(-1, 6, 6))
-
-    rhs = np.zeros(2 * mesh.num_vertices)
-    if volume_load is not None:
-        f = _as_quad_array(mesh, volume_load, (2,))
-        if not np.all(np.isfinite(f)):
-            raise AssemblyError("non-finite volume load")
-        be = np.einsum("cq,qA,cqi->cAi", w, TRI_POINTS, f)
-        np.add.at(rhs, 2 * mesh.cells[:, :, None] + np.arange(2), be)
-    if neumann_load is not None:
-        rhs += boundary_load_vector(mesh, ~mesh.facet_elastic_dirichlet,
-                                    neumann_load, 2)
-
-    if isinstance(dirichlet, tuple) and len(dirichlet) == 2 \
-            and not callable(dirichlet):
-        fixed_dofs, fixed_values = dirichlet
-        fixed_dofs = np.asarray(fixed_dofs, dtype=int)
-        fixed_values = np.asarray(fixed_values, dtype=float)
-    else:
-        nodes = mesh.elastic_dirichlet_nodes()
-        data = dirichlet if dirichlet is not None else 0.0
-        fixed_dofs, fixed_values = dirichlet_constraints(mesh, nodes, data, 2)
-    return SparseSystem(K, rhs, fixed_dofs, fixed_values)
+    fixed_dofs, fixed_values = dirichlet_constraints(
+        mesh, mesh.elastic_dirichlet_nodes(), dirichlet, 2)
+    return SparseSystem(K, np.zeros(2 * mesh.num_vertices), fixed_dofs,
+                        fixed_values)
 
 
 def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
@@ -389,15 +298,8 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
     if neumann_flux is not None:
         rhs += boundary_load_vector(mesh, ~mesh.facet_nutrient_dirichlet,
                                     neumann_flux, 1)
-    if isinstance(dirichlet, tuple) and len(dirichlet) == 2 \
-            and not callable(dirichlet):
-        fixed_dofs, fixed_values = dirichlet
-        fixed_dofs = np.asarray(fixed_dofs, dtype=int)
-        fixed_values = np.asarray(fixed_values, dtype=float)
-    else:
-        nodes = mesh.nutrient_dirichlet_nodes()
-        data = dirichlet if dirichlet is not None else 0.0
-        fixed_dofs, fixed_values = dirichlet_constraints(mesh, nodes, data, 1)
+    fixed_dofs, fixed_values = dirichlet_constraints(
+        mesh, mesh.nutrient_dirichlet_nodes(), dirichlet, 1)
     return SparseSystem(K, rhs, fixed_dofs, fixed_values)
 
 

@@ -22,8 +22,8 @@ class EnergyModel:
     the identity.
 
     Subclasses provide `evaluate`, `first_derivative` and
-    `second_derivative`, all vectorized over ``x: (..., dim)`` points and
-    ``F: (..., dim, dim)`` matrices.  The model promises
+    `second_derivative`, all vectorized over ``x: (..., 2)`` points and
+    ``F: (..., 2, 2)`` matrices.  The model promises
 
     * W(x, F) >= 0 with W(x, 1) = 0 (unstressed reference),
     * D_pW(x, 1) = 0 (the identity is an interior minimum),
@@ -32,7 +32,6 @@ class EnergyModel:
     on the ball ``max |F - 1| < admissible_radius`` (infinity matrix norm).
     """
 
-    dim = 2
     admissible_radius = 0.5
 
     def evaluate(self, x, F):
@@ -47,12 +46,12 @@ class EnergyModel:
     def admissible(self, F):
         """Entrywise distance of F from the identity versus the model ball."""
         F = np.asarray(F)
-        dev = tensor.max_abs(F - np.eye(self.dim))
+        dev = tensor.max_abs(F - np.eye(2))
         return dev < self.admissible_radius
 
     def require_admissible(self, F, context=""):
         F = np.asarray(F)
-        dev = tensor.max_abs(F - np.eye(self.dim))
+        dev = tensor.max_abs(F - np.eye(2))
         worst = int(np.argmax(dev)) if dev.ndim else None
         if np.any(dev >= self.admissible_radius):
             raise OutsideAdmissibleBall(
@@ -65,24 +64,21 @@ class EnergyModel:
 class PolarWellEnergy(EnergyModel):
     """Isotropic energy with a well on the rotation group and a volume well.
 
-        W(F) = dist(F, SO(d))^2 + det(F)^p + det(F)^(-p) - 2
+        W(F) = dist(F, SO(2))^2 + det(F)^p + det(F)^(-p) - 2
 
     The distance term is the squared Frobenius distance to the nearest
     rotation (polar factor); the determinant terms vanish exactly at unit
-    volume ratio.  W is frame indifferent, vanishes exactly on SO(d), and
+    volume ratio.  W is frame indifferent, vanishes exactly on SO(2), and
     is smooth wherever det F > 0.
 
     Derivatives are assembled analytically: the distance term contributes
-    2(F - R(F)) because R(F) is the nearest-point projection onto SO(d),
+    2(F - R(F)) because R(F) is the nearest-point projection onto SO(2),
     and the determinant terms follow from the cofactor rule.
     """
 
-    def __init__(self, dim=2, p=2, admissible_radius=0.5):
-        if dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
+    def __init__(self, p=2, admissible_radius=0.5):
         if p < 1:
             raise ValueError("volume exponent p must be >= 1")
-        self.dim = dim
         self.p = float(p)
         self.admissible_radius = float(admissible_radius)
 
@@ -93,18 +89,14 @@ class PolarWellEnergy(EnergyModel):
         return d
 
     # The polar helpers below run after `_det`, which has made the same
-    # determinant check as `tensor.polar_rotation`; in 2-d only the
-    # non-finite check is left to do before the closed form.
+    # determinant check as `tensor.polar_rotation`; only the non-finite
+    # check is left to do before the closed form.
 
     def _rotation(self, F):
-        if F.shape[-1] != 2:
-            return tensor.polar_rotation(F)
         tensor._check_finite(F)
         return tensor._polar_rotation_2d(F)
 
     def _rotation_derivative(self, F):
-        if F.shape[-1] != 2:
-            return tensor.polar_rotation_derivative(F)
         tensor._check_finite(F)
         return tensor._polar_rotation_derivative_2d(F)
 
@@ -129,8 +121,7 @@ class PolarWellEnergy(EnergyModel):
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
         hsecond = p * (p - 1) * d ** (p - 2) + p * (p + 1) * d ** (-p - 2)
-        dd = self.dim
-        I4 = np.einsum("ik,jl->ijkl", np.eye(dd), np.eye(dd))
+        I4 = np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2))
         DR = self._rotation_derivative(F)
         cof = tensor.cofactor(F)
         H = 2.0 * (I4 - DR)
@@ -174,7 +165,6 @@ class GrowthLaw:
 
     needs_deformation = True
     needs_nutrient = True
-    lipschitz_hint = None
 
     def evaluate(self, G, Y, N, x):
         raise NotImplementedError
@@ -185,7 +175,6 @@ class ZeroGrowthLaw(GrowthLaw):
 
     needs_deformation = False
     needs_nutrient = False
-    lipschitz_hint = 0.0
 
     def evaluate(self, G, Y, N, x):
         return np.zeros_like(np.asarray(G, dtype=float))
@@ -259,8 +248,7 @@ class StressModulatedGrowthLaw(GrowthLaw):
             rate = G.copy()
         else:
             P = piola_kirchhoff(self.energy, x, G, np.asarray(Y, dtype=float))
-            d = G.shape[-1]
-            rate = (np.eye(d) + self.mu_coeff * P) @ G
+            rate = (np.eye(2) + self.mu_coeff * P) @ G
         return np.asarray(scale)[..., None, None] * rate
 
 
@@ -290,13 +278,13 @@ class NutrientModel:
         return self.diffusion(G, Y, x), self.absorption(G, Y, x)
 
 
-def _spatial_matrix(value, x, d):
+def _spatial_matrix(value, x):
     if callable(value):
         return np.asarray(value(x), dtype=float)
     value = np.asarray(value, dtype=float)
     if value.ndim == 0:
-        value = value * np.eye(d)
-    return np.broadcast_to(value, np.asarray(x).shape[:-1] + (d, d)).copy()
+        value = value * np.eye(2)
+    return np.broadcast_to(value, np.asarray(x).shape[:-1] + (2, 2)).copy()
 
 
 def _spatial_scalar(value, x):
@@ -316,12 +304,11 @@ class DetRatioNutrientModel(NutrientModel):
     (only det Y enters).
     """
 
-    def __init__(self, d0=1.0, beta0=0.0, dim=2, ellipticity_nu=None):
-        self.dim = dim
+    def __init__(self, d0=1.0, beta0=0.0, ellipticity_nu=None):
         self.d0 = d0
         self.beta0 = beta0
         if ellipticity_nu is None:
-            probe = _spatial_matrix(d0, np.zeros((1, dim)), dim)[0]
+            probe = _spatial_matrix(d0, np.zeros((1, 2)))[0]
             lam = float(np.min(np.linalg.eigvalsh(0.5 * (probe + probe.T))))
             ellipticity_nu = 0.25 * lam
         self.ellipticity_nu = float(ellipticity_nu)
@@ -335,7 +322,7 @@ class DetRatioNutrientModel(NutrientModel):
 
     def diffusion(self, G, Y, x):
         r = self._ratio(G, Y)
-        return r[..., None, None] * _spatial_matrix(self.d0, x, self.dim)
+        return r[..., None, None] * _spatial_matrix(self.d0, x)
 
     def absorption(self, G, Y, x):
         r = self._ratio(G, Y)
@@ -343,24 +330,23 @@ class DetRatioNutrientModel(NutrientModel):
 
     def coefficients(self, G, Y, x):
         r = self._ratio(G, Y)
-        return (r[..., None, None] * _spatial_matrix(self.d0, x, self.dim),
+        return (r[..., None, None] * _spatial_matrix(self.d0, x),
                 _spatial_scalar(self.beta0, x) / r)
 
 
 class ConstantNutrientModel(NutrientModel):
     """State-independent coefficients D0, beta0 (decoupling/testing aid)."""
 
-    def __init__(self, d0=1.0, beta0=0.0, dim=2, ellipticity_nu=None):
-        self.dim = dim
+    def __init__(self, d0=1.0, beta0=0.0, ellipticity_nu=None):
         self.d0 = d0
         self.beta0 = beta0
         if ellipticity_nu is None:
-            probe = _spatial_matrix(d0, np.zeros((1, dim)), dim)[0]
+            probe = _spatial_matrix(d0, np.zeros((1, 2)))[0]
             ellipticity_nu = 0.5 * float(np.min(np.linalg.eigvalsh(0.5 * (probe + probe.T))))
         self.ellipticity_nu = float(ellipticity_nu)
 
     def diffusion(self, G, Y, x):
-        return _spatial_matrix(self.d0, x, self.dim)
+        return _spatial_matrix(self.d0, x)
 
     def absorption(self, G, Y, x):
         return _spatial_scalar(self.beta0, x)
@@ -389,12 +375,12 @@ def _fmt(v):
     return str(v)
 
 
-def _sample_admissible(rng, n, d, radius, min_det=0.15):
+def _sample_admissible(rng, n, radius, min_det=0.15):
     """n random matrices in the entrywise ball around 1 with safe det."""
-    out = np.empty((n, d, d))
+    out = np.empty((n, 2, 2))
     k = 0
     while k < n:
-        batch = np.eye(d) + rng.uniform(-radius, radius, size=(2 * (n - k), d, d))
+        batch = np.eye(2) + rng.uniform(-radius, radius, size=(2 * (n - k), 2, 2))
         good = np.linalg.det(batch) > min_det
         take = batch[good][: n - k]
         out[k:k + len(take)] = take
@@ -402,28 +388,21 @@ def _sample_admissible(rng, n, d, radius, min_det=0.15):
     return out
 
 
-def _sample_rotations(rng, n, d):
-    if d == 2:
-        return tensor.rotation(rng.uniform(0.0, 2.0 * np.pi, size=n))
-    A = rng.standard_normal((n, d, d))
-    Q, _ = np.linalg.qr(A)
-    detQ = np.linalg.det(Q)
-    Q[detQ < 0, :, -1] *= -1.0
-    return Q
+def _sample_rotations(rng, n):
+    return tensor.rotation(rng.uniform(0.0, 2.0 * np.pi, size=n))
 
 
 def check_frame_indifference(model, samples=1000, seed=0, rotations=None):
     """Sample |W(x, QF) - W(x, F)| over random rotations Q and admissible F.
 
     Passes when the largest deviation is below ``1e-10 * (1 + |W|)``.
-    Pass ``rotations=[np.eye(d)]`` to restrict the sampled rotations.
+    Pass ``rotations=[np.eye(2)]`` to restrict the sampled rotations.
     """
     rng = np.random.default_rng(seed)
-    d = model.dim
-    F = _sample_admissible(rng, samples, d, 0.8 * model.admissible_radius)
-    x = rng.uniform(0.0, 1.0, size=(samples, d))
+    F = _sample_admissible(rng, samples, 0.8 * model.admissible_radius)
+    x = rng.uniform(0.0, 1.0, size=(samples, 2))
     if rotations is None:
-        Q = _sample_rotations(rng, samples, d)
+        Q = _sample_rotations(rng, samples)
     else:
         rotations = np.asarray(rotations, dtype=float)
         Q = rotations[rng.integers(0, len(rotations), size=samples)]
@@ -442,11 +421,10 @@ def check_frame_indifference(model, samples=1000, seed=0, rotations=None):
 def check_nutrient_frame_indifference(model, samples=1000, seed=0):
     """Sample invariance of D and beta under Y -> QY for rotations Q."""
     rng = np.random.default_rng(seed)
-    d = model.dim
-    G = _sample_admissible(rng, samples, d, 0.3)
-    Y = _sample_admissible(rng, samples, d, 0.3)
-    x = rng.uniform(0.0, 1.0, size=(samples, d))
-    Q = _sample_rotations(rng, samples, d)
+    G = _sample_admissible(rng, samples, 0.3)
+    Y = _sample_admissible(rng, samples, 0.3)
+    x = rng.uniform(0.0, 1.0, size=(samples, 2))
+    Q = _sample_rotations(rng, samples)
     dD = np.abs(model.diffusion(G, Q @ Y, x) - model.diffusion(G, Y, x))
     db = np.abs(model.absorption(G, Q @ Y, x) - model.absorption(G, Y, x))
     scaleD = 1.0 + np.abs(model.diffusion(G, Y, x))
@@ -462,7 +440,7 @@ def check_nutrient_frame_indifference(model, samples=1000, seed=0):
 def check_coercivity(model, samples=1000, seed=0, hessian_tol=0.05):
     """Estimate the coercivity constant and test the induced Hessian bound.
 
-    Estimates ``c_hat = min W / dist(F, SO(d))^2`` over admissible samples
+    Estimates ``c_hat = min W / dist(F, SO(2))^2`` over admissible samples
     (ignoring near-rotations where the quotient degenerates) and verifies
     ``D_p^2 W(x, 1)[B, B] >= (c_hat / 2) |B + B^T|^2 - tol`` on random
     directions, with ``tol = hessian_tol * (1 + |B + B^T|^2)``.  The slack
@@ -472,9 +450,8 @@ def check_coercivity(model, samples=1000, seed=0, hessian_tol=0.05):
     found or the Hessian bound is violated beyond the slack.
     """
     rng = np.random.default_rng(seed)
-    d = model.dim
-    F = _sample_admissible(rng, samples, d, 0.8 * model.admissible_radius)
-    x = rng.uniform(0.0, 1.0, size=(samples, d))
+    F = _sample_admissible(rng, samples, 0.8 * model.admissible_radius)
+    x = rng.uniform(0.0, 1.0, size=(samples, 2))
     dist2 = tensor.dist_so(F) ** 2
     keep = dist2 > 1e-8
     w = model.evaluate(x, F)
@@ -483,8 +460,8 @@ def check_coercivity(model, samples=1000, seed=0, hessian_tol=0.05):
     else:
         c_hat = float(np.min(w[keep] / dist2[keep]))
 
-    B = rng.standard_normal((samples, d, d))
-    H = model.second_derivative(x, np.broadcast_to(np.eye(d), (samples, d, d)))
+    B = rng.standard_normal((samples, 2, 2))
+    H = model.second_derivative(x, np.broadcast_to(np.eye(2), (samples, 2, 2)))
     quad = np.einsum("...ijkl,...ij,...kl->...", H, B, B)
     sym2 = np.einsum("...ij,...ij->...", B + tensor.transpose(B),
                      B + tensor.transpose(B))
@@ -502,10 +479,9 @@ def check_coercivity(model, samples=1000, seed=0, hessian_tol=0.05):
 def check_nutrient_assumptions(model, samples=1000, seed=0):
     """Sample symmetry, ellipticity >= nu of D, and non-negativity of beta."""
     rng = np.random.default_rng(seed)
-    d = model.dim
-    G = _sample_admissible(rng, samples, d, 0.3)
-    Y = _sample_admissible(rng, samples, d, 0.3)
-    x = rng.uniform(0.0, 1.0, size=(samples, d))
+    G = _sample_admissible(rng, samples, 0.3)
+    Y = _sample_admissible(rng, samples, 0.3)
+    x = rng.uniform(0.0, 1.0, size=(samples, 2))
     D = model.diffusion(G, Y, x)
     beta = model.absorption(G, Y, x)
     sym_err = float(np.max(np.abs(D - tensor.transpose(D))))

@@ -61,27 +61,42 @@ class Mesh:
             raise ValueError("vertices must be an (n, 2) array")
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("non-finite vertex coordinates")
+        if not self._in_range(self.cells):
+            raise ValueError("cell vertex index out of range")
         if np.any(self.cell_volumes() <= 0.0):
             raise ValueError("all cells must be positively oriented")
         if (len(self.facet_elastic_dirichlet) != len(self.facets)
                 or len(self.facet_nutrient_dirichlet) != len(self.facets)):
             raise ValueError("one elastic and one nutrient tag per facet required")
-        boundary = self._boundary_edge_set()
-        tagged = {tuple(sorted(f)) for f in self.facets}
-        if tagged != boundary:
+        if not self._in_range(self.facets):
+            raise InvalidTagRule("facet vertex index out of range")
+        boundary = self._boundary_edge_keys()
+        tagged = np.unique(self._edge_keys(self.facets))
+        if not np.array_equal(tagged, boundary):
             raise InvalidTagRule(
                 "facets do not partition the boundary "
                 "(%d tagged, %d boundary edges)" % (len(tagged), len(boundary)))
         if len(tagged) != len(self.facets):
             raise InvalidTagRule("duplicate boundary facet")
 
-    def _boundary_edge_set(self):
-        edges = {}
-        for tri in self.cells:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (a, b) if a < b else (b, a)
-                edges[key] = edges.get(key, 0) + 1
-        return {e for e, count in edges.items() if count == 1}
+    def _in_range(self, indices):
+        return indices.size == 0 or (indices.min() >= 0
+                                     and indices.max() < self.num_vertices)
+
+    def _edge_keys(self, pairs):
+        """One integer per undirected edge; distinct for distinct edges
+        because every vertex index lies in [0, num_vertices)."""
+        pairs = np.sort(pairs, axis=1).astype(np.int64)
+        return pairs[:, 0] * self.num_vertices + pairs[:, 1]
+
+    def _cell_edge_keys(self):
+        """Keys of the cell edges in cell order (0-1, 1-2, 2-0 per cell)."""
+        return self._edge_keys(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
+
+    def _boundary_edge_keys(self):
+        """Sorted keys of the edges that belong to exactly one cell."""
+        keys, counts = np.unique(self._cell_edge_keys(), return_counts=True)
+        return keys[counts == 1]
 
     # -- geometry (cached; the mesh is immutable after construction) --------
 
@@ -136,15 +151,11 @@ class Mesh:
     def facet_cells(self):
         """Index of the unique cell adjacent to each boundary facet."""
         if "facet_cells" not in self._cache:
-            def keys(pairs):
-                pairs = np.sort(pairs, axis=1).astype(np.int64)
-                return pairs[:, 0] * self.num_vertices + pairs[:, 1]
-
-            # cell edges in cell order (0-1, 1-2, 2-0 per cell); validation
-            # made every facet a boundary edge, which has exactly one owner
-            edge_keys = keys(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
+            # validation made every facet a boundary edge, which has
+            # exactly one owner; edge k of the cell edges lies on cell k // 3
+            edge_keys = self._cell_edge_keys()
             order = np.argsort(edge_keys)
-            pos = np.searchsorted(edge_keys[order], keys(self.facets))
+            pos = np.searchsorted(edge_keys[order], self._edge_keys(self.facets))
             self._cache["facet_cells"] = order[pos] // 3
         return self._cache["facet_cells"]
 
@@ -167,13 +178,6 @@ class Mesh:
             self._cache["normals"] = n
         return self._cache["normals"]
 
-    def facet_lengths(self):
-        if "flengths" not in self._cache:
-            p0 = self.vertices[self.facets[:, 0]]
-            p1 = self.vertices[self.facets[:, 1]]
-            self._cache["flengths"] = np.linalg.norm(p1 - p0, axis=1)
-        return self._cache["flengths"]
-
     def _nodes_of(self, key, facet_mask):
         """Sorted vertices of the masked facets, cached read-only."""
         if key not in self._cache:
@@ -190,9 +194,6 @@ class Mesh:
 
     def nutrient_dirichlet_nodes(self):
         return self._nodes_of("nutrient_nodes", self.facet_nutrient_dirichlet)
-
-    def total_volume(self):
-        return float(np.sum(self.cell_volumes()))
 
 
 # ---------------------------------------------------------------------------

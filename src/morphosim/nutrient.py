@@ -7,7 +7,7 @@ unless supplied analytically).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -52,7 +52,6 @@ class Scenario:
     gn_node: object = None             # AST or None, nutrient flux datum
     g0_kind: str = "identity"          # identity | constant | gradient
     g0_value: object = None            # matrix or list of 2 ASTs
-    compatible: bool = False
     time: TimeGrid = None
     guards: GuardConfig = field(default_factory=GuardConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -117,7 +116,6 @@ class Scenario:
 def build_energy(model_id, params):
     if model_id == "polar_well":
         return PolarWellEnergy(
-            dim=2,
             p=float(params.get("p", 2.0)),
             admissible_radius=float(params.get("admissible_radius", 0.5)))
     raise ParseError("unknown energy model %r" % (model_id,))
@@ -154,10 +152,10 @@ def build_nutrient_model(model_id, params):
     nu = params.get("nu")
     nu = float(nu) if nu is not None else None
     if model_id == "det_ratio":
-        return DetRatioNutrientModel(d0=d0, beta0=beta0, dim=2,
+        return DetRatioNutrientModel(d0=d0, beta0=beta0,
                                      ellipticity_nu=nu)
     if model_id == "constant":
-        return ConstantNutrientModel(d0=d0, beta0=beta0, dim=2,
+        return ConstantNutrientModel(d0=d0, beta0=beta0,
                                      ellipticity_nu=nu)
     raise ParseError("unknown nutrient model %r" % (model_id,))
 
@@ -261,7 +259,6 @@ def load_scenario(path):
 
     ipar = _section(cp, "initial", path, required=False)
     g0_kind, g0_value = _parse_g0(ipar.get("g0", "identity"))
-    compatible = _get_bool(ipar, "compatible", g0_kind in ("identity", "gradient"))
 
     tpar = _section(cp, "time", path)
     try:
@@ -308,8 +305,8 @@ def load_scenario(path):
                     growth_law=growth_law, nutrient_model=nutrient_model,
                     f_nodes=f_nodes, g_nodes=g_nodes, fn_node=fn_node,
                     gn_node=gn_node, g0_kind=g0_kind, g0_value=g0_value,
-                    compatible=compatible, time=time_grid, guards=guards,
-                    solver=solver, substeps=substeps, output=output)
+                    time=time_grid, guards=guards, solver=solver,
+                    substeps=substeps, output=output)
 
 
 # ---------------------------------------------------------------------------

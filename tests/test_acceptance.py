@@ -85,7 +85,7 @@ def test_criterion_03_compatible_growth_energy_decay():
 def test_criterion_04_derivative_consistency():
     with criterion(4, "energy derivatives match finite differences"):
         rng = np.random.default_rng(2024)
-        e = PolarWellEnergy(dim=2)
+        e = PolarWellEnergy()
         n = 0
         F = np.empty((200, 2, 2))
         while n < 200:
@@ -114,7 +114,7 @@ def test_criterion_04_derivative_consistency():
 def test_criterion_05_frame_indifference():
     with criterion(5, "energy and nutrient coefficients frame indifferent"):
         rng = np.random.default_rng(77)
-        e = PolarWellEnergy(dim=2)
+        e = PolarWellEnergy()
         model = DetRatioNutrientModel(d0=np.diag([1.0, 2.0]), beta0=0.4)
         n = 0
         F = np.empty((1000, 2, 2))

@@ -6,9 +6,9 @@ import pytest
 from morphosim import elasticity, expressions as ex, fem, tensor
 from morphosim.elasticity import (EquilibriumProblem, SolverOptions,
                                   assemble_linearized_at_zero, elastic_energy,
-                                  frozen_update, lift_dirichlet, residual,
-                                  solve_equilibrium, solve_fixed_point,
-                                  solve_newton, stress_field)
+                                  lift_dirichlet, residual, solve_equilibrium,
+                                  solve_fixed_point, solve_newton,
+                                  stress_field)
 from morphosim.errors import (ContractionLost, LiftDegenerate, NoConvergence,
                               OutsideAdmissibleBall, ValidationError)
 from morphosim.materials import PolarWellEnergy
@@ -26,7 +26,7 @@ def identity_map(pts):
 
 def make_problem(mesh, growth=identity_growth, dirichlet=identity_map,
                  traction=None, **opts):
-    return EquilibriumProblem(mesh, PolarWellEnergy(dim=2), growth, dirichlet,
+    return EquilibriumProblem(mesh, PolarWellEnergy(), growth, dirichlet,
                               traction, options=SolverOptions(**opts))
 
 
@@ -122,7 +122,7 @@ class TestLinearizedOperator:
         problem = make_problem(mesh)
         ws = elasticity.prepare(problem)
         A = ws.coefficient_tensor(np.zeros((mesh.num_vertices, 2)))
-        e = PolarWellEnergy(dim=2)
+        e = PolarWellEnergy()
         H = e.second_derivative(np.zeros(2), np.eye(2))
         assert np.max(np.abs(A - H.transpose(0, 2, 1, 3))) <= 1e-12
         rng = np.random.default_rng(2)
@@ -140,7 +140,7 @@ class TestLinearizedOperator:
             dirichlet=lambda pts: c * np.asarray(pts))
         ws = elasticity.prepare(problem)
         A = ws.coefficient_tensor(np.zeros((mesh.num_vertices, 2)))
-        e = PolarWellEnergy(dim=2)
+        e = PolarWellEnergy()
         H = e.second_derivative(np.zeros(2), np.eye(2))
         expected = (c ** 2 / c ** 2) * H.transpose(0, 2, 1, 3)
         assert np.max(np.abs(A - expected)) <= 1e-12
@@ -177,8 +177,9 @@ class TestLinearizedOperator:
     def test_spd_on_constrained_space(self):
         mesh = rectangle_mesh(6, 6, elastic_dirichlet="bottom")
         problem = make_problem(mesh)
-        system = assemble_linearized_at_zero(problem)
-        assert fem.smallest_eigenvalue_estimate(system) > 0.0
+        Kff, _, _ = assemble_linearized_at_zero(problem).reduced()
+        # raises SingularSystem unless every pivot is positive
+        assert np.all(fem._factorize_spd(Kff).U.diagonal() > 0.0)
 
     def test_growth_validation(self):
         mesh = rectangle_mesh(2, 2)
@@ -197,6 +198,20 @@ class TestLinearizedOperator:
             assemble_linearized_at_zero(problem)
 
 
+def record_residual_arguments(problem):
+    """Make the problem's workspace record a copy of every iterate whose
+    residual a solver evaluates; returns the list it appends to."""
+    ws = elasticity.prepare(problem)
+    inner = ws.residual
+    seen = []
+
+    def recording(u):
+        seen.append(np.array(u, copy=True))
+        return inner(u)
+    ws.residual = recording
+    return seen
+
+
 class TestFixedPoint:
     def test_trivial_scenario(self):
         mesh = rectangle_mesh(8, 8)
@@ -208,10 +223,14 @@ class TestFixedPoint:
         # one sweep equals u - L^{-1} residual(u), with L assembled at zero
         mesh = rectangle_mesh(4, 4, elastic_dirichlet="left")
         problem = make_problem(
-            mesh, traction=lambda pts, n: 0.02 * np.asarray(n))
+            mesh, traction=lambda pts, n: 0.02 * np.asarray(n),
+            max_iterations=1)
         rng = np.random.default_rng(11)
         u = 0.005 * rng.standard_normal((mesh.num_vertices, 2))
-        stepped = frozen_update(problem, u)
+        iterates = record_residual_arguments(problem)
+        with pytest.raises(NoConvergence):
+            solve_fixed_point(problem, initial=u)
+        stepped = iterates[1]
 
         ws = elasticity.prepare(problem)
         u0 = np.array(u, copy=True)
@@ -304,6 +323,33 @@ class TestNewton:
         assert np.max(np.abs(hybrid.displacement
                              - newton.displacement)) <= 1e-10
 
+    def test_hybrid_first_sweep_is_the_chord_sweep(self):
+        mesh = rectangle_mesh(6, 6, elastic_dirichlet="left")
+        tr = lambda pts, n: 0.01 * np.asarray(n)
+        runs = {}
+        for method in ("hybrid", "fixed_point"):
+            problem = make_problem(mesh, traction=tr, method=method)
+            iterates = record_residual_arguments(problem)
+            sol = solve_equilibrium(problem)
+            runs[method] = (sol.increment_history[0], iterates[1])
+        assert runs["hybrid"][0] == runs["fixed_point"][0]
+        assert np.array_equal(runs["hybrid"][1], runs["fixed_point"][1])
+
+    def test_hybrid_converged_warm_start_skips_assembly(self, monkeypatch):
+        mesh = rectangle_mesh(6, 6, elastic_dirichlet="left")
+        tr = lambda pts, n: 0.01 * np.asarray(n)
+        start = solve_newton(make_problem(mesh, traction=tr))
+        assert start.residual_norm <= 1e-10
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled a stiffness")
+        monkeypatch.setattr(fem, "assemble_vector_operator", no_assembly)
+        sol = solve_equilibrium(make_problem(mesh, traction=tr,
+                                             method="hybrid"),
+                                initial=start.displacement)
+        assert sol.iterations == 0 and sol.method == "hybrid"
+        assert np.array_equal(sol.displacement, start.displacement)
+
 
 class TestEnergy:
     def test_reference_energy_zero(self):
@@ -318,7 +364,7 @@ class TestEnergy:
             mesh = rectangle_mesh(n, n)
             fmap, fgrad = sine_map_nodes(0.05)
             problem = EquilibriumProblem(
-                mesh, PolarWellEnergy(dim=2),
+                mesh, PolarWellEnergy(),
                 growth=lambda pts: fgrad(0.0, pts),
                 dirichlet_data=lambda pts: fmap(0.0, pts),
                 options=SolverOptions(method="newton"))

