@@ -31,7 +31,7 @@ from .nutrient import (NutrientProblem, NutrientSolution,
                        nutrient_coefficient_fields, solve_nutrient)
 from .scenario import (Scenario, load_scenario, require_valid,
                        validate_scenario)
-from .tensor import (cofactor, det_derivative, dist_so, frobenius_norm,
-                     invert, polar_rotation, rotation, trace, transpose)
+from .tensor import (cofactor, dist_so, frobenius_norm, invert,
+                     polar_rotation, rotation, transpose)
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import sys
 
 from .benchmarks import BENCHMARKS, run_benchmark
 from .coupled import run_coupled, write_outputs
+from .elasticity import METHODS
 from .errors import (InvalidTagRule, MorphosimError, ParseError,
                      ValidationError)
 from .mesh import rectangle_mesh, write_mesh
@@ -27,7 +28,7 @@ def _add_run_options(parser):
     parser.add_argument("--t-end", type=float, default=None,
                         help="override the scenario end time")
     parser.add_argument("--method", default=None,
-                        choices=["fixed_point", "newton", "hybrid"],
+                        choices=METHODS,
                         help="override the equilibrium solver method")
     parser.add_argument("--cold-start", action="store_true",
                         help="disable warm starting between steps")

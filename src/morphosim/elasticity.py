@@ -2,19 +2,20 @@
 
 The unknown is the displacement ``u = y - f_tilde`` relative to the
 interior lift of the Dirichlet data, so u vanishes on the elastic
-Dirichlet part.  Two solution methods are provided:
+Dirichlet part.  Every method runs one iteration, ``u -> u - L^{-1}
+residual(u)``, and differs only in when the operator L is refreshed:
 
-* `solve_fixed_point` iterates the frozen-linearization map
-  ``u -> u - L^{-1}[residual(u)]`` with the stiffness L assembled once at
-  u = 0 (a chord iteration, contractive for small data), and
-* `solve_newton` reassembles the tangent at every step (with optional
-  backtracking on the potential); the `hybrid` method is Newton whose
-  first sweep uses the frozen linearization.
+* `fixed_point` (`solve_fixed_point`) keeps the stiffness assembled at
+  u = 0 for every sweep (a chord iteration, contractive for small data);
+* `newton` (`solve_newton`) reassembles the tangent at every sweep and
+  backtracks on the potential;
+* `hybrid` is Newton whose first sweep uses the operator at u = 0.
 
-Both converge to the same discrete solution; the residual of either is
+All three converge to the same discrete solution; the residual of each is
 the weak form of the stress divergence plus traction terms.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,27 +25,27 @@ from .errors import (ContractionLost, LiftDegenerate, NoConvergence,
                      OutsideAdmissibleBall, SingularJacobian, SingularMatrix,
                      SingularSystem, ValidationError)
 
+METHODS = ("fixed_point", "newton", "hybrid")
+
 
 @dataclass
 class SolverOptions:
-    """Tolerances and method selection for equilibrium solves.
+    """Method selection and iteration budget for equilibrium solves.
 
-    `tol_increment` defaults to ``1e-11 * (1 + max|f_tilde|)`` and
-    `tol_residual` to ``1e-10 * max|K|`` with K the assembled stiffness;
-    both must hold simultaneously for convergence.
+    A solve converges when the increment is at most
+    ``1e-11 * (1 + max|f_tilde|)`` and the free residual at most
+    ``1e-10 * max|K|``, K the first assembled operator, both at once.  A
+    start iterate whose residual is at most 1e-10, or at most the residual
+    tolerance once K is assembled, is returned with zero sweeps.
     """
 
-    method: str = "fixed_point"  # fixed_point | newton | hybrid
-    tol_increment: float = None
-    tol_residual: float = None
+    method: str = "fixed_point"  # one of METHODS
     max_iterations: int = 50
-    line_search: bool = True
     warm_start: bool = True
-    growth_radius: float = None  # optional guard on max|G - 1| at nodes
     diagnostics: object = None   # file-like sink for per-iteration CSV
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquilibriumProblem:
     """One equilibrium solve: mesh, energy model, growth field, and data.
 
@@ -52,7 +53,9 @@ class EquilibriumProblem:
     compatible benchmarks for quadrature-exact sampling).
     `dirichlet_data` maps boundary points to prescribed positions (units of
     length); `neumann_traction` maps (points, outward normals) to tractions
-    (force/area) on the elastic Neumann part, or is None.
+    (force/area) on the elastic Neumann part, or is None.  The problem is
+    frozen so that its `workspace` cannot go stale; build a variant with
+    `dataclasses.replace`.
     """
 
     mesh: object
@@ -61,6 +64,11 @@ class EquilibriumProblem:
     dirichlet_data: object
     neumann_traction: object = None
     options: SolverOptions = field(default_factory=SolverOptions)
+
+    @functools.cached_property
+    def workspace(self):
+        """Quadrature data, lift and loads, built on first use."""
+        return _Workspace(self)
 
 
 @dataclass
@@ -165,13 +173,6 @@ class _Workspace:
             if np.any(np.linalg.det(Gn) <= 0.0):
                 raise ValidationError("growth tensor with non-positive nodal "
                                       "determinant")
-            radius = problem.options.growth_radius
-            if radius is not None:
-                dev = float(np.max(tensor.max_abs(Gn - np.eye(2))))
-                if dev >= radius:
-                    raise ValidationError(
-                        "growth field outside configured ball: max|G-1| = "
-                        "%.3g" % dev)
         self.detGq = detGq
         self.Ginvq = np.linalg.inv(self.Gq)
         self.f_tilde, self.grad_ft = lift_dirichlet(
@@ -248,14 +249,6 @@ class _Workspace:
         return self.energy_value(u) - float(self.traction_load @ y)
 
 
-def prepare(problem):
-    ws = getattr(problem, "_workspace", None)
-    if ws is None:
-        ws = _Workspace(problem)
-        problem._workspace = ws
-    return ws
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -264,7 +257,7 @@ def residual(problem, u):
     """Weak equilibrium residual of the displacement u (full vector, free
     norm).  Raises OutsideAdmissibleBall with the worst cell on guard
     failure."""
-    r, rn, _ = prepare(problem).residual(u)
+    r, rn, _ = problem.workspace.residual(u)
     return r, rn
 
 
@@ -272,29 +265,25 @@ def assemble_linearized_at_zero(problem):
     """Stiffness of the linearization at u = 0 (coefficients evaluated at
     the lifted Dirichlet data), with homogeneous constraints on the elastic
     Dirichlet part.  Symmetric positive definite for admissible data."""
-    ws = prepare(problem)
+    ws = problem.workspace
     return ws.stiffness(np.zeros((ws.mesh.num_vertices, 2)))
 
 
 def elastic_energy(problem, u):
     """Growth-weighted stored energy of the deformation y = u + f_tilde."""
-    return prepare(problem).energy_value(u)
+    return problem.workspace.energy_value(u)
 
 
 def stress_field(problem, u):
     """Quadrature-point Piola stress, shape (cells, nq, 2, 2)."""
-    return prepare(problem).stress(u)
+    return problem.workspace.stress(u)
 
 
-def _tolerances(problem, ws, stiffness_scale):
-    opts = problem.options
-    tol_inc = opts.tol_increment
-    if tol_inc is None:
-        tol_inc = 1e-11 * (1.0 + float(np.max(np.abs(ws.f_tilde))))
-    tol_res = opts.tol_residual
-    if tol_res is None:
-        tol_res = 1e-10 * max(stiffness_scale, 1e-12)
-    return tol_inc, tol_res
+def _tolerances(ws, system):
+    """Increment and residual tolerances (see `SolverOptions`)."""
+    scale = float(np.max(np.abs(system.matrix.data)))
+    return (1e-11 * (1.0 + float(np.max(np.abs(ws.f_tilde)))),
+            1e-10 * max(scale, 1e-12))
 
 
 def _diag_line(opts, k, inc, rn, rho):
@@ -312,101 +301,59 @@ def _initial_guess(ws, initial):
     return u
 
 
-def solve_fixed_point(problem, initial=None):
-    """Frozen-linearization (chord) iteration from the given start.
+def _iterate(problem, initial, method):
+    """The sweep loop of every method: ``u += step * delta`` with
+    ``L delta = -residual(u)`` (see the module docstring).
 
-    The stiffness is assembled once at u = 0 and reused; each sweep solves
-    ``L delta = -residual(u)``.  Convergence requires increment and
-    residual below their tolerances simultaneously; an iterate whose
-    residual already meets the tolerance converges with zero sweeps (the
-    increment is then zero by convention).  The largest observed increment
-    ratio is reported as `rho_hat`; three consecutive non-contracting
-    sweeps raise ContractionLost, and the iteration budget raises
-    NoConvergence (data outside the contraction regime).
+    The chord iteration factorizes the operator at u = 0 once, takes full
+    steps, and raises ContractionLost after three consecutive
+    non-contracting sweeps.  Newton factorizes its first operator (the
+    tangent at the start iterate, or the operator at u = 0 for `hybrid`),
+    refactorizes the tangent from sweep 2 on, and backtracks on the
+    potential; the potential of an accepted trial is the next sweep's base
+    value (the trial iterate and the updated one are equal bit for bit).
+    Convergence needs the increment and the residual below their
+    tolerances at once; `rho_hat` is the largest observed increment ratio.
     """
-    ws = prepare(problem)
+    ws = problem.workspace
     opts = problem.options
+    newton = method != "fixed_point"
     u = _initial_guess(ws, initial)
     r, rn, P = ws.residual(u)
-    floor = opts.tol_residual if opts.tol_residual is not None else 1e-10
-    if rn <= floor:
-        return EquilibriumSolution(u, ws.f_tilde, 0, [], rn, 0.0,
-                                   "fixed_point", P)
-    system = assemble_linearized_at_zero(problem)
-    Kff, _, free = system.reduced()
-    lu = fem._factorize_spd(Kff)
-    scale = float(np.max(np.abs(system.matrix.data)))
-    tol_inc, tol_res = _tolerances(problem, ws, scale)
-
+    done = rn <= 1e-10
+    if not done:
+        system = (ws.stiffness(u) if method == "newton"
+                  else assemble_linearized_at_zero(problem))
+        tol_inc, tol_res = _tolerances(ws, system)
+        done = rn <= tol_res
     increments = []
     rho_hat = 0.0
-    bad = 0
-    for k in range(1, opts.max_iterations + 1):
-        delta = lu.solve(r[free])
-        flat = u.reshape(-1)
-        flat[free] -= delta
-        inc = float(np.linalg.norm(delta))
-        increments.append(inc)
-        if len(increments) >= 2 and increments[-2] > 1e-300:
-            ratio = inc / increments[-2]
-            rho_hat = max(rho_hat, ratio)
-            bad = bad + 1 if ratio >= 1.0 else 0
-            if bad >= 3:
-                raise ContractionLost(
-                    "increment ratio >= 1 for three consecutive sweeps "
-                    "(last ratio %.3g)" % ratio)
-        r, rn, P = ws.residual(u)
-        _diag_line(opts, k, inc, rn, rho_hat)
-        if inc <= tol_inc and rn <= tol_res:
-            return EquilibriumSolution(u, ws.f_tilde, k, increments, rn,
-                                       rho_hat, "fixed_point", P)
-    raise NoConvergence("fixed-point iteration did not converge in %d sweeps "
-                        "(residual %.3e); data may lie outside the "
-                        "contraction regime" % (opts.max_iterations, rn),
-                        iterations=opts.max_iterations)
-
-
-def solve_newton(problem, initial=None):
-    """Newton's method with the tangent reassembled at the current iterate
-    and optional backtracking on the potential.  The potential of an
-    accepted trial is the next sweep's base value (the trial iterate and
-    the updated one are equal bit for bit).
-
-    With ``options.method == "hybrid"`` the first sweep uses the frozen
-    linearization `assemble_linearized_at_zero` instead of the tangent at
-    the start iterate."""
-    ws = prepare(problem)
-    opts = problem.options
-    method = "hybrid" if opts.method == "hybrid" else "newton"
-    u = _initial_guess(ws, initial)
-    r, rn, P = ws.residual(u)
-    floor = opts.tol_residual if opts.tol_residual is not None else 1e-10
-    if rn <= floor:
-        return EquilibriumSolution(u, ws.f_tilde, 0, [], rn, 0.0, method, P)
-    if method == "hybrid":
-        system = assemble_linearized_at_zero(problem)
-    else:
-        system = ws.stiffness(u)
-    scale = float(np.max(np.abs(system.matrix.data)))
-    tol_inc, tol_res = _tolerances(problem, ws, scale)
-    increments = []
-    rho_hat = 0.0
-    if rn <= tol_res:
-        return EquilibriumSolution(u, ws.f_tilde, 0, increments, rn,
-                                   rho_hat, method, P)
+    bad = k = 0
     base = None
-    for k in range(1, opts.max_iterations + 1):
-        if k > 1:
-            system = ws.stiffness(u)
-        Kff, _, free = system.reduced()
-        try:
-            lu = fem._factorize_spd(Kff)
-        except SingularSystem as exc:
-            raise SingularJacobian("Newton tangent singular at sweep %d: %s"
-                                   % (k, exc))
+    while not done:
+        if k >= opts.max_iterations:
+            if newton:
+                raise NoConvergence("Newton did not converge in %d sweeps "
+                                    "(residual %.3e)" % (k, rn), iterations=k)
+            raise NoConvergence("fixed-point iteration did not converge in %d "
+                                "sweeps (residual %.3e); data may lie outside "
+                                "the contraction regime" % (k, rn),
+                                iterations=k)
+        k += 1
+        if k == 1 or newton:
+            if k > 1:
+                system = ws.stiffness(u)
+            Kff, _, free = system.reduced()
+            try:
+                lu = fem._factorize_spd(Kff)
+            except SingularSystem as exc:
+                if not newton:
+                    raise
+                raise SingularJacobian("Newton tangent singular at sweep %d: "
+                                       "%s" % (k, exc))
         delta = -lu.solve(r[free])
         step = 1.0
-        if opts.line_search:
+        if newton:
             slope = float(r[free] @ delta)
             if base is None:
                 base = ws.potential(u)
@@ -432,22 +379,41 @@ def solve_newton(problem, initial=None):
         inc = step * float(np.linalg.norm(delta))
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 1e-300:
-            rho_hat = max(rho_hat, inc / increments[-2])
+            ratio = inc / increments[-2]
+            rho_hat = max(rho_hat, ratio)
+            bad = bad + 1 if ratio >= 1.0 else 0
+            if bad >= 3 and not newton:
+                raise ContractionLost(
+                    "increment ratio >= 1 for three consecutive sweeps "
+                    "(last ratio %.3g)" % ratio)
         r, rn, P = ws.residual(u)
         _diag_line(opts, k, inc, rn, rho_hat)
-        if inc <= tol_inc and rn <= tol_res:
-            return EquilibriumSolution(u, ws.f_tilde, k, increments, rn,
-                                       rho_hat, method, P)
-    raise NoConvergence("Newton did not converge in %d sweeps (residual %.3e)"
-                        % (opts.max_iterations, rn),
-                        iterations=opts.max_iterations)
+        done = inc <= tol_inc and rn <= tol_res
+    return EquilibriumSolution(u, ws.f_tilde, k, increments, rn, rho_hat,
+                               method, P)
+
+
+def solve_fixed_point(problem, initial=None):
+    """Frozen-linearization (chord) iteration from the given start: the
+    stiffness at u = 0 is assembled and factorized once, and three
+    consecutive non-contracting sweeps raise ContractionLost (data outside
+    the contraction regime)."""
+    return _iterate(problem, initial, "fixed_point")
+
+
+def solve_newton(problem, initial=None):
+    """Newton's method with the tangent reassembled at every sweep and
+    backtracking on the potential.  With ``options.method == "hybrid"`` the
+    first sweep uses the frozen linearization `assemble_linearized_at_zero`
+    instead of the tangent at the start iterate."""
+    hybrid = problem.options.method == "hybrid"
+    return _iterate(problem, initial, "hybrid" if hybrid else "newton")
 
 
 def solve_equilibrium(problem, initial=None):
     """Dispatch on the configured method (`hybrid` runs `solve_newton`)."""
     method = problem.options.method
-    if method == "fixed_point":
-        return solve_fixed_point(problem, initial=initial)
-    if method in ("newton", "hybrid"):
-        return solve_newton(problem, initial=initial)
-    raise ValueError("unknown method %r" % (method,))
+    if method not in METHODS:
+        raise ValueError("unknown method %r" % (method,))
+    solve = solve_fixed_point if method == "fixed_point" else solve_newton
+    return solve(problem, initial=initial)

@@ -58,17 +58,6 @@ class SparseSystem:
             bf = bf - Kf[:, self.fixed_dofs] @ self.fixed_values
         return Kff, bf, free
 
-    def symmetry_error(self):
-        """Relative asymmetry of the reduced operator."""
-        Kff, _, _ = self.reduced()
-        if Kff.shape[0] == 0:
-            return 0.0
-        diff = (Kff - Kff.T).tocoo()
-        scale = np.max(np.abs(Kff.data)) if Kff.nnz else 1.0
-        if diff.nnz == 0 or scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(diff.data)) / scale)
-
     def full_solution(self, x_free):
         x = np.zeros(self.matrix.shape[0])
         x[self.free_dofs()] = x_free

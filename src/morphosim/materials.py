@@ -43,12 +43,6 @@ class EnergyModel:
     def second_derivative(self, x, F):
         raise NotImplementedError
 
-    def admissible(self, F):
-        """Entrywise distance of F from the identity versus the model ball."""
-        F = np.asarray(F)
-        dev = tensor.max_abs(F - np.eye(2))
-        return dev < self.admissible_radius
-
     def require_admissible(self, F, context=""):
         F = np.asarray(F)
         dev = tensor.max_abs(F - np.eye(2))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .elasticity import SolverOptions
+from .elasticity import METHODS, SolverOptions
 from .errors import ParseError, ValidationError
 from .growth import GuardConfig, TimeGrid
 from .materials import (CheckReport, ConstantNutrientModel,
@@ -164,12 +164,33 @@ def build_nutrient_model(model_id, params):
 # file loading
 
 
+# every key a section may hold; any other key or section is a ParseError
+_KEYS = {
+    "mesh": {"source", "path", "nx", "ny", "x0", "y0", "x1", "y1", "mode",
+             "elastic_dirichlet", "nutrient_dirichlet"},
+    "energy": {"model", "p", "admissible_radius"},
+    "growth": {"law", "gamma", "eta", "mu", "mu_coeff"},
+    "nutrient": {"model", "d0", "beta0", "nu"},
+    "boundary": {"f", "g", "f_n", "g_n"},
+    "initial": {"g0"},
+    "time": {"t_end", "dt", "t0", "adaptive", "substeps"},
+    "guards": {"det_min", "norm_max", "contraction_budget"},
+    "solver": {"method", "max_iterations", "warm_start"},
+    "output": {"directory", "write_fields", "every"},
+}
+
+
 def _section(cp, name, path, required=True):
     if not cp.has_section(name):
         if required:
             raise ParseError("%s: missing [%s] section" % (path, name))
         return {}
-    return dict(cp.items(name))
+    params = dict(cp.items(name))
+    unknown = sorted(set(params) - _KEYS[name])
+    if unknown:
+        raise ParseError("%s: unknown key %r in [%s]"
+                         % (path, unknown[0], name))
+    return params
 
 
 def _get_bool(params, key, default):
@@ -235,6 +256,9 @@ def load_scenario(path):
         raise ParseError("cannot read scenario %s: %s" % (path, exc))
     except configparser.Error as exc:
         raise ParseError("malformed scenario %s: %s" % (path, exc))
+    for name in cp.sections():
+        if name not in _KEYS:
+            raise ParseError("%s: unknown section [%s]" % (path, name))
     base_dir = os.path.dirname(os.path.abspath(path))
 
     mesh = _build_mesh(_section(cp, "mesh", path), base_dir, path)
@@ -281,17 +305,11 @@ def load_scenario(path):
         contraction_budget=float(gdpar.get("contraction_budget", 0.5)))
 
     spar = _section(cp, "solver", path, required=False)
-    def _auto_float(key):
-        value = spar.get(key, "auto")
-        return None if str(value).strip() == "auto" else float(value)
     solver = SolverOptions(
         method=spar.get("method", "fixed_point"),
-        tol_increment=_auto_float("tol_increment"),
-        tol_residual=_auto_float("tol_residual"),
         max_iterations=int(spar.get("max_iterations", 50)),
-        line_search=_get_bool(spar, "line_search", True),
         warm_start=_get_bool(spar, "warm_start", True))
-    if solver.method not in ("fixed_point", "newton", "hybrid"):
+    if solver.method not in METHODS:
         raise ParseError("%s: unknown solver method %r" % (path, solver.method))
 
     opar = _section(cp, "output", path, required=False)

@@ -23,11 +23,6 @@ def transpose(F):
     return np.swapaxes(np.asarray(F), -1, -2)
 
 
-def trace(F):
-    """Trace over the trailing two axes."""
-    return np.einsum("...ii->...", np.asarray(F))
-
-
 def frobenius_norm(F):
     """Frobenius norm over the trailing two axes."""
     F = np.asarray(F)
@@ -93,11 +88,6 @@ def cofactor(F):
     c[..., 1, 0] = -F[..., 0, 1]
     c[..., 1, 1] = F[..., 0, 0]
     return c
-
-
-def det_derivative(F):
-    """Derivative of the determinant with respect to the matrix entries."""
-    return cofactor(F)
 
 
 def cofactor_derivative(F):

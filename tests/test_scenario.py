@@ -130,6 +130,26 @@ class TestLoadingErrors:
         with pytest.raises(ParseError):
             load_scenario(write_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("line", ["methd = newton", "tol_increment = 1e-9",
+                                      "tol_residual = 1e-9",
+                                      "line_search = false"])
+    def test_unknown_solver_key(self, tmp_path, line):
+        path = write_cfg(tmp_path, MINIMAL + "\n[solver]\n%s\n" % line)
+        with pytest.raises(ParseError) as info:
+            load_scenario(path)
+        key = line.split(" = ")[0]
+        assert str(info.value) == "%s: unknown key %r in [solver]" % (path, key)
+
+    def test_unknown_key_in_any_section(self, tmp_path):
+        text = MINIMAL.replace("dt = 0.05", "dt = 0.05\nt_start = 0")
+        with pytest.raises(ParseError, match="unknown key 't_start' in"):
+            load_scenario(write_cfg(tmp_path, text))
+
+    def test_unknown_section(self, tmp_path):
+        text = MINIMAL + "\n[solvr]\nmethod = newton\n"
+        with pytest.raises(ParseError, match="unknown section"):
+            load_scenario(write_cfg(tmp_path, text))
+
     def test_unknown_model(self, tmp_path):
         text = MINIMAL + "\n[energy]\nmodel = rubber\n"
         with pytest.raises(ParseError):
