@@ -14,9 +14,8 @@ from .elasticity import (EquilibriumProblem, EquilibriumSolution,
                          elastic_energy, lift_dirichlet, residual,
                          solve_equilibrium, solve_fixed_point, solve_newton,
                          stress_field)
-from .fem import (SparseSystem, assemble_scalar_operator,
-                  assemble_vector_operator, interpolate_gradient,
-                  nodal_from_cells, solve_sparse)
+from .fem import (assemble_scalar_operator, assemble_vector_operator,
+                  interpolate_gradient, nodal_from_cells, solve_dirichlet)
 from .growth import (GuardConfig, TimeGrid, det_guard, picard_step_control,
                      rk4_step)
 from .materials import (CheckReport, ConstantNutrientModel,

@@ -308,24 +308,26 @@ def write_outputs(trajectory, mesh, config):
             mesh_block = _vtk_mesh_block(mesh)
             last = len(trajectory.states) - 1
             for k, state in enumerate(trajectory.states):
-                if k % max(config.every, 1) and k != last:
+                if k % config.every and k != last:
                     continue
                 path = os.path.join(config.directory, "fields_%06d.vtk" % k)
                 with open(path, "w") as fh:
                     fh.write(_vtk_text(mesh, state, mesh_block))
                 paths.append(path)
-        if trajectory.failed and trajectory.states:
-            snap = os.path.join(config.directory, "failure_snapshot.vtk")
-            with open(snap, "w") as fh:
-                fh.write(_vtk_text(mesh, trajectory.states[-1], mesh_block))
+        if trajectory.failed:
+            halted = "halted after %d snapshots" % len(trajectory.states)
+            if trajectory.states:
+                final = trajectory.states[-1]
+                halted += " at t=%.17g" % final.t
+                snap = os.path.join(config.directory, "failure_snapshot.vtk")
+                with open(snap, "w") as fh:
+                    fh.write(_vtk_text(mesh, final, mesh_block))
+                paths.append(snap)
             note = os.path.join(config.directory, "failure.txt")
             with open(note, "w") as fh:
-                fh.write("status: %s\n" % trajectory.status)
-                fh.write("halted after %d snapshots at t=%.17g\n"
-                         % (len(trajectory.states),
-                            trajectory.states[-1].t))
-                fh.write("cause: %s\n" % trajectory.error)
-            paths.extend([snap, note])
+                fh.write("status: %s\n%s\ncause: %s\n"
+                         % (trajectory.status, halted, trajectory.error))
+            paths.append(note)
     except OSError as exc:
         raise IoError("cannot write outputs: %s" % exc)
     return paths

@@ -2,17 +2,16 @@
 
 The unknown is the displacement ``u = y - f_tilde`` relative to the
 interior lift of the Dirichlet data, so u vanishes on the elastic
-Dirichlet part.  Every method runs one iteration, ``u -> u - L^{-1}
-residual(u)``, and differs only in when the operator L is refreshed:
+Dirichlet part.  Both methods run one iteration, ``u -> u - L^{-1}
+residual(u)``, and differ only in when the operator L is refreshed:
 
 * `fixed_point` (`solve_fixed_point`) keeps the stiffness assembled at
   u = 0 for every sweep (a chord iteration, contractive for small data);
 * `newton` (`solve_newton`) reassembles the tangent at every sweep and
-  backtracks on the potential;
-* `hybrid` is Newton whose first sweep uses the operator at u = 0.
+  backtracks on the potential.
 
-All three converge to the same discrete solution; the residual of each is
-the weak form of the stress divergence plus traction terms.
+Both converge to the same discrete solution; the residual of each is the
+weak form of the stress divergence plus traction terms.
 """
 
 import functools
@@ -25,7 +24,7 @@ from .errors import (ContractionLost, LiftDegenerate, NoConvergence,
                      OutsideAdmissibleBall, SingularJacobian, SingularMatrix,
                      SingularSystem, ValidationError)
 
-METHODS = ("fixed_point", "newton", "hybrid")
+METHODS = ("fixed_point", "newton")
 
 
 @dataclass
@@ -100,13 +99,9 @@ def _lift_solver(mesh):
         Ke = np.einsum("cq,cAa,cBa->cAB", w, g, g)
         K = fem._scatter(mesh.num_vertices, mesh.cells, Ke)
         nodes = mesh.elastic_dirichlet_nodes()
-        free = np.ones(mesh.num_vertices, dtype=bool)
-        free[nodes] = False
-        free_idx = np.nonzero(free)[0]
-        Kff = K[free_idx][:, free_idx].tocsc()
-        Kfc = K[free_idx][:, nodes].tocsr()
+        Kff, Kf, free_idx = fem.eliminate(K, nodes)
         lu = fem._factorize_spd(Kff) if len(free_idx) else None
-        mesh._cache["lift_solver"] = (lu, Kfc, free_idx, nodes)
+        mesh._cache["lift_solver"] = (lu, Kf[:, nodes], free_idx, nodes)
     return mesh._cache["lift_solver"]
 
 
@@ -159,6 +154,8 @@ def _dof_maps(mesh):
 class _Workspace:
     def __init__(self, problem):
         mesh = problem.mesh
+        if len(mesh.elastic_dirichlet_nodes()) == 0:
+            raise ValidationError("elastic Dirichlet part must be non-empty")
         self.mesh = mesh
         self.energy = problem.energy
         self.weights = mesh.quad_weights()
@@ -177,8 +174,6 @@ class _Workspace:
         self.Ginvq = np.linalg.inv(self.Gq)
         self.f_tilde, self.grad_ft = lift_dirichlet(
             mesh, problem.dirichlet_data, with_gradient=True)
-        if len(mesh.elastic_dirichlet_nodes()) == 0:
-            raise ValidationError("elastic Dirichlet part must be non-empty")
         self.fixed_dofs, self.free, self.edofs = _dof_maps(mesh)
         if problem.neumann_traction is not None:
             self.traction_load = fem.boundary_load_vector(
@@ -233,10 +228,9 @@ class _Workspace:
         return self.detGq[:, :, None, None, None, None] * A
 
     def stiffness(self, u):
-        A = self.coefficient_tensor(u)
-        zeros = np.zeros(len(self.fixed_dofs))
-        return fem.assemble_vector_operator(
-            self.mesh, A, dirichlet=(self.fixed_dofs, zeros))
+        """Unconstrained tangent stiffness (CSR) at u."""
+        return fem.assemble_vector_operator(self.mesh,
+                                            self.coefficient_tensor(u))
 
     def energy_value(self, u):
         Fel = self.elastic_state(u)
@@ -262,9 +256,9 @@ def residual(problem, u):
 
 
 def assemble_linearized_at_zero(problem):
-    """Stiffness of the linearization at u = 0 (coefficients evaluated at
-    the lifted Dirichlet data), with homogeneous constraints on the elastic
-    Dirichlet part.  Symmetric positive definite for admissible data."""
+    """Unconstrained stiffness (CSR) of the linearization at u = 0
+    (coefficients evaluated at the lifted Dirichlet data).  Its block on
+    the free dofs is symmetric positive definite for admissible data."""
     ws = problem.workspace
     return ws.stiffness(np.zeros((ws.mesh.num_vertices, 2)))
 
@@ -279,9 +273,9 @@ def stress_field(problem, u):
     return problem.workspace.stress(u)
 
 
-def _tolerances(ws, system):
+def _tolerances(ws, K):
     """Increment and residual tolerances (see `SolverOptions`)."""
-    scale = float(np.max(np.abs(system.matrix.data)))
+    scale = float(np.max(np.abs(K.data)))
     return (1e-11 * (1.0 + float(np.max(np.abs(ws.f_tilde)))),
             1e-10 * max(scale, 1e-12))
 
@@ -307,24 +301,22 @@ def _iterate(problem, initial, method):
 
     The chord iteration factorizes the operator at u = 0 once, takes full
     steps, and raises ContractionLost after three consecutive
-    non-contracting sweeps.  Newton factorizes its first operator (the
-    tangent at the start iterate, or the operator at u = 0 for `hybrid`),
-    refactorizes the tangent from sweep 2 on, and backtracks on the
-    potential; the potential of an accepted trial is the next sweep's base
-    value (the trial iterate and the updated one are equal bit for bit).
+    non-contracting sweeps.  Newton factorizes the tangent at every
+    sweep's iterate and backtracks on the potential; the potential of an
+    accepted trial is the next sweep's base value (the trial iterate and
+    the updated one are equal bit for bit).
     Convergence needs the increment and the residual below their
     tolerances at once; `rho_hat` is the largest observed increment ratio.
     """
     ws = problem.workspace
     opts = problem.options
-    newton = method != "fixed_point"
+    newton = method == "newton"
     u = _initial_guess(ws, initial)
     r, rn, P = ws.residual(u)
     done = rn <= 1e-10
     if not done:
-        system = (ws.stiffness(u) if method == "newton"
-                  else assemble_linearized_at_zero(problem))
-        tol_inc, tol_res = _tolerances(ws, system)
+        K = ws.stiffness(u) if newton else assemble_linearized_at_zero(problem)
+        tol_inc, tol_res = _tolerances(ws, K)
         done = rn <= tol_res
     increments = []
     rho_hat = 0.0
@@ -342,8 +334,8 @@ def _iterate(problem, initial, method):
         k += 1
         if k == 1 or newton:
             if k > 1:
-                system = ws.stiffness(u)
-            Kff, _, free = system.reduced()
+                K = ws.stiffness(u)
+            Kff, _, free = fem.eliminate(K, ws.fixed_dofs)
             try:
                 lu = fem._factorize_spd(Kff)
             except SingularSystem as exc:
@@ -403,15 +395,12 @@ def solve_fixed_point(problem, initial=None):
 
 def solve_newton(problem, initial=None):
     """Newton's method with the tangent reassembled at every sweep and
-    backtracking on the potential.  With ``options.method == "hybrid"`` the
-    first sweep uses the frozen linearization `assemble_linearized_at_zero`
-    instead of the tangent at the start iterate."""
-    hybrid = problem.options.method == "hybrid"
-    return _iterate(problem, initial, "hybrid" if hybrid else "newton")
+    backtracking on the potential."""
+    return _iterate(problem, initial, "newton")
 
 
 def solve_equilibrium(problem, initial=None):
-    """Dispatch on the configured method (`hybrid` runs `solve_newton`)."""
+    """Dispatch on the configured method."""
     method = problem.options.method
     if method not in METHODS:
         raise ValueError("unknown method %r" % (method,))

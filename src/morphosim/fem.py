@@ -1,15 +1,16 @@
 """First-order finite elements on triangle meshes: assembly of scalar and
-vector elliptic operators, sparse solves, and gradient transfer.
+vector elliptic operators, Dirichlet elimination, sparse solves, and
+gradient transfer.
 
 Degrees of freedom: scalar problems use one dof per vertex; vector
-problems interleave components, ``dof = 2 * vertex + component``.
-Dirichlet constraints are imposed by row/column elimination with a
+problems interleave components, ``dof = 2 * vertex + component``.  The
+assemblers return the unconstrained operator.  `eliminate` is the one
+place that splits free from fixed dofs, and `solve_dirichlet` the one
+solve with strong Dirichlet values: row/column elimination with a
 symmetric right-hand-side correction, so the reduced operator stays
 symmetric positive definite, which the pivot check of its sparse LU
 factorization verifies.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,46 +25,14 @@ from .mesh import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS
 # linear systems
 
 
-@dataclass
-class SparseSystem:
-    """Assembled linear system with strong Dirichlet constraints.
-
-    `matrix` is the full (unconstrained) operator in CSR form; `rhs` the
-    full load vector; `fixed_dofs`/`fixed_values` list the constrained
-    degrees of freedom.  The reduced operator (free rows/columns) is
-    symmetric whenever the assembled operator is.
-    """
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    fixed_dofs: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    fixed_values: np.ndarray = field(default_factory=lambda: np.array([]))
-
-    def free_dofs(self):
-        mask = np.ones(self.matrix.shape[0], dtype=bool)
-        mask[self.fixed_dofs] = False
-        return np.nonzero(mask)[0]
-
-    def reduced(self):
-        """(K_ff, b_f - K_fc u_c, free_index) for the elimination solve.
-
-        The K_fc u_c product is skipped when every fixed value is zero: it
-        is then exactly zero for finite K, and b_f - 0 is b_f bit for bit.
-        """
-        free = self.free_dofs()
-        Kf = self.matrix[free]
-        Kff = Kf[:, free].tocsc()
-        bf = self.rhs[free]
-        if np.any(np.asarray(self.fixed_values) != 0.0):
-            bf = bf - Kf[:, self.fixed_dofs] @ self.fixed_values
-        return Kff, bf, free
-
-    def full_solution(self, x_free):
-        x = np.zeros(self.matrix.shape[0])
-        x[self.free_dofs()] = x_free
-        if len(self.fixed_dofs):
-            x[self.fixed_dofs] = self.fixed_values
-        return x
+def eliminate(K, fixed):
+    """Split the CSR operator K at the `fixed` dofs: returns
+    ``(K_ff as CSC, the free rows K_f, the free index)``."""
+    mask = np.ones(K.shape[0], dtype=bool)
+    mask[fixed] = False
+    free = np.nonzero(mask)[0]
+    Kf = K[free]
+    return Kf[:, free].tocsc(), Kf, free
 
 
 def _factorize_spd(Kcsc):
@@ -84,39 +53,33 @@ def _factorize_spd(Kcsc):
     return lu
 
 
-def solve_sparse(system, tol=1e-12):
-    """Solve an assembled system by sparse direct factorization; returns
-    the full nodal vector.  The solution is verified against
-    ``||K x - b|| <= tol * ||b||`` (absolute when b = 0).
-
-    Raises
-    ------
-    SingularSystem
-        Non-positive or vanishing pivot (operator not SPD / singular).
-    NoConvergence
-        The residual check failed.
-    """
-    Kff, bf, _ = system.reduced()
-    x, _ = solve_reduced(Kff, bf, tol=tol)
-    return system.full_solution(x)
-
-
-def solve_reduced(Kff, bf, tol=1e-12):
-    """Solve an already reduced system ``K_ff x = b_f`` as `solve_sparse`
-    does; returns the free values and the residual norm ``|K_ff x - b_f|``
-    that the solve was verified against (0.0 without free dofs)."""
-    n = Kff.shape[0]
-    if n == 0:
-        return np.zeros(0), 0.0
-    if not np.all(np.isfinite(bf)):
-        raise AssemblyError("non-finite right-hand side")
-    x = _factorize_spd(Kff).solve(bf)
-    scale = np.linalg.norm(bf)
-    resid = np.linalg.norm(Kff @ x - bf)
-    if resid > tol * max(scale, 1e-300) and resid > 10 * tol * max(1.0, np.linalg.norm(x)):
-        raise NoConvergence("linear solve residual %.3e exceeds tolerance"
-                            % resid)
-    return x, float(resid)
+def solve_dirichlet(K, rhs, fixed, values, tol=1e-12):
+    """Solve ``K x = rhs`` with ``x[fixed] = values`` by elimination and
+    sparse direct factorization.  Returns x and the residual norm
+    ``|K_ff x_f - b_f|`` (0.0 without free dofs), verified to be at most
+    ``tol * |b_f|`` or ``10 * tol * max(1, |x_f|)``.  Raises AssemblyError
+    on a non-finite reduced load, SingularSystem on a non-positive or
+    vanishing pivot, and NoConvergence when the residual check fails."""
+    Kff, Kf, free = eliminate(K, fixed)
+    bf = rhs[free]
+    # K_fc u_c is exactly zero for finite K when every value is zero, and
+    # b_f - 0 is b_f bit for bit
+    if np.any(values != 0.0):
+        bf = bf - Kf[:, fixed] @ values
+    x = np.zeros(K.shape[0])
+    resid = 0.0
+    if len(free):
+        if not np.all(np.isfinite(bf)):
+            raise AssemblyError("non-finite right-hand side")
+        x_free = _factorize_spd(Kff).solve(bf)
+        resid = float(np.linalg.norm(Kff @ x_free - bf))
+        if (resid > tol * max(np.linalg.norm(bf), 1e-300) and
+                resid > 10 * tol * max(1.0, np.linalg.norm(x_free))):
+            raise NoConvergence("linear solve residual %.3e exceeds "
+                                "tolerance" % resid)
+        x[free] = x_free
+    x[fixed] = values
+    return x, resid
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +87,10 @@ def solve_reduced(Kff, bf, tol=1e-12):
 
 
 def _as_quad_array(mesh, value, trailing):
-    """Coefficient at quadrature points: pass through arrays of shape
-    (cells, nq) + trailing, or evaluate a callable on the points."""
-    nq = TRI_POINTS.shape[0]
-    target = (mesh.num_cells, nq) + trailing
-    if callable(value):
-        value = value(mesh.quad_points())
-    value = np.asarray(value, dtype=float)
-    return np.broadcast_to(value, target)
+    """Coefficient at quadrature points: an array that broadcasts to
+    (cells, nq) + trailing."""
+    target = (mesh.num_cells, TRI_POINTS.shape[0]) + trailing
+    return np.broadcast_to(np.asarray(value, dtype=float), target)
 
 
 def _scatter(n_dofs, edofs, Ke):
@@ -191,51 +150,21 @@ def boundary_load_vector(mesh, facet_mask, load, n_components):
     return out
 
 
-def dirichlet_constraints(mesh, nodes, data, n_components):
-    """(dofs, values) for strong imposition of `data` at `nodes`.
-
-    `data` may be a callable on points, a constant, or an array of nodal
-    values aligned with `nodes`; None means homogeneous.  A
-    ``(dofs, values)`` pair passes through as arrays.
-    """
-    if isinstance(data, tuple) and len(data) == 2:
-        dofs, values = data
-        return np.asarray(dofs, dtype=int), np.asarray(values, dtype=float)
-    if data is None:
-        data = 0.0
-    nodes = np.asarray(nodes, dtype=int)
-    if callable(data):
-        values = np.asarray(data(mesh.vertices[nodes]), dtype=float)
-    else:
-        values = np.asarray(data, dtype=float)
-        if values.ndim == 0:
-            values = np.full((len(nodes),) if n_components == 1
-                             else (len(nodes), n_components), float(values))
-    if n_components == 1:
-        values = values.reshape(len(nodes))
-        return nodes.copy(), values
-    values = np.broadcast_to(values.reshape(len(nodes), n_components),
-                             (len(nodes), n_components))
-    dofs = (n_components * nodes[:, None] + np.arange(n_components)).ravel()
-    return dofs, values.ravel().copy()
-
-
-def assemble_vector_operator(mesh, coeff, dirichlet=None):
-    """Stiffness of the second-order system with fourth-order coefficient A:
+def assemble_vector_operator(mesh, coeff):
+    """Stiffness (CSR, unconstrained) of the second-order system with
+    fourth-order coefficient A:
 
         (v, u)  ->  int_Omega A[i, j, a, b] d_a v^i d_b u^j dx
 
-    with strong Dirichlet values on the elastic-Dirichlet part and a zero
-    load vector (boundary loads come from `boundary_load_vector`).
+    Boundary loads come from `boundary_load_vector`, constraints from
+    `eliminate`.
 
     Parameters
     ----------
-    coeff : (cells, nq, 2, 2, 2, 2) array or callable(points) -> same
+    coeff : (cells, nq, 2, 2, 2, 2) array
         Coefficient tensor per quadrature point; index order is
         (test component, trial component, test derivative,
         trial derivative).
-    dirichlet : callable(points) -> (k, 2), array, constant, or
-        (dofs, values) pair; None means homogeneous.
     """
     A = _as_quad_array(mesh, coeff, (2, 2, 2, 2))
     if not np.all(np.isfinite(A)):
@@ -244,21 +173,18 @@ def assemble_vector_operator(mesh, coeff, dirichlet=None):
     g = mesh.cell_gradients()
     Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", w, A, g, g, optimize=True)
     edofs = (2 * mesh.cells[:, :, None] + np.arange(2)).reshape(-1, 6)
-    K = _scatter(2 * mesh.num_vertices, edofs, Ke.reshape(-1, 6, 6))
-    fixed_dofs, fixed_values = dirichlet_constraints(
-        mesh, mesh.elastic_dirichlet_nodes(), dirichlet, 2)
-    return SparseSystem(K, np.zeros(2 * mesh.num_vertices), fixed_dofs,
-                        fixed_values)
+    return _scatter(2 * mesh.num_vertices, edofs, Ke.reshape(-1, 6, 6))
 
 
 def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
-                             dirichlet=None, ellipticity_nu=None):
-    """System for the reaction-diffusion form
+                             ellipticity_nu=None):
+    """Unconstrained operator (CSR) and load vector ``(K, rhs)`` of the
+    reaction-diffusion form
 
         (v, u)  ->  int_Omega grad v . D grad u + r u v dx
 
-    with weak flux data on the nutrient-Neumann part and strong Dirichlet
-    values on the nutrient-Dirichlet part.
+    with weak flux data on the nutrient-Neumann part; `solve_dirichlet`
+    imposes the values on the nutrient-Dirichlet part.
 
     Raises EllipticityViolation when a sampled diffusion matrix has an
     eigenvalue below `ellipticity_nu`, and AssemblyError on non-finite or
@@ -287,9 +213,7 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
     if neumann_flux is not None:
         rhs += boundary_load_vector(mesh, ~mesh.facet_nutrient_dirichlet,
                                     neumann_flux, 1)
-    fixed_dofs, fixed_values = dirichlet_constraints(
-        mesh, mesh.nutrient_dirichlet_nodes(), dirichlet, 1)
-    return SparseSystem(K, rhs, fixed_dofs, fixed_values)
+    return K, rhs
 
 
 # ---------------------------------------------------------------------------

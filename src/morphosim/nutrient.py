@@ -73,8 +73,8 @@ def solve_nutrient(problem, tol=1e-12):
     mesh = problem.mesh
     D, beta = nutrient_coefficient_fields(problem)
 
-    dirichlet = None
     nodes = mesh.nutrient_dirichlet_nodes()
+    values = np.zeros(0)
     if len(nodes):
         if problem.dirichlet_data is None:
             raise ValidationError("nutrient Dirichlet facets present but no "
@@ -83,7 +83,6 @@ def solve_nutrient(problem, tol=1e-12):
                             dtype=float).reshape(len(nodes))
         if np.any(values < 0.0):
             raise ValidationError("nutrient Dirichlet data must be >= 0")
-        dirichlet = (nodes, values)
 
     flux = None
     if problem.neumann_flux is not None and np.any(~mesh.facet_nutrient_dirichlet):
@@ -94,12 +93,10 @@ def solve_nutrient(problem, tol=1e-12):
                 raise ValidationError("nutrient flux datum must be >= 0")
             return vals
 
-    system = fem.assemble_scalar_operator(
-        mesh, D, reaction=beta, neumann_flux=flux, dirichlet=dirichlet,
+    K, rhs = fem.assemble_scalar_operator(
+        mesh, D, reaction=beta, neumann_flux=flux,
         ellipticity_nu=problem.model.ellipticity_nu)
-    Kff, bf, _ = system.reduced()
-    x, resid = fem.solve_reduced(Kff, bf, tol=tol)
-    N = system.full_solution(x)
+    N, resid = fem.solve_dirichlet(K, rhs, nodes, values, tol=tol)
     min_value = float(np.min(N))
     scale = max(1.0, float(np.max(np.abs(N))))
     if mesh.delaunay_like and min_value < -1e-10 * scale:

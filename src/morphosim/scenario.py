@@ -36,6 +36,10 @@ class OutputConfig:
     write_fields: bool = True
     every: int = 1
 
+    def __post_init__(self):
+        if self.every < 1:
+            raise ValueError("output every must be >= 1")
+
 
 @dataclass
 class Scenario:
@@ -213,17 +217,13 @@ def _build_mesh(params, base_dir, path):
         return read_mesh(os.path.join(base_dir, params["path"]))
     if source != "rectangle":
         raise ParseError("%s: unknown mesh source %r" % (path, source))
-    try:
-        nx = int(params.get("nx", 16))
-        ny = int(params.get("ny", 16))
-        x0 = float(params.get("x0", 0.0))
-        y0 = float(params.get("y0", 0.0))
-        x1 = float(params.get("x1", 1.0))
-        y1 = float(params.get("y1", 1.0))
-    except ValueError as exc:
-        raise ParseError("%s: bad [mesh] field (%s)" % (path, exc))
+    x0 = float(params.get("x0", 0.0))
+    y0 = float(params.get("y0", 0.0))
+    x1 = float(params.get("x1", 1.0))
+    y1 = float(params.get("y1", 1.0))
     return rectangle_mesh(
-        nx, ny, extent=((x0, y0), (x1, y1)),
+        int(params.get("nx", 16)), int(params.get("ny", 16)),
+        extent=((x0, y0), (x1, y1)),
         mode=params.get("mode", "crossed"),
         elastic_dirichlet=params.get("elastic_dirichlet", "all"),
         nutrient_dirichlet=params.get("nutrient_dirichlet", "all"))
@@ -245,8 +245,9 @@ def _parse_g0(text):
 def load_scenario(path):
     """Parse and assemble a scenario file.
 
-    Raises ParseError for unreadable or malformed input; model-assumption
-    checks live in `validate_scenario`.
+    Raises ParseError for unreadable or malformed input, including a value
+    that a model, the mesh generator or a config rejects (ValueError);
+    model-assumption checks live in `validate_scenario`.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -259,6 +260,13 @@ def load_scenario(path):
     for name in cp.sections():
         if name not in _KEYS:
             raise ParseError("%s: unknown section [%s]" % (path, name))
+    try:
+        return _build_scenario(cp, path)
+    except ValueError as exc:
+        raise ParseError("%s: invalid value (%s)" % (path, exc))
+
+
+def _build_scenario(cp, path):
     base_dir = os.path.dirname(os.path.abspath(path))
 
     mesh = _build_mesh(_section(cp, "mesh", path), base_dir, path)
@@ -285,16 +293,14 @@ def load_scenario(path):
     g0_kind, g0_value = _parse_g0(ipar.get("g0", "identity"))
 
     tpar = _section(cp, "time", path)
-    try:
-        time_grid = TimeGrid(
-            t_end=float(tpar["t_end"]),
-            dt=float(tpar["dt"]),
-            t0=float(tpar.get("t0", 0.0)),
-            adaptive=_get_bool(tpar, "adaptive", False))
-    except KeyError as exc:
-        raise ParseError("%s: [time] needs %s" % (path, exc))
-    except ValueError as exc:
-        raise ParseError("%s: bad [time] field (%s)" % (path, exc))
+    for key in ("t_end", "dt"):
+        if key not in tpar:
+            raise ParseError("%s: [time] needs %r" % (path, key))
+    time_grid = TimeGrid(
+        t_end=float(tpar["t_end"]),
+        dt=float(tpar["dt"]),
+        t0=float(tpar.get("t0", 0.0)),
+        adaptive=_get_bool(tpar, "adaptive", False))
     substeps = _get_bool(tpar, "substeps", False)
 
     gdpar = _section(cp, "guards", path, required=False)

@@ -1,3 +1,4 @@
+import configparser
 import os
 import subprocess
 import sys
@@ -32,6 +33,29 @@ def write_cfg(tmp_path, text, name="scenario.cfg", outdir=None):
     return path, outdir
 
 
+def scenario_copy(tmp_path, scenario_dir, demo, section, key, value):
+    """A copy of a shipped scenario with one key set, writing under
+    tmp_path."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.read(scenario_dir / demo)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = value
+    cp["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / demo
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+# values the model, mesh or config constructors reject with ValueError
+MALFORMED = [("solver", "max_iterations", "ten"), ("guards", "det_min", "-1"),
+             ("output", "every", "x"), ("energy", "p", "0.5"),
+             ("growth", "eta", "cubic"), ("growth", "gamma", "fast"),
+             ("mesh", "nx", "0"), ("mesh", "mode", "hex"),
+             ("output", "every", "0")]
+
+
 class TestRun:
     def test_trivial_run_succeeds(self, tmp_path, capsys):
         cfg, outdir = write_cfg(tmp_path, TRIVIAL)
@@ -61,6 +85,25 @@ class TestRun:
         csv = open(os.path.join(outdir, "run.csv")).read()
         assert len(csv.strip().split("\n")) == 1 + 3  # t = 0, 0.025, 0.05
 
+    def test_failure_at_first_solve_leaves_failure_note(self, tmp_path,
+                                                        scenario_dir, capsys):
+        # a reflected boundary folds the lift before any snapshot exists
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_free.cfg",
+                            "boundary", "f", "x, 1 - y")
+        assert main(["run", str(cfg)]) == 1
+        note = (tmp_path / "out" / "failure.txt").read_text()
+        assert "halted after 0 snapshots\n" in note
+        assert "folds some cell" in note
+        assert not (tmp_path / "out" / "failure_snapshot.vtk").exists()
+
+    def test_hybrid_method_is_gone(self, tmp_path, scenario_dir, capsys):
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_free.cfg",
+                            "solver", "method", "hybrid")
+        assert main(["check", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(cfg), "--method", "hybrid"])
+        assert info.value.code == 2
+
     def test_output_dir_override(self, tmp_path):
         cfg, _ = write_cfg(tmp_path, TRIVIAL)
         target = tmp_path / "elsewhere"
@@ -83,6 +126,14 @@ class TestCheck:
         cfg, _ = write_cfg(tmp_path, text)
         assert main(["check", str(cfg)]) == 1
         assert "FAIL nutrient_uniqueness" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("section,key,value", MALFORMED)
+    def test_malformed_value_is_usage_error(self, tmp_path, scenario_dir,
+                                            capsys, section, key, value):
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
+                            section, key, value)
+        assert main(["check", str(cfg)]) == 2
+        assert str(cfg) in capsys.readouterr().err
 
 
 class TestBench:

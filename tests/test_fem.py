@@ -23,12 +23,46 @@ def hessian_tensor(mesh):
     return np.broadcast_to(H, (mesh.num_cells, NQ, 2, 2, 2, 2))
 
 
+def elastic_dofs(mesh):
+    nodes = mesh.elastic_dirichlet_nodes()
+    return (2 * nodes[:, None] + np.arange(2)).ravel()
+
+
+def solve_vector(mesh, coeff, data):
+    """Nodal solution with the values of `data` (a callable on points) at
+    the elastic Dirichlet nodes."""
+    K = fem.assemble_vector_operator(mesh, coeff)
+    values = data(mesh.vertices[mesh.elastic_dirichlet_nodes()])
+    u, _ = fem.solve_dirichlet(K, np.zeros(K.shape[0]), elastic_dofs(mesh),
+                               np.asarray(values, dtype=float).ravel())
+    return u.reshape(-1, 2)
+
+
+def solve_scalar(mesh, data, **coefficients):
+    """Identity-diffusion solution with the values of `data` at the
+    nutrient Dirichlet nodes."""
+    eye = np.broadcast_to(np.eye(2), (mesh.num_cells, NQ, 2, 2))
+    K, rhs = fem.assemble_scalar_operator(mesh, eye, **coefficients)
+    nodes = mesh.nutrient_dirichlet_nodes()
+    values = np.asarray(data(mesh.vertices[nodes]), dtype=float)
+    N, _ = fem.solve_dirichlet(K, rhs, nodes, values)
+    return N
+
+
 class TestVectorOperator:
     def test_zero_data_gives_zero(self):
         mesh = rectangle_mesh(4, 4)
-        system = fem.assemble_vector_operator(mesh, identity_tensor(mesh))
-        u = fem.solve_sparse(system)
+        u = solve_vector(mesh, identity_tensor(mesh),
+                         lambda pts: np.zeros((len(pts), 2)))
         assert np.max(np.abs(u)) <= 1e-14
+
+    def test_returns_the_unconstrained_operator(self):
+        mesh = rectangle_mesh(4, 4)
+        K = fem.assemble_vector_operator(mesh, identity_tensor(mesh))
+        assert sp.isspmatrix_csr(K)
+        assert K.shape == (2 * mesh.num_vertices,) * 2
+        # every row of the Laplacian sums to zero, boundary rows included
+        assert np.max(np.abs(K @ np.ones(K.shape[0]))) <= 1e-13
 
     @pytest.mark.parametrize("coeff", ["laplace", "hessian"])
     def test_affine_patch(self, coeff):
@@ -37,8 +71,7 @@ class TestVectorOperator:
         B = np.array([[0.7, -0.3], [0.2, 1.1]])
         a = np.array([0.4, -0.1])
         affine = lambda pts: pts @ B.T + a
-        system = fem.assemble_vector_operator(mesh, A, dirichlet=affine)
-        u = fem.solve_sparse(system).reshape(-1, 2)
+        u = solve_vector(mesh, A, affine)
         assert np.max(np.abs(u - affine(mesh.vertices))) <= 1e-11
 
     def test_symmetry_for_random_major_symmetric_coefficient(self):
@@ -46,7 +79,8 @@ class TestVectorOperator:
         mesh = rectangle_mesh(4, 4)
         A = rng.standard_normal((mesh.num_cells, NQ, 2, 2, 2, 2))
         A = 0.5 * (A + np.einsum("cqijab->cqjiba", A))  # impose major symmetry
-        Kff, _, _ = fem.assemble_vector_operator(mesh, A).reduced()
+        K = fem.assemble_vector_operator(mesh, A)
+        Kff, _, _ = fem.eliminate(K, elastic_dofs(mesh))
         assert abs(Kff - Kff.T).max() <= 1e-10 * abs(Kff).max()
 
     def test_nonfinite_coefficient(self):
@@ -59,10 +93,8 @@ class TestVectorOperator:
     def test_volume_load_constant_displacement(self):
         # manufactured: -div(grad u) = 0 with u = const on the boundary
         mesh = rectangle_mesh(4, 4)
-        system = fem.assemble_vector_operator(
-            mesh, identity_tensor(mesh),
-            dirichlet=lambda pts: np.full((len(pts), 2), 2.5))
-        u = fem.solve_sparse(system).reshape(-1, 2)
+        u = solve_vector(mesh, identity_tensor(mesh),
+                         lambda pts: np.full((len(pts), 2), 2.5))
         assert np.max(np.abs(u - 2.5)) <= 1e-12
 
     def test_neumann_load_enters_rhs(self):
@@ -74,30 +106,12 @@ class TestVectorOperator:
         assert np.allclose(load.reshape(-1, 2).sum(axis=0), [0.5, 0.0],
                            rtol=0.0, atol=1e-14)
 
-    def test_dirichlet_pair_passes_through(self):
-        mesh = rectangle_mesh(2, 2)
-        nodes = mesh.elastic_dirichlet_nodes()
-        dofs, values = fem.dirichlet_constraints(mesh, nodes,
-                                                 ([3, 1], [0.5, -2]), 2)
-        assert dofs.dtype == int and values.dtype == float
-        assert np.array_equal(dofs, [3, 1])
-        assert np.array_equal(values, [0.5, -2.0])
-        system = fem.assemble_vector_operator(
-            mesh, identity_tensor(mesh), dirichlet=([3, 1], [0.5, -2]))
-        assert np.array_equal(system.fixed_dofs, [3, 1])
-        assert np.array_equal(system.fixed_values, [0.5, -2.0])
-        dofs, values = fem.dirichlet_constraints(mesh, nodes, None, 2)
-        assert np.array_equal(dofs, (2 * nodes[:, None] + [0, 1]).ravel())
-        assert np.array_equal(values, np.zeros(2 * len(nodes)))
-
 
 class TestScalarOperator:
     def test_constant_dirichlet_solution(self):
         mesh = rectangle_mesh(6, 6)
-        eye = np.broadcast_to(np.eye(2), (mesh.num_cells, NQ, 2, 2))
-        system = fem.assemble_scalar_operator(
-            mesh, eye, reaction=0.0, dirichlet=lambda pts: np.full(len(pts), 3.0))
-        N = fem.solve_sparse(system)
+        N = solve_scalar(mesh, lambda pts: np.full(len(pts), 3.0),
+                         reaction=0.0)
         assert np.max(np.abs(N - 3.0)) <= 1e-12
 
     def test_cosh_manufactured_convergence(self):
@@ -105,21 +119,16 @@ class TestScalarOperator:
         errors = []
         for n in (8, 16, 32):
             mesh = rectangle_mesh(n, n)
-            eye = np.broadcast_to(np.eye(2), (mesh.num_cells, NQ, 2, 2))
-            system = fem.assemble_scalar_operator(
-                mesh, eye, reaction=1.0,
-                dirichlet=lambda pts: np.cosh(pts[:, 0]))
-            N = fem.solve_sparse(system)
+            N = solve_scalar(mesh, lambda pts: np.cosh(pts[:, 0]),
+                             reaction=1.0)
             errors.append(np.max(np.abs(N - np.cosh(mesh.vertices[:, 0]))))
         assert 3.0 <= errors[0] / errors[1] <= 5.2
         assert 3.0 <= errors[1] / errors[2] <= 5.2
 
     def test_pure_neumann_without_reaction_is_singular(self):
         mesh = rectangle_mesh(4, 4, nutrient_dirichlet="none")
-        eye = np.broadcast_to(np.eye(2), (mesh.num_cells, NQ, 2, 2))
-        system = fem.assemble_scalar_operator(mesh, eye, reaction=0.0)
         with pytest.raises(SingularSystem):
-            fem.solve_sparse(system)
+            solve_scalar(mesh, lambda pts: np.zeros(len(pts)), reaction=0.0)
 
     def test_ellipticity_violation(self):
         mesh = rectangle_mesh(2, 2)
@@ -134,23 +143,32 @@ class TestScalarOperator:
             fem.assemble_scalar_operator(mesh, eye, reaction=-1.0)
 
 
+NONE = np.array([], dtype=int)
+
+
 class TestSolveSparse:
+    """`fem.solve_dirichlet`, the sparse direct solve with strong
+    Dirichlet values."""
+
     def test_one_by_one(self):
-        system = fem.SparseSystem(sp.csr_matrix(np.array([[2.0]])),
-                                  np.array([4.0]))
-        assert np.allclose(fem.solve_sparse(system), [2.0])
+        x, _ = fem.solve_dirichlet(sp.csr_matrix(np.array([[2.0]])),
+                                   np.array([4.0]), NONE, np.zeros(0))
+        assert np.allclose(x, [2.0])
 
     def test_indefinite_raises(self):
-        system = fem.SparseSystem(
-            sp.csr_matrix(np.diag([1.0, -1.0])), np.array([1.0, 1.0]))
         with pytest.raises(SingularSystem):
-            fem.solve_sparse(system)
+            fem.solve_dirichlet(sp.csr_matrix(np.diag([1.0, -1.0])),
+                                np.array([1.0, 1.0]), NONE, np.zeros(0))
 
     def test_fully_constrained(self):
-        system = fem.SparseSystem(sp.csr_matrix(np.eye(2)),
-                                  np.zeros(2), np.array([0, 1]),
-                                  np.array([3.0, 4.0]))
-        assert np.allclose(fem.solve_sparse(system), [3.0, 4.0])
+        x, resid = fem.solve_dirichlet(sp.csr_matrix(np.eye(2)), np.zeros(2),
+                                       np.array([0, 1]), np.array([3.0, 4.0]))
+        assert np.allclose(x, [3.0, 4.0]) and resid == 0.0
+
+    def test_nonfinite_rhs(self):
+        with pytest.raises(AssemblyError):
+            fem.solve_dirichlet(sp.csr_matrix(np.eye(2)),
+                                np.array([1.0, np.inf]), NONE, np.zeros(0))
 
 
 class TestEigenvalueEstimate:
@@ -171,8 +189,8 @@ class TestEigenvalueEstimate:
     def test_assembled_stiffness_positive(self):
         # discrete coercivity of the linearized operator with constraints
         mesh = rectangle_mesh(6, 6, elastic_dirichlet="left")
-        system = fem.assemble_vector_operator(mesh, hessian_tensor(mesh))
-        Kff, _, _ = system.reduced()
+        K = fem.assemble_vector_operator(mesh, hessian_tensor(mesh))
+        Kff, _, _ = fem.eliminate(K, elastic_dofs(mesh))
         assert np.all(fem._factorize_spd(Kff).U.diagonal() > 0.0)
 
 
@@ -245,24 +263,31 @@ class TestComputedOnce:
         assert np.array_equal(got, nodal_from_cells_scatter_add(mesh, vals))
 
     def test_zero_dirichlet_reduction_is_exact(self):
+        # eliminate splits rows, then columns; with zero data the reduced
+        # load is b_f itself, bit for bit
         mesh = rectangle_mesh(4, 4, elastic_dirichlet="left")
-        system = fem.assemble_vector_operator(mesh, hessian_tensor(mesh))
-        rng = np.random.default_rng(2)
-        system.rhs = rng.standard_normal(system.rhs.shape)
-        assert not np.any(system.fixed_values)
-        Kff, bf, free = system.reduced()
-        K = system.matrix
-        expected = system.rhs[free] - K[free][:, system.fixed_dofs] @ \
-            system.fixed_values
-        assert np.array_equal(bf, expected)
+        K = fem.assemble_vector_operator(mesh, hessian_tensor(mesh))
+        fixed = elastic_dofs(mesh)
+        Kff, Kf, free = fem.eliminate(K, fixed)
+        assert np.array_equal(free, np.setdiff1d(np.arange(K.shape[0]),
+                                                 fixed))
+        assert sp.isspmatrix_csc(Kff)
+        assert (Kf != K[free]).nnz == 0
         assert (Kff != K[free][:, free]).nnz == 0
+        rhs = np.random.default_rng(2).standard_normal(K.shape[0])
+        x, resid = fem.solve_dirichlet(K, rhs, fixed, np.zeros(len(fixed)))
+        expected = fem._factorize_spd(Kff).solve(rhs[free])
+        assert np.array_equal(x[free], expected)
+        assert not np.any(x[fixed])
+        assert resid == float(np.linalg.norm(Kff @ expected - rhs[free]))
 
     def test_solve_reduced_reports_verified_residual(self):
         mesh = rectangle_mesh(4, 4)
-        system = fem.assemble_scalar_operator(mesh, np.eye(2), reaction=1.0,
-                                              dirichlet=2.0)
-        Kff, bf, free = system.reduced()
-        x, resid = fem.solve_reduced(Kff, bf)
-        full = fem.solve_sparse(system)
-        assert np.array_equal(full[free], x)
-        assert resid == float(np.linalg.norm(Kff @ x - bf))
+        K, rhs = fem.assemble_scalar_operator(mesh, np.eye(2), reaction=1.0)
+        nodes = mesh.nutrient_dirichlet_nodes()
+        values = np.full(len(nodes), 2.0)
+        x, resid = fem.solve_dirichlet(K, rhs, nodes, values)
+        Kff, Kf, free = fem.eliminate(K, nodes)
+        bf = rhs[free] - Kf[:, nodes] @ values
+        assert np.array_equal(x[nodes], values)
+        assert resid == float(np.linalg.norm(Kff @ x[free] - bf))
