@@ -151,6 +151,11 @@ def _dof_maps(mesh):
     return mesh._cache["elastic_dofs"]
 
 
+# greedy `einsum_path`'s path for the coefficient pull-back at every cell
+# count; fixed, so no call searches again
+_PULLBACK_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
 class _Workspace:
     def __init__(self, problem):
         mesh = problem.mesh
@@ -186,7 +191,9 @@ class _Workspace:
         """F_el = (grad u + grad f_tilde) G^{-1} at the quadrature points."""
         gradu = fem.interpolate_gradient(self.mesh, u)
         F = gradu + self.grad_ft
-        Fel = np.einsum("cij,cqjk->cqik", F, self.Ginvq)
+        # 2-term sums from a zero start, as einsum "cij,cqjk->cqik"
+        Fel = sum(F[:, None, :, j, None] * self.Ginvq[:, :, None, j, :]
+                  for j in range(2))
         dev = tensor.max_abs(Fel - np.eye(2))
         worst = np.unravel_index(np.argmax(dev), dev.shape)
         if dev[worst] >= self.energy.admissible_radius:
@@ -200,14 +207,21 @@ class _Workspace:
         """First Piola-Kirchhoff stress at the quadrature points."""
         Fel = self.elastic_state(u)
         DW = self.energy.first_derivative(self.qpoints, Fel)
-        return self.detGq[..., None, None] * np.einsum(
-            "cqij,cqkj->cqik", DW, self.Ginvq)
+        # DW G^-T in the order of einsum "cqij,cqkj->cqik"
+        return self.detGq[..., None, None] * sum(
+            DW[..., :, None, j] * self.Ginvq[..., None, :, j] for j in range(2))
 
     def residual(self, u):
         """Weak residual over all dofs, its norm on the free dofs, and the
         stress it was built from."""
         P = self.stress(u)
-        contrib = np.einsum("cq,cqia,cAa->cAi", self.weights, P, self.grads)
+        # einsum "cq,cqia,cAa->cAi" order: w P first, then q = 0, 1, 2
+        # each adding its 2-term sum over a
+        wP = self.weights[:, :, None, None] * P
+        g = self.grads
+        contrib = sum(wP[:, q, None, :, 0] * g[:, :, None, 0]
+                      + wP[:, q, None, :, 1] * g[:, :, None, 1]
+                      for q in range(3))
         # bincount adds in index order, as a scatter-add would
         r = np.bincount(self.edofs.ravel(), weights=contrib.ravel(),
                         minlength=2 * self.mesh.num_vertices)
@@ -224,7 +238,7 @@ class _Workspace:
         Fel = self.elastic_state(u)
         H = self.energy.second_derivative(self.qpoints, Fel)
         A = np.einsum("cqipjr,cqap,cqbr->cqijab", H, self.Ginvq, self.Ginvq,
-                      optimize=True)
+                      optimize=_PULLBACK_PATH)
         return self.detGq[:, :, None, None, None, None] * A
 
     def stiffness(self, u):

@@ -150,6 +150,13 @@ def boundary_load_vector(mesh, facet_mask, load, n_components):
     return out
 
 
+# The paths greedy `einsum_path` finds for every cell count from 3 up (the
+# reaction term differs below that); fixed, so no call searches again.
+_VECTOR_PATH = ["einsum_path", (0, 1), (0, 2), (0, 1)]
+_DIFFUSION_PATH = ["einsum_path", (0, 2), (0, 2), (0, 1)]
+_REACTION_PATH = ["einsum_path", (0, 1), (0, 1), (0, 1)]
+
+
 def assemble_vector_operator(mesh, coeff):
     """Stiffness (CSR, unconstrained) of the second-order system with
     fourth-order coefficient A:
@@ -171,7 +178,8 @@ def assemble_vector_operator(mesh, coeff):
         raise AssemblyError("non-finite coefficient tensor")
     w = mesh.quad_weights()
     g = mesh.cell_gradients()
-    Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", w, A, g, g, optimize=True)
+    Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", w, A, g, g,
+                   optimize=_VECTOR_PATH)
     edofs = (2 * mesh.cells[:, :, None] + np.arange(2)).reshape(-1, 6)
     return _scatter(2 * mesh.num_vertices, edofs, Ke.reshape(-1, 6, 6))
 
@@ -204,9 +212,10 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
                 % (worst, ellipticity_nu))
     w = mesh.quad_weights()
     g = mesh.cell_gradients()
-    Ke = np.einsum("cq,cAa,cqab,cBb->cAB", w, g, D, g, optimize=True)
+    Ke = np.einsum("cq,cAa,cqab,cBb->cAB", w, g, D, g,
+                   optimize=_DIFFUSION_PATH)
     Ke += np.einsum("cq,cq,qA,qB->cAB", w, r, TRI_POINTS, TRI_POINTS,
-                    optimize=True)
+                    optimize=_REACTION_PATH)
     K = _scatter(mesh.num_vertices, mesh.cells, Ke)
 
     rhs = np.zeros(mesh.num_vertices)
@@ -229,9 +238,10 @@ def interpolate_gradient(mesh, values):
     values = np.asarray(values, dtype=float)
     g = mesh.cell_gradients()
     local = values[mesh.cells]
+    # `sum` adds from a zero start over A = 0, 1, 2, as einsum does
     if values.ndim == 1:
-        return np.einsum("cA,cAa->ca", local, g)
-    return np.einsum("cAi,cAa->cia", local, g)
+        return sum(local[:, A, None] * g[:, A] for A in range(3))
+    return sum(local[:, A, :, None] * g[:, A, None, :] for A in range(3))
 
 
 def nodal_from_cells(mesh, cell_values):
@@ -267,7 +277,10 @@ def growth_at_quadrature(mesh, growth):
     if growth.shape == (mesh.num_cells, nq, 2, 2):
         return growth
     if growth.shape == (mesh.num_vertices, 2, 2):
-        return np.einsum("qA,cAij->cqij", TRI_POINTS, growth[mesh.cells])
+        nodal = growth[mesh.cells]
+        # the zero start and vertex order of einsum "qA,cAij->cqij"
+        return sum(TRI_POINTS[:, A, None, None] * nodal[:, None, A]
+                   for A in range(3))
     raise ValueError("growth field must be nodal (n, 2, 2), per-quadrature "
                      "(cells, nq, 2, 2), or callable")
 

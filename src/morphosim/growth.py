@@ -67,14 +67,15 @@ def det_guard(G, config):
     max_norm = float(np.max(norms))
     violated = False
     message = ""
+    # shortest round-trip digits, so a value just past its guard reads so
     if min_det < config.det_min:
         violated = True
-        message = ("growth determinant %.6g below guard %.6g"
-                   % (min_det, config.det_min))
+        message = ("growth determinant %r below guard %r"
+                   % (min_det, float(config.det_min)))
     elif config.norm_max is not None and max_norm > config.norm_max:
         violated = True
-        message = ("growth norm %.6g above guard %.6g"
-                   % (max_norm, config.norm_max))
+        message = ("growth norm %r above guard %r"
+                   % (max_norm, float(config.norm_max)))
     return GuardReport(min_det, max_norm, violated, message)
 
 

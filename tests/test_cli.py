@@ -1,5 +1,6 @@
 import configparser
 import os
+import re
 import subprocess
 import sys
 
@@ -95,6 +96,27 @@ class TestRun:
         assert "halted after 0 snapshots\n" in note
         assert "folds some cell" in note
         assert not (tmp_path / "out" / "failure_snapshot.vtk").exists()
+
+    def test_guard_violation_leaves_failure_files(self, tmp_path,
+                                                  scenario_dir, capsys):
+        outdir = tmp_path / "guard"
+        assert main(["run", str(scenario_dir / "analytic_growth.cfg"),
+                     "--dt", "0.05", "--t-end", "0.99",
+                     "--output-dir", str(outdir)]) == 1
+        note = (outdir / "failure.txt").read_text()
+        assert "status: guard_violation\n" in note
+        assert (outdir / "failure_snapshot.vtk").exists()
+        # the norm just past its guard prints apart from the guard
+        value, guard = re.search(r"growth norm (\S+) above guard (\S+)",
+                                 note).groups()
+        assert float(value) > float(guard) == 10.0
+
+    def test_output_dir_under_a_file(self, tmp_path, scenario_dir, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", str(scenario_dir / "stress_free.cfg"),
+                     "--output-dir", str(blocker / "out")]) == 1
+        assert "IoError" in capsys.readouterr().err
 
     def test_hybrid_method_is_gone(self, tmp_path, scenario_dir, capsys):
         cfg = scenario_copy(tmp_path, scenario_dir, "stress_free.cfg",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,24 @@ class TestGuards:
         report = det_guard(G, GuardConfig(det_min=0.1, norm_max=5.0))
         assert report.violated
         assert report.max_norm == 10.0
+
+    def test_messages_print_values_that_tell_apart(self):
+        # a norm one rounding step past its guard, and a determinant
+        # just below its guard, each print digits that parse back
+        G = np.broadcast_to(10.000000000000112 * np.eye(2), (4, 2, 2))
+        config = GuardConfig(det_min=0.1, norm_max=10.0)
+        report = det_guard(G, config)
+        value, guard = re.fullmatch(r"growth norm (\S+) above guard (\S+)",
+                                    report.message).groups()
+        assert float(value) == report.max_norm != float(guard)
+        assert float(guard) == config.norm_max
+        G = np.broadcast_to(np.diag([0.09999999999999999, 1.0]), (4, 2, 2))
+        report = det_guard(G, config)
+        value, guard = re.fullmatch(
+            r"growth determinant (\S+) below guard (\S+)",
+            report.message).groups()
+        assert float(value) == report.min_det != float(guard)
+        assert float(guard) == config.det_min
 
     def test_det_violation(self):
         G = np.broadcast_to(0.2 * np.eye(2), (4, 2, 2))
