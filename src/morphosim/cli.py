@@ -14,7 +14,7 @@ import sys
 from .benchmarks import BENCHMARKS, run_benchmark
 from .coupled import run_coupled, write_outputs
 from .elasticity import METHODS
-from .errors import (InvalidTagRule, MorphosimError, ParseError,
+from .errors import (InvalidTagRule, IoError, MorphosimError, ParseError,
                      ValidationError)
 from .mesh import rectangle_mesh, write_mesh
 from .scenario import load_scenario, require_valid, validate_scenario
@@ -91,6 +91,11 @@ def _cmd_run(args):
     scenario = load_scenario(args.scenario)
     _apply_overrides(scenario, args)
     require_valid(validate_scenario(scenario))
+    # an unwritable output directory fails before the first step
+    try:
+        os.makedirs(scenario.output.directory, exist_ok=True)
+    except OSError as exc:
+        raise IoError("cannot write outputs: %s" % exc)
     trajectory = run_coupled(scenario)
     paths = write_outputs(trajectory, scenario.mesh, scenario.output)
     if args.verbose:

@@ -97,11 +97,13 @@ def _lift_solver(mesh):
         w = mesh.quad_weights()
         g = mesh.cell_gradients()
         Ke = np.einsum("cq,cAa,cBa->cAB", w, g, g)
-        K = fem._scatter(mesh.num_vertices, mesh.cells, Ke)
+        plan = fem.sparsity_plan(mesh, 1)
         nodes = mesh.elastic_dirichlet_nodes()
-        Kff, Kf, free_idx = fem.eliminate(K, nodes)
-        lu = fem._factorize_spd(Kff) if len(free_idx) else None
-        mesh._cache["lift_solver"] = (lu, Kf[:, nodes], free_idx, nodes)
+        elimination = plan.elimination(nodes)
+        K = plan.assemble(Ke)
+        free_idx = elimination.free
+        lu = fem._factorize_spd(elimination.ff(K)) if len(free_idx) else None
+        mesh._cache["lift_solver"] = (lu, elimination.fc(K), free_idx, nodes)
     return mesh._cache["lift_solver"]
 
 
@@ -156,6 +158,18 @@ def _dof_maps(mesh):
 _PULLBACK_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
+@dataclass(frozen=True)
+class ElasticState:
+    """One iterate u with its elastic state F_el at the quadrature points
+    and det F_el, both already checked (admissible ball, singularity
+    cutoff).  The residual, the tangent and the potential of u all read
+    it, so each iterate's state is computed once."""
+
+    u: np.ndarray
+    Fel: np.ndarray
+    det: np.ndarray
+
+
 class _Workspace:
     def __init__(self, problem):
         mesh = problem.mesh
@@ -188,7 +202,9 @@ class _Workspace:
             self.traction_load = np.zeros(2 * mesh.num_vertices)
 
     def elastic_state(self, u):
-        """F_el = (grad u + grad f_tilde) G^{-1} at the quadrature points."""
+        """The `ElasticState` of u: F_el = (grad u + grad f_tilde) G^{-1}
+        at the quadrature points and its determinant.  Raises
+        OutsideAdmissibleBall with the worst cell, then SingularMatrix."""
         gradu = fem.interpolate_gradient(self.mesh, u)
         F = gradu + self.grad_ft
         # 2-term sums from a zero start, as einsum "cij,cqjk->cqik"
@@ -201,20 +217,20 @@ class _Workspace:
                 "elastic state left the admissible ball on cell %d "
                 "(max|F_el - 1| = %.4g)" % (worst[0], float(dev[worst])),
                 worst_cell=int(worst[0]), deviation=float(dev[worst]))
-        return Fel
+        return ElasticState(u, Fel, self.energy.determinant(Fel))
 
-    def stress(self, u):
+    def stress(self, state):
         """First Piola-Kirchhoff stress at the quadrature points."""
-        Fel = self.elastic_state(u)
-        DW = self.energy.first_derivative(self.qpoints, Fel)
+        DW = self.energy.first_derivative(self.qpoints, state.Fel,
+                                          det=state.det)
         # DW G^-T in the order of einsum "cqij,cqkj->cqik"
         return self.detGq[..., None, None] * sum(
             DW[..., :, None, j] * self.Ginvq[..., None, :, j] for j in range(2))
 
-    def residual(self, u):
+    def residual(self, state):
         """Weak residual over all dofs, its norm on the free dofs, and the
         stress it was built from."""
-        P = self.stress(u)
+        P = self.stress(state)
         # einsum "cq,cqia,cAa->cAi" order: w P first, then q = 0, 1, 2
         # each adding its 2-term sum over a
         wP = self.weights[:, :, None, None] * P
@@ -228,33 +244,32 @@ class _Workspace:
         r -= self.traction_load
         return r, float(np.linalg.norm(r[self.free])), P
 
-    def coefficient_tensor(self, u):
+    def coefficient_tensor(self, state):
         """Fourth-order stiffness coefficients at the quadrature points:
 
         A[i, j, a, b] = det(G) * sum_{p, q} H[i, p, j, q] Ginv[a, p] Ginv[b, q]
 
         with H the energy Hessian at the current elastic state.
         """
-        Fel = self.elastic_state(u)
-        H = self.energy.second_derivative(self.qpoints, Fel)
+        H = self.energy.second_derivative(self.qpoints, state.Fel,
+                                          det=state.det)
         A = np.einsum("cqipjr,cqap,cqbr->cqijab", H, self.Ginvq, self.Ginvq,
                       optimize=_PULLBACK_PATH)
         return self.detGq[:, :, None, None, None, None] * A
 
-    def stiffness(self, u):
-        """Unconstrained tangent stiffness (CSR) at u."""
+    def stiffness(self, state):
+        """Unconstrained tangent stiffness (CSR) at the iterate."""
         return fem.assemble_vector_operator(self.mesh,
-                                            self.coefficient_tensor(u))
+                                            self.coefficient_tensor(state))
 
-    def energy_value(self, u):
-        Fel = self.elastic_state(u)
-        W = self.energy.evaluate(self.qpoints, Fel)
+    def energy_value(self, state):
+        W = self.energy.evaluate(self.qpoints, state.Fel, det=state.det)
         return float(np.einsum("cq,cq->", self.weights, self.detGq * W))
 
-    def potential(self, u):
+    def potential(self, state):
         """Elastic energy minus traction work (Newton line-search merit)."""
-        y = (u + self.f_tilde).ravel()
-        return self.energy_value(u) - float(self.traction_load @ y)
+        y = (state.u + self.f_tilde).ravel()
+        return self.energy_value(state) - float(self.traction_load @ y)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +280,8 @@ def residual(problem, u):
     """Weak equilibrium residual of the displacement u (full vector, free
     norm).  Raises OutsideAdmissibleBall with the worst cell on guard
     failure."""
-    r, rn, _ = problem.workspace.residual(u)
+    ws = problem.workspace
+    r, rn, _ = ws.residual(ws.elastic_state(u))
     return r, rn
 
 
@@ -274,17 +290,19 @@ def assemble_linearized_at_zero(problem):
     (coefficients evaluated at the lifted Dirichlet data).  Its block on
     the free dofs is symmetric positive definite for admissible data."""
     ws = problem.workspace
-    return ws.stiffness(np.zeros((ws.mesh.num_vertices, 2)))
+    return ws.stiffness(ws.elastic_state(np.zeros((ws.mesh.num_vertices, 2))))
 
 
 def elastic_energy(problem, u):
     """Growth-weighted stored energy of the deformation y = u + f_tilde."""
-    return problem.workspace.energy_value(u)
+    ws = problem.workspace
+    return ws.energy_value(ws.elastic_state(u))
 
 
 def stress_field(problem, u):
     """Quadrature-point Piola stress, shape (cells, nq, 2, 2)."""
-    return problem.workspace.stress(u)
+    ws = problem.workspace
+    return ws.stress(ws.elastic_state(u))
 
 
 def _tolerances(ws, K):
@@ -309,6 +327,13 @@ def _initial_guess(ws, initial):
     return u
 
 
+def _stepped(state, free, step):
+    """A new iterate: the free dofs of ``state.u`` plus `step`."""
+    u = state.u.reshape(-1).copy()
+    u[free] += step
+    return u.reshape(-1, 2)
+
+
 def _iterate(problem, initial, method):
     """The sweep loop of every method: ``u += step * delta`` with
     ``L delta = -residual(u)`` (see the module docstring).
@@ -316,22 +341,26 @@ def _iterate(problem, initial, method):
     The chord iteration factorizes the operator at u = 0 once, takes full
     steps, and raises ContractionLost after three consecutive
     non-contracting sweeps.  Newton factorizes the tangent at every
-    sweep's iterate and backtracks on the potential; the potential of an
-    accepted trial is the next sweep's base value (the trial iterate and
-    the updated one are equal bit for bit).
+    sweep's iterate and backtracks on the potential; an accepted trial's
+    elastic state and potential are the next sweep's, so each iterate's
+    elastic state is computed once and the state is dropped on return.
     Convergence needs the increment and the residual below their
     tolerances at once; `rho_hat` is the largest observed increment ratio.
     """
     ws = problem.workspace
     opts = problem.options
     newton = method == "newton"
-    u = _initial_guess(ws, initial)
-    r, rn, P = ws.residual(u)
+    state = ws.elastic_state(_initial_guess(ws, initial))
+    r, rn, P = ws.residual(state)
     done = rn <= 1e-10
     if not done:
-        K = ws.stiffness(u) if newton else assemble_linearized_at_zero(problem)
+        K = (ws.stiffness(state) if newton
+             else assemble_linearized_at_zero(problem))
         tol_inc, tol_res = _tolerances(ws, K)
         done = rn <= tol_res
+        elimination = fem.sparsity_plan(ws.mesh, 2).elimination(
+            ws.fixed_dofs)
+        free = elimination.free
     increments = []
     rho_hat = 0.0
     bad = k = 0
@@ -348,10 +377,9 @@ def _iterate(problem, initial, method):
         k += 1
         if k == 1 or newton:
             if k > 1:
-                K = ws.stiffness(u)
-            Kff, _, free = fem.eliminate(K, ws.fixed_dofs)
+                K = ws.stiffness(state)
             try:
-                lu = fem._factorize_spd(Kff)
+                lu = fem._factorize_spd(elimination.ff(K))
             except SingularSystem as exc:
                 if not newton:
                     raise
@@ -362,15 +390,15 @@ def _iterate(problem, initial, method):
         if newton:
             slope = float(r[free] @ delta)
             if base is None:
-                base = ws.potential(u)
+                base = ws.potential(state)
             # absolute slack keeps the test meaningful once energy
             # differences reach rounding level near the solution
             slack = 64.0 * np.finfo(float).eps * (1.0 + abs(base))
             while step > 1e-6:
-                trial = u.reshape(-1).copy()
-                trial[free] += step * delta
                 try:
-                    value = ws.potential(trial.reshape(-1, 2))
+                    trial = ws.elastic_state(_stepped(state, free,
+                                                      step * delta))
+                    value = ws.potential(trial)
                 except (OutsideAdmissibleBall, SingularMatrix):
                     value = np.inf
                 if value <= base + 1e-4 * step * slope + slack:
@@ -380,8 +408,6 @@ def _iterate(problem, initial, method):
                 raise NoConvergence("line search failed at sweep %d" % k,
                                     iterations=k)
             base = value
-        flat = u.reshape(-1)
-        flat[free] += step * delta
         inc = step * float(np.linalg.norm(delta))
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 1e-300:
@@ -392,11 +418,13 @@ def _iterate(problem, initial, method):
                 raise ContractionLost(
                     "increment ratio >= 1 for three consecutive sweeps "
                     "(last ratio %.3g)" % ratio)
-        r, rn, P = ws.residual(u)
+        state = (trial if newton
+                 else ws.elastic_state(_stepped(state, free, step * delta)))
+        r, rn, P = ws.residual(state)
         _diag_line(opts, k, inc, rn, rho_hat)
         done = inc <= tol_inc and rn <= tol_res
-    return EquilibriumSolution(u, ws.f_tilde, k, increments, rn, rho_hat,
-                               method, P)
+    return EquilibriumSolution(state.u, ws.f_tilde, k, increments, rn,
+                               rho_hat, method, P)
 
 
 def solve_fixed_point(problem, initial=None):

@@ -4,12 +4,18 @@ gradient transfer.
 
 Degrees of freedom: scalar problems use one dof per vertex; vector
 problems interleave components, ``dof = 2 * vertex + component``.  The
-assemblers return the unconstrained operator.  `eliminate` is the one
-place that splits free from fixed dofs, and `solve_dirichlet` the one
-solve with strong Dirichlet values: row/column elimination with a
-symmetric right-hand-side correction, so the reduced operator stays
-symmetric positive definite, which the pivot check of its sparse LU
-factorization verifies.
+assemblers return the unconstrained operator, summed through the mesh's
+cached `SparsityPlan`.  An `Elimination` splits free from fixed dofs,
+and `solve_dirichlet` is the one solve with strong Dirichlet values:
+row/column elimination with a symmetric right-hand-side correction, so
+the reduced operator stays symmetric positive definite, which the pivot
+check of its sparse LU factorization verifies.
+
+A plan and its eliminations are worked out once, by pushing entry ids
+through the scipy calls a COO scatter and `eliminate` make; every later
+operator on the same pattern is a gather of the element matrices in the
+order those calls sum and slice them, so it is the scattered and sliced
+operator bit for bit.
 """
 
 import numpy as np
@@ -26,8 +32,9 @@ from .mesh import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS
 
 
 def eliminate(K, fixed):
-    """Split the CSR operator K at the `fixed` dofs: returns
-    ``(K_ff as CSC, the free rows K_f, the free index)``."""
+    """Split the CSR operator K at the `fixed` dofs by sparse slicing:
+    returns ``(K_ff as CSC, the free rows K_f, the free index)``.  An
+    `Elimination` is built from it and gives the same blocks by gather."""
     mask = np.ones(K.shape[0], dtype=bool)
     mask[fixed] = False
     free = np.nonzero(mask)[0]
@@ -53,19 +60,21 @@ def _factorize_spd(Kcsc):
     return lu
 
 
-def solve_dirichlet(K, rhs, fixed, values, tol=1e-12):
+def solve_dirichlet(K, rhs, elimination, values, tol=1e-12):
     """Solve ``K x = rhs`` with ``x[fixed] = values`` by elimination and
-    sparse direct factorization.  Returns x and the residual norm
+    sparse direct factorization, the fixed dofs those of `elimination`
+    (an `Elimination` for K's pattern).  Returns x and the residual norm
     ``|K_ff x_f - b_f|`` (0.0 without free dofs), verified to be at most
     ``tol * |b_f|`` or ``10 * tol * max(1, |x_f|)``.  Raises AssemblyError
     on a non-finite reduced load, SingularSystem on a non-positive or
     vanishing pivot, and NoConvergence when the residual check fails."""
-    Kff, Kf, free = eliminate(K, fixed)
+    Kff = elimination.ff(K)
+    free, fixed = elimination.free, elimination.fixed
     bf = rhs[free]
     # K_fc u_c is exactly zero for finite K when every value is zero, and
     # b_f - 0 is b_f bit for bit
     if np.any(values != 0.0):
-        bf = bf - Kf[:, fixed] @ values
+        bf = bf - elimination.fc(K) @ values
     x = np.zeros(K.shape[0])
     resid = 0.0
     if len(free):
@@ -93,12 +102,140 @@ def _as_quad_array(mesh, value, trailing):
     return np.broadcast_to(np.asarray(value, dtype=float), target)
 
 
-def _scatter(n_dofs, edofs, Ke):
+def _coo(n_dofs, edofs, Ke):
     nloc = edofs.shape[1]
     rows = np.repeat(edofs, nloc, axis=1).ravel()
     cols = np.tile(edofs, (1, nloc)).ravel()
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
-    return K.tocsr()
+    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
+
+
+def _scatter(n_dofs, edofs, Ke):
+    """CSR operator of the element matrices Ke by COO scatter: the sum
+    that a `SparsityPlan` reproduces."""
+    return _coo(n_dofs, edofs, Ke).tocsr()
+
+
+class SparsityPlan:
+    """The CSR pattern of every operator assembled from element matrices
+    on the element dofs `edofs` (cells, nloc), and the order in which a
+    COO scatter sums their entries.
+
+    scipy's COO-to-CSR conversion places the entries row by row, sorts
+    each row with `sort_indices` and then adds each run of duplicates
+    left to right, starting from its first term.  The plan pushes entry
+    ids through the same calls once and keeps that order.  It numbers
+    the stored entries by their count of terms, most first, so that the
+    k-th terms of all entries that have one form a prefix: `gather` lists
+    the first terms of all entries, then the second terms, and so on,
+    `bounds` the slice of each round after the first, and `slot` the
+    place of each stored entry in that numbering.
+    """
+
+    def __init__(self, n_dofs, edofs):
+        nloc = edofs.shape[1]
+        coo = _coo(n_dofs, edofs, np.arange(edofs.size * nloc, dtype=float))
+        K = coo.tocsr()                    # what `_scatter` returns
+        coo.has_canonical_format = True    # convert again without summing
+        ordered = coo.tocsr()
+        del coo
+        ordered.sort_indices()             # the order the sum sees
+        index, n = K.indices.dtype, ordered.nnz
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = ordered.indices[1:] != ordered.indices[:-1]
+        row_starts = ordered.indptr[:-1]
+        starts[row_starts[row_starts < n]] = True
+        if (np.count_nonzero(starts) != K.nnz or
+                not np.array_equal(ordered.indices[starts], K.indices)):
+            raise AssertionError("scipy's duplicate order is not the one "
+                                 "its scatter sums in")
+        entry = np.cumsum(starts, dtype=index) - 1
+        first = np.flatnonzero(starts).astype(index)
+        del starts
+        rank = np.arange(n, dtype=index)
+        rank -= first[entry]
+        by_terms = np.argsort(-np.diff(first, append=n), kind="stable")
+        self.slot = np.empty(K.nnz, dtype=np.intp)
+        self.slot[by_terms] = np.arange(K.nnz)
+        # round k holds the entries of slots 0 .. counts[k] - 1
+        counts = np.bincount(rank)
+        stops = np.cumsum(counts)
+        place = self.slot[entry]
+        del entry
+        place += (stops - counts)[rank]
+        self.gather = np.empty(n, dtype=np.intp)
+        self.gather[place] = ordered.data
+        self.bounds = [(int(c), int(b - c), int(b))
+                       for c, b in zip(counts[1:], stops[1:])]
+        self.indptr, self.indices, self.shape = K.indptr, K.indices, K.shape
+        for shared in (self.slot, self.gather, self.indptr, self.indices):
+            shared.flags.writeable = False
+        self._eliminations = {}
+
+    def assemble(self, Ke):
+        """CSR operator of the element matrices Ke (cells, nloc, nloc),
+        equal to `_scatter` bit for bit; its index arrays are read-only
+        views of the plan's."""
+        terms = Ke.ravel()[self.gather]
+        sums = terms[:len(self.slot)]
+        for count, start, stop in self.bounds:
+            sums[:count] += terms[start:stop]
+        return sp.csr_matrix((sums[self.slot], self.indices, self.indptr),
+                             shape=self.shape)
+
+    def elimination(self, fixed):
+        """The cached `Elimination` of the dofs `fixed` on this pattern."""
+        key = np.asarray(fixed).tobytes()
+        if key not in self._eliminations:
+            positions = sp.csr_matrix(
+                (np.zeros(len(self.indices)), self.indices, self.indptr),
+                shape=self.shape)
+            self._eliminations[key] = Elimination(positions, fixed)
+        return self._eliminations[key]
+
+
+class Elimination:
+    """The blocks K_ff (CSC) and K_fc (CSR) of every operator with the
+    pattern of the CSR matrix K, split at the dofs `fixed`, as gathers
+    from the operator's data.  Built by pushing entry positions through
+    `eliminate`, so the blocks are those of `eliminate` bit for bit."""
+
+    def __init__(self, K, fixed):
+        self.fixed = fixed
+        self.indptr, self.indices = K.indptr, K.indices
+        positions = sp.csr_matrix(
+            (np.arange(len(K.indices), dtype=float), K.indices, K.indptr),
+            shape=K.shape)
+        Kff, Kf, self.free = eliminate(positions, fixed)
+        self._ff, self._fc = (
+            (type(block), block.data.astype(np.intp), block.indices,
+             block.indptr, block.shape) for block in (Kff, Kf[:, fixed]))
+
+    def ff(self, K):
+        """K_ff of the CSR operator K, as CSC."""
+        return self._block(self._ff, K)
+
+    def fc(self, K):
+        """K_fc of the CSR operator K, as CSR."""
+        return self._block(self._fc, K)
+
+    def _block(self, block, K):
+        if not (np.array_equal(K.indptr, self.indptr) and
+                np.array_equal(K.indices, self.indices)):
+            raise ValueError("operator pattern differs from the eliminated "
+                             "one")
+        kind, gather, indices, indptr, shape = block
+        return kind((K.data[gather], indices, indptr), shape=shape)
+
+
+def sparsity_plan(mesh, components):
+    """The mesh's `SparsityPlan` for `components` interleaved dofs per
+    vertex, built on first use and cached with the mesh."""
+    key = ("sparsity_plan", components)
+    if key not in mesh._cache:
+        edofs = (components * mesh.cells[:, :, None] + np.arange(components))
+        mesh._cache[key] = SparsityPlan(components * mesh.num_vertices,
+                                        edofs.reshape(mesh.num_cells, -1))
+    return mesh._cache[key]
 
 
 def _min_eig_sym2(D):
@@ -164,7 +301,7 @@ def assemble_vector_operator(mesh, coeff):
         (v, u)  ->  int_Omega A[i, j, a, b] d_a v^i d_b u^j dx
 
     Boundary loads come from `boundary_load_vector`, constraints from
-    `eliminate`.
+    the `Elimination` of ``sparsity_plan(mesh, 2)``.
 
     Parameters
     ----------
@@ -180,8 +317,7 @@ def assemble_vector_operator(mesh, coeff):
     g = mesh.cell_gradients()
     Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", w, A, g, g,
                    optimize=_VECTOR_PATH)
-    edofs = (2 * mesh.cells[:, :, None] + np.arange(2)).reshape(-1, 6)
-    return _scatter(2 * mesh.num_vertices, edofs, Ke.reshape(-1, 6, 6))
+    return sparsity_plan(mesh, 2).assemble(Ke)
 
 
 def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
@@ -216,7 +352,7 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
                    optimize=_DIFFUSION_PATH)
     Ke += np.einsum("cq,cq,qA,qB->cAB", w, r, TRI_POINTS, TRI_POINTS,
                     optimize=_REACTION_PATH)
-    K = _scatter(mesh.num_vertices, mesh.cells, Ke)
+    K = sparsity_plan(mesh, 1).assemble(Ke)
 
     rhs = np.zeros(mesh.num_vertices)
     if neumann_flux is not None:

@@ -23,7 +23,9 @@ class EnergyModel:
 
     Subclasses provide `evaluate`, `first_derivative` and
     `second_derivative`, all vectorized over ``x: (..., 2)`` points and
-    ``F: (..., 2, 2)`` matrices.  The model promises
+    ``F: (..., 2, 2)`` matrices.  Each also takes ``det``, the value of
+    `determinant` at F that a caller already holds; without it they
+    compute and check it themselves.  The model promises
 
     * W(x, F) >= 0 with W(x, 1) = 0 (unstressed reference),
     * D_pW(x, 1) = 0 (the identity is an interior minimum),
@@ -34,14 +36,22 @@ class EnergyModel:
 
     admissible_radius = 0.5
 
-    def evaluate(self, x, F):
+    def evaluate(self, x, F, det=None):
         raise NotImplementedError
 
-    def first_derivative(self, x, F):
+    def first_derivative(self, x, F, det=None):
         raise NotImplementedError
 
-    def second_derivative(self, x, F):
+    def second_derivative(self, x, F, det=None):
         raise NotImplementedError
+
+    def determinant(self, F):
+        """det F, checked to lie above the scale-invariant singularity
+        cutoff; raises SingularMatrix otherwise."""
+        d = np.linalg.det(F)
+        if np.any(d <= tensor.singularity_threshold(F)):
+            raise SingularMatrix("energy evaluated at non-positive determinant")
+        return d
 
     def require_admissible(self, F, context=""):
         F = np.asarray(F)
@@ -76,15 +86,10 @@ class PolarWellEnergy(EnergyModel):
         self.p = float(p)
         self.admissible_radius = float(admissible_radius)
 
-    def _det(self, F):
-        d = np.linalg.det(F)
-        if np.any(d <= tensor.singularity_threshold(F)):
-            raise SingularMatrix("energy evaluated at non-positive determinant")
-        return d
-
-    # The polar helpers below run after `_det`, which has made the same
-    # determinant check as `tensor.polar_rotation`; only the non-finite
-    # check is left to do before the closed form.
+    # The polar helpers below run after `determinant`, here or in the
+    # caller that passes `det`, which makes the same determinant check as
+    # `tensor.polar_rotation`; only the non-finite check is left to do
+    # before the closed form.
 
     def _rotation(self, F):
         tensor._check_finite(F)
@@ -94,24 +99,24 @@ class PolarWellEnergy(EnergyModel):
         tensor._check_finite(F)
         return tensor._polar_rotation_derivative_2d(F)
 
-    def evaluate(self, x, F):
+    def evaluate(self, x, F, det=None):
         F = np.asarray(F, dtype=float)
-        d = self._det(F)
+        d = self.determinant(F) if det is None else det
         p = self.p
         dist = tensor.frobenius_norm(F - self._rotation(F))
         return dist ** 2 + d ** p + d ** (-p) - 2.0
 
-    def first_derivative(self, x, F):
+    def first_derivative(self, x, F, det=None):
         F = np.asarray(F, dtype=float)
-        d = self._det(F)
+        d = self.determinant(F) if det is None else det
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
         R = self._rotation(F)
         return 2.0 * (F - R) + hprime[..., None, None] * tensor.cofactor(F)
 
-    def second_derivative(self, x, F):
+    def second_derivative(self, x, F, det=None):
         F = np.asarray(F, dtype=float)
-        d = self._det(F)
+        d = self.determinant(F) if det is None else det
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
         hsecond = p * (p - 1) * d ** (p - 2) + p * (p + 1) * d ** (-p - 2)

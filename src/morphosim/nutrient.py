@@ -96,7 +96,9 @@ def solve_nutrient(problem, tol=1e-12):
     K, rhs = fem.assemble_scalar_operator(
         mesh, D, reaction=beta, neumann_flux=flux,
         ellipticity_nu=problem.model.ellipticity_nu)
-    N, resid = fem.solve_dirichlet(K, rhs, nodes, values, tol=tol)
+    N, resid = fem.solve_dirichlet(
+        K, rhs, fem.sparsity_plan(mesh, 1).elimination(nodes), values,
+        tol=tol)
     min_value = float(np.min(N))
     scale = max(1.0, float(np.max(np.abs(N))))
     if mesh.delaunay_like and min_value < -1e-10 * scale:

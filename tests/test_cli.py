@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from morphosim import cli
 from morphosim.cli import main
 from morphosim.mesh import read_mesh
 
@@ -111,7 +112,12 @@ class TestRun:
                                  note).groups()
         assert float(value) > float(guard) == 10.0
 
-    def test_output_dir_under_a_file(self, tmp_path, scenario_dir, capsys):
+    def test_output_dir_under_a_file(self, tmp_path, scenario_dir, capsys,
+                                     monkeypatch):
+        def no_run(scenario):
+            pytest.fail("the run started before its output directory was "
+                        "made")
+        monkeypatch.setattr(cli, "run_coupled", no_run)
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert main(["run", str(scenario_dir / "stress_free.cfg"),

@@ -1,5 +1,7 @@
 """The explicit 2x2 contractions equal the `np.einsum` calls they replace,
-byte for byte, and the fixed contraction paths equal `optimize=True`.
+byte for byte, the fixed contraction paths equal `optimize=True`, and the
+sparsity plan's gathers equal the COO scatter and sparse slicing they
+replace.
 
 Each case runs on the cell counts the benchmark workloads use, with random
 data and with two rest states (F_el = I, zero stress): the reference
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from morphosim import EquilibriumProblem, PolarWellEnergy, fem, rectangle_mesh
-from morphosim.mesh import TRI_POINTS
+from morphosim.mesh import TRI_POINTS, Mesh, read_mesh, write_mesh
 
 # cell count -> crossed-mesh size (stress_modulated 12², inflation and
 # contraction_sweep 16², contraction_sweep 32² and 64²)
@@ -108,33 +110,35 @@ class TestGradientTransfer:
 class TestWorkspace:
     def test_elastic_state(self, mesh, case):
         ws, u = workspace_and_state(mesh, case)
-        assert_same_bytes(ws.elastic_state(u), einsum_state(ws, u)[0])
+        assert_same_bytes(ws.elastic_state(u).Fel, einsum_state(ws, u)[0])
 
     def test_stress(self, mesh, case):
         ws, u = workspace_and_state(mesh, case)
-        assert_same_bytes(ws.stress(u), einsum_state(ws, u)[1])
+        assert_same_bytes(ws.stress(ws.elastic_state(u)),
+                          einsum_state(ws, u)[1])
 
     def test_residual(self, mesh, case):
         ws, u = workspace_and_state(mesh, case)
         _, P_expected, r_expected = einsum_state(ws, u)
-        r, rn, P = ws.residual(u)
+        r, rn, P = ws.residual(ws.elastic_state(u))
         assert_same_bytes(P, P_expected)
         assert_same_bytes(r, r_expected)
         assert rn == float(np.linalg.norm(r_expected[ws.free]))
 
     def test_coefficient_tensor_path(self, mesh, case):
         ws, u = workspace_and_state(mesh, case)
-        H = ws.energy.second_derivative(ws.qpoints, ws.elastic_state(u))
+        state = ws.elastic_state(u)
+        H = ws.energy.second_derivative(ws.qpoints, state.Fel)
         A = np.einsum("cqipjr,cqap,cqbr->cqijab", H, ws.Ginvq, ws.Ginvq,
                       optimize=True)
-        assert_same_bytes(ws.coefficient_tensor(u),
+        assert_same_bytes(ws.coefficient_tensor(state),
                           ws.detGq[:, :, None, None, None, None] * A)
 
 
 class TestAssemblyPaths:
     def test_vector_operator(self, mesh, case):
         ws, u = workspace_and_state(mesh, case)
-        A = ws.coefficient_tensor(u)
+        A = ws.coefficient_tensor(ws.elastic_state(u))
         Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", mesh.quad_weights(), A,
                        mesh.cell_gradients(), mesh.cell_gradients(),
                        optimize=True)
@@ -165,3 +169,93 @@ class TestAssemblyPaths:
         assert_same_bytes(K.indptr, expected.indptr)
         assert_same_bytes(K.indices, expected.indices)
         assert_same_bytes(K.data, expected.data)
+
+
+def shuffled(mesh, seed=5):
+    """The same triangulation with its vertices renumbered and its cells,
+    their corners and its facets listed in another order."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    cells = new_id[mesh.cells][rng.permutation(mesh.num_cells)]
+    cells = np.roll(cells, rng.integers(3), axis=1)
+    order = rng.permutation(len(mesh.facets))
+    return Mesh(vertices, cells, new_id[mesh.facets][order],
+                mesh.facet_elastic_dirichlet[order],
+                mesh.facet_nutrient_dirichlet[order])
+
+
+def read_back(mesh, tmp_path_factory):
+    path = tmp_path_factory.mktemp("plan") / "mesh.txt"
+    write_mesh(mesh, path)
+    return read_mesh(path)
+
+
+PLAN_MESHES = {
+    "crossed_12": lambda tmp: rectangle_mesh(12, 12),
+    "crossed_16": lambda tmp: rectangle_mesh(16, 16),
+    "crossed_64": lambda tmp: rectangle_mesh(64, 64),
+    "diagonal_left_9x5": lambda tmp: rectangle_mesh(
+        9, 5, mode="diagonal", elastic_dirichlet="left"),
+    "shuffled_12": lambda tmp: shuffled(rectangle_mesh(
+        12, 12, elastic_dirichlet="left")),
+    "read_back_7x10": lambda tmp: read_back(rectangle_mesh(
+        7, 10, elastic_dirichlet="bottom"), tmp),
+}
+ELEMENT_MATRICES = ("random", "negative_zeros", "signed_zeros")
+
+
+@pytest.fixture(scope="module", params=sorted(PLAN_MESHES))
+def plan_mesh(request, tmp_path_factory):
+    return PLAN_MESHES[request.param](tmp_path_factory)
+
+
+def element_matrices(mesh, nloc, kind):
+    rng = np.random.default_rng(nloc * mesh.num_cells)
+    Ke = rng.standard_normal((mesh.num_cells, nloc, nloc))
+    if kind == "negative_zeros":
+        return np.full_like(Ke, -0.0)
+    return Ke if kind == "random" else np.copysign(0.0, Ke)
+
+
+def assert_same_operator(actual, expected):
+    assert type(actual) is type(expected)
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        assert_same_bytes(getattr(actual, name), getattr(expected, name))
+
+
+class TestSparsityPlan:
+    """`SparsityPlan.assemble` and the `Elimination` blocks against their
+    oracles, `_scatter` and `eliminate` (sparse slicing)."""
+
+    @pytest.mark.parametrize("kind", ELEMENT_MATRICES)
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_operator_and_blocks(self, plan_mesh, components, kind):
+        mesh = plan_mesh
+        edofs = (components * mesh.cells[:, :, None]
+                 + np.arange(components)).reshape(mesh.num_cells, -1)
+        Ke = element_matrices(mesh, edofs.shape[1], kind)
+        plan = fem.sparsity_plan(mesh, components)
+        K = plan.assemble(Ke)
+        expected = fem._scatter(components * mesh.num_vertices, edofs, Ke)
+        assert_same_operator(K, expected)
+        nodes = [mesh.elastic_dirichlet_nodes(),
+                 mesh.nutrient_dirichlet_nodes()]
+        for fixed in (components * n[:, None] + np.arange(components)
+                      for n in nodes):
+            fixed = fixed.ravel()
+            elimination = plan.elimination(fixed)
+            Kff, Kfc = elimination.ff(K), elimination.fc(K)
+            Kff_expected, Kf, free = fem.eliminate(expected, fixed)
+            assert_same_bytes(elimination.free, free)
+            assert_same_operator(Kff, Kff_expected)
+            assert_same_operator(Kfc, Kf[:, fixed])
+
+    def test_plan_is_cached_per_pattern(self, plan_mesh):
+        scalar = fem.sparsity_plan(plan_mesh, 1)
+        assert fem.sparsity_plan(plan_mesh, 1) is scalar
+        assert fem.sparsity_plan(plan_mesh, 2) is not scalar
+        nodes = plan_mesh.elastic_dirichlet_nodes()
+        assert scalar.elimination(nodes.copy()) is scalar.elimination(nodes)

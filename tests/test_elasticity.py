@@ -12,7 +12,8 @@ from morphosim.elasticity import (EquilibriumProblem, SolverOptions,
                                   solve_fixed_point, solve_newton,
                                   stress_field)
 from morphosim.errors import (ContractionLost, LiftDegenerate, NoConvergence,
-                              OutsideAdmissibleBall, ValidationError)
+                              OutsideAdmissibleBall, SingularMatrix,
+                              ValidationError)
 from morphosim.growth import TimeGrid
 from morphosim.materials import PolarWellEnergy
 from morphosim.mesh import Mesh, rectangle_mesh
@@ -106,7 +107,8 @@ class TestResidual:
         v = rng.standard_normal((mesh.num_vertices, 2))
         v.reshape(-1)[ws.fixed_dofs] = 0.0
         h = 1e-7
-        fd = (ws.potential(u + h * v) - ws.potential(u - h * v)) / (2 * h)
+        fd = (ws.potential(ws.elastic_state(u + h * v))
+              - ws.potential(ws.elastic_state(u - h * v))) / (2 * h)
         directional = float(r @ v.reshape(-1))
         assert abs(directional - fd) <= 1e-6 * max(1.0, abs(fd))
 
@@ -125,7 +127,8 @@ class TestLinearizedOperator:
         mesh = rectangle_mesh(4, 4)
         problem = make_problem(mesh)
         ws = problem.workspace
-        A = ws.coefficient_tensor(np.zeros((mesh.num_vertices, 2)))
+        A = ws.coefficient_tensor(
+            ws.elastic_state(np.zeros((mesh.num_vertices, 2))))
         e = PolarWellEnergy()
         H = e.second_derivative(np.zeros(2), np.eye(2))
         assert np.max(np.abs(A - H.transpose(0, 2, 1, 3))) <= 1e-12
@@ -143,7 +146,8 @@ class TestLinearizedOperator:
             mesh, growth=lambda pts: c * identity_growth(pts),
             dirichlet=lambda pts: c * np.asarray(pts))
         ws = problem.workspace
-        A = ws.coefficient_tensor(np.zeros((mesh.num_vertices, 2)))
+        A = ws.coefficient_tensor(
+            ws.elastic_state(np.zeros((mesh.num_vertices, 2))))
         e = PolarWellEnergy()
         H = e.second_derivative(np.zeros(2), np.eye(2))
         expected = (c ** 2 / c ** 2) * H.transpose(0, 2, 1, 3)
@@ -157,7 +161,7 @@ class TestLinearizedOperator:
             mesh, traction=lambda pts, n: 0.02 * np.asarray(n))
         ws = problem.workspace
         u = np.zeros((mesh.num_vertices, 2))
-        K = ws.stiffness(u)
+        K = ws.stiffness(ws.elastic_state(u))
         rng = np.random.default_rng(8)
         v = rng.standard_normal(2 * mesh.num_vertices)
         v[ws.fixed_dofs] = 0.0
@@ -211,9 +215,9 @@ def record_residual_arguments(problem):
     inner = ws.residual
     seen = []
 
-    def recording(u):
-        seen.append(np.array(u, copy=True))
-        return inner(u)
+    def recording(state):
+        seen.append(np.array(state.u, copy=True))
+        return inner(state)
     ws.residual = recording
     return seen
 
@@ -432,42 +436,53 @@ class TestEnergy:
                              - cold.displacement)) <= 1e-10
 
 
-def newton_recomputing_base(problem):
-    """Newton with line search that evaluates the base potential afresh at
-    every sweep.  Returns (u, increments, residual norm, potential calls)."""
+def newton_recomputing_base(problem, newton=True):
+    """Newton with line search, or with ``newton=False`` the chord
+    iteration, written so that every value is recomputed where it is used:
+    each potential, residual, stress and tangent takes an elastic state of
+    its own, the base potential is evaluated afresh at every sweep, and
+    `fem.eliminate` splits each operator.  Returns (u, increments,
+    residual norm, potential calls, stress, rho_hat)."""
     ws = problem.workspace
     u = np.zeros((problem.mesh.num_vertices, 2))
     r, rn = residual(problem, u)
-    K = ws.stiffness(u)
+    K = ws.stiffness(ws.elastic_state(u))
     tol_inc, tol_res = elasticity._tolerances(ws, K)
-    increments, calls = [], 0
+    increments, calls, rho_hat = [], 0, 0.0
     for k in range(1, problem.options.max_iterations + 1):
-        if k > 1:
-            K = ws.stiffness(u)
-        Kff, _, free = fem.eliminate(K, ws.fixed_dofs)
-        delta = -fem._factorize_spd(Kff).solve(r[free])
-        slope = float(r[free] @ delta)
-        base = ws.potential(u)
-        slack = 64.0 * np.finfo(float).eps * (1.0 + abs(base))
+        if k == 1 or newton:
+            if k > 1:
+                K = ws.stiffness(ws.elastic_state(u))
+            Kff, _, free = fem.eliminate(K, ws.fixed_dofs)
+            lu = fem._factorize_spd(Kff)
+        delta = -lu.solve(r[free])
         step = 1.0
-        calls += 1
-        while True:
-            trial = u.reshape(-1).copy()
-            trial[free] += step * delta
-            try:
-                value = ws.potential(trial.reshape(-1, 2))
-            except OutsideAdmissibleBall:
-                value = np.inf
+        if newton:
+            slope = float(r[free] @ delta)
+            base = ws.potential(ws.elastic_state(u))
+            slack = 64.0 * np.finfo(float).eps * (1.0 + abs(base))
             calls += 1
-            if value <= base + 1e-4 * step * slope + slack:
-                break
-            step *= 0.5
+            while True:
+                trial = u.reshape(-1).copy()
+                trial[free] += step * delta
+                try:
+                    value = ws.potential(
+                        ws.elastic_state(trial.reshape(-1, 2)))
+                except (OutsideAdmissibleBall, SingularMatrix):
+                    value = np.inf
+                calls += 1
+                if value <= base + 1e-4 * step * slope + slack:
+                    break
+                step *= 0.5
         u.reshape(-1)[free] += step * delta
         increments.append(step * float(np.linalg.norm(delta)))
+        if len(increments) >= 2 and increments[-2] > 1e-300:
+            rho_hat = max(rho_hat, increments[-1] / increments[-2])
         r, rn = residual(problem, u)
         if increments[-1] <= tol_inc and rn <= tol_res:
-            return u, increments, rn, calls
-    raise AssertionError("reference Newton did not converge")
+            return (u, increments, rn, calls, stress_field(problem, u),
+                    rho_hat)
+    raise AssertionError("reference iteration did not converge")
 
 
 class TestComputedOnce:
@@ -497,7 +512,7 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("traction", [0.01, 0.35])
     def test_newton_base_reuse_matches_recomputed_base(self, traction):
-        u, increments, rn, calls = newton_recomputing_base(
+        u, increments, rn, calls, _, _ = newton_recomputing_base(
             self.contraction("newton", traction))
         problem = self.contraction("newton", traction)
         ws = problem.workspace
@@ -515,13 +530,61 @@ class TestComputedOnce:
         # one base evaluation per solve instead of one per sweep
         assert len(counted) == calls - (sol.iterations - 1)
 
+    @pytest.mark.parametrize("method, traction", [("fixed_point", 0.01),
+                                                  ("newton", 0.01),
+                                                  ("newton", 0.35)])
+    def test_state_reuse_matches_recomputing_reference(self, method,
+                                                       traction):
+        u, increments, rn, _, stress, rho_hat = newton_recomputing_base(
+            self.contraction(method, traction), newton=method == "newton")
+        sol = solve_equilibrium(self.contraction(method, traction))
+        assert sol.iterations == len(increments) > 1
+        assert np.array_equal(sol.displacement, u)
+        assert np.array_equal(sol.stress, stress)
+        assert sol.increment_history == increments
+        assert sol.rho_hat == rho_hat
+        assert sol.residual_norm == rn
+
+    @pytest.mark.parametrize("traction", [0.01, 0.35])
+    def test_one_elastic_state_per_newton_iterate(self, traction,
+                                                  monkeypatch):
+        problem = self.contraction("newton", traction)
+        ws = problem.workspace
+        inner = ws.elastic_state
+        iterates = []
+
+        def counting(u):
+            iterates.append(np.array(u, copy=True).tobytes())
+            return inner(u)
+        ws.elastic_state = counting
+        det = np.linalg.det
+        state_dets = []
+
+        def counting_det(F):
+            if np.shape(F) == ws.Gq.shape:
+                state_dets.append(1)
+            return det(F)
+        monkeypatch.setattr(np.linalg, "det", counting_det)
+        potential = ws.potential
+        potentials = []
+
+        def counting_potential(state):
+            potentials.append(1)
+            return potential(state)
+        ws.potential = counting_potential
+        sol = solve_newton(problem)
+        assert sol.iterations > 1
+        # the start iterate and every line-search trial, each once
+        assert len(iterates) == len(set(iterates)) == len(potentials)
+        assert len(state_dets) == len(iterates)
+
     def test_bincount_residual_matches_scatter_add(self):
         problem = self.contraction("fixed_point")
         ws = problem.workspace
         rng = np.random.default_rng(4)
         u = 0.01 * rng.standard_normal((problem.mesh.num_vertices, 2))
         u.reshape(-1)[ws.fixed_dofs] = 0.0
-        r, rn, P = ws.residual(u)
+        r, rn, P = ws.residual(ws.elastic_state(u))
         contrib = np.einsum("cq,cqia,cAa->cAi", ws.weights, P, ws.grads)
         expected = np.zeros(2 * problem.mesh.num_vertices)
         np.add.at(expected, ws.edofs, contrib)
