@@ -6,6 +6,7 @@ guard/solver failure) to its exit code.
 """
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,11 +186,26 @@ def bench_compatible_growth(sizes=(8, 16, 32), amplitude=0.05, **overrides):
     return _finish("compatible_growth", metrics, t0)
 
 
+# the live contraction meshes by size; a mesh goes once no problem holds it
+_CONTRACTION_MESHES = weakref.WeakValueDictionary()
+
+
+def _contraction_mesh(nx):
+    """The nx-by-nx contraction mesh, shared by every live problem of that
+    size, so that its cached plans, eliminations, lift factor and geometry
+    are built once."""
+    mesh = _CONTRACTION_MESHES.get(nx)
+    if mesh is None:
+        mesh = rectangle_mesh(nx, nx, elastic_dirichlet="left")
+        _CONTRACTION_MESHES[nx] = mesh
+    return mesh
+
+
 def contraction_problem(nx=16, traction=0.01, method="fixed_point"):
-    """Small normal traction on the Neumann part, unit growth."""
-    mesh = rectangle_mesh(nx, nx, elastic_dirichlet="left")
+    """Small normal traction on the Neumann part, unit growth.  Problems of
+    one size share one mesh."""
     return EquilibriumProblem(
-        mesh, PolarWellEnergy(),
+        _contraction_mesh(nx), PolarWellEnergy(),
         growth=lambda pts: np.broadcast_to(
             np.eye(2), np.asarray(pts).shape[:-1] + (2, 2)).copy(),
         dirichlet_data=lambda pts: np.asarray(pts, dtype=float),
@@ -200,12 +216,14 @@ def contraction_problem(nx=16, traction=0.01, method="fixed_point"):
 def bench_contraction(nx=16, traction=0.01, **overrides):
     """The frozen-linearization iteration contracts and agrees with Newton."""
     t0 = time.perf_counter()
-    fp = solve_fixed_point(contraction_problem(nx, traction))
+    chord = contraction_problem(nx, traction)
+    newton = contraction_problem(nx, traction, method="newton")
+    fp = solve_fixed_point(chord)
     increments = fp.increment_history
     ratios = [increments[k + 1] / increments[k]
               for k in range(len(increments) - 1) if increments[k] > 1e-300]
     worst = max(ratios) if ratios else 0.0
-    nw = solve_newton(contraction_problem(nx, traction))
+    nw = solve_newton(newton)
     diff = float(np.max(np.abs(fp.displacement - nw.displacement)))
     metrics = []
     _metric(metrics, "iterations (frozen map)", fp.iterations, "converged",

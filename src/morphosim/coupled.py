@@ -54,13 +54,11 @@ class SystemState:
 class StepDiagnostics:
     t: float
     min_det_growth: float
-    max_growth_norm: float
     max_stress: float
     nutrient_min: float
     equilibrium_iterations: int
     rho_hat: float
     equilibrium_residual: float
-    growth_gradient_surrogate: float
 
 
 @dataclass
@@ -180,13 +178,11 @@ def run_coupled(scenario):
         traj.diagnostics.append(StepDiagnostics(
             t=t,
             min_det_growth=report.min_det,
-            max_growth_norm=report.max_norm,
             max_stress=float(np.max(pnorm)),
             nutrient_min=nut.min_value,
             equilibrium_iterations=sol.iterations,
             rho_hat=sol.rho_hat,
-            equilibrium_residual=sol.residual_norm,
-            growth_gradient_surrogate=growth_mod.gradient_surrogate(mesh, G)))
+            equilibrium_residual=sol.residual_norm))
 
         remaining = grid.t_end - t
         if remaining <= 1e-12 * max(1.0, abs(grid.t_end)):

@@ -344,6 +344,8 @@ def _iterate(problem, initial, method):
     sweep's iterate and backtracks on the potential; an accepted trial's
     elastic state and potential are the next sweep's, so each iterate's
     elastic state is computed once and the state is dropped on return.
+    An operator is dropped once factorized, and the last factor before
+    the next tangent is assembled, so a solve holds one factor at a time.
     Convergence needs the increment and the residual below their
     tolerances at once; `rho_hat` is the largest observed increment ratio.
     """
@@ -377,6 +379,8 @@ def _iterate(problem, initial, method):
         k += 1
         if k == 1 or newton:
             if k > 1:
+                # one factor at a time: drop the last before the next
+                lu = None
                 K = ws.stiffness(state)
             try:
                 lu = fem._factorize_spd(elimination.ff(K))
@@ -385,6 +389,7 @@ def _iterate(problem, initial, method):
                     raise
                 raise SingularJacobian("Newton tangent singular at sweep %d: "
                                        "%s" % (k, exc))
+            K = None
         delta = -lu.solve(r[free])
         step = 1.0
         if newton:

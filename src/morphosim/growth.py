@@ -148,11 +148,3 @@ def lipschitz_estimate(G1, G2, rate1, rate2):
     dr = float(np.max(np.abs(np.asarray(rate1) - np.asarray(rate2))))
     return dr / dG
 
-
-def gradient_surrogate(mesh, G):
-    """Largest per-cell finite-difference of the nodal growth field, a
-    crude surrogate for its spatial regularity (reported, never asserted)."""
-    G = np.asarray(G, dtype=float)
-    local = G[mesh.cells]
-    spread = local.max(axis=1) - local.min(axis=1)
-    return float(np.max(spread)) if spread.size else 0.0

@@ -261,8 +261,9 @@ class NutrientModel:
     `diffusion(G, Y, x)` returns stacked symmetric matrices (units
     area/time) with smallest eigenvalue >= `ellipticity_nu`;
     `absorption(G, Y, x)` returns stacked non-negative scalars (units
-    1/time).  `coefficients(G, Y, x)` returns both; models whose two
-    coefficients share work override it to do that work once.
+    1/time).  `coefficients(G, Y, x, detY=None)` returns both; models
+    whose two coefficients share work override it to do that work once,
+    and may use `detY`, det Y already computed and checked by the caller.
     """
 
     ellipticity_nu = 1e-8
@@ -273,7 +274,7 @@ class NutrientModel:
     def absorption(self, G, Y, x):
         raise NotImplementedError
 
-    def coefficients(self, G, Y, x):
+    def coefficients(self, G, Y, x, detY=None):
         return self.diffusion(G, Y, x), self.absorption(G, Y, x)
 
 
@@ -312,9 +313,10 @@ class DetRatioNutrientModel(NutrientModel):
             ellipticity_nu = 0.25 * lam
         self.ellipticity_nu = float(ellipticity_nu)
 
-    def _ratio(self, G, Y):
+    def _ratio(self, G, Y, detY=None):
         detG = np.linalg.det(np.asarray(G, dtype=float))
-        detY = np.linalg.det(np.asarray(Y, dtype=float))
+        if detY is None:
+            detY = np.linalg.det(np.asarray(Y, dtype=float))
         if np.any(detY <= 0.0) or np.any(detG <= 0.0):
             raise SingularMatrix("det-ratio coefficients need positive determinants")
         return detG / detY
@@ -327,8 +329,8 @@ class DetRatioNutrientModel(NutrientModel):
         r = self._ratio(G, Y)
         return _spatial_scalar(self.beta0, x) / r
 
-    def coefficients(self, G, Y, x):
-        r = self._ratio(G, Y)
+    def coefficients(self, G, Y, x, detY=None):
+        r = self._ratio(G, Y, detY)
         return (r[..., None, None] * _spatial_matrix(self.d0, x),
                 _spatial_scalar(self.beta0, x) / r)
 

@@ -49,14 +49,16 @@ def nutrient_coefficient_fields(problem):
     """
     mesh = problem.mesh
     Y = fem.interpolate_gradient(mesh, problem.deformation)
-    if np.any(np.linalg.det(Y) <= 0.0):
+    detY = np.linalg.det(Y)
+    if np.any(detY <= 0.0):
         raise SingularMatrix("deformation gradient with non-positive "
                              "determinant")
     nq = mesh.quad_points().shape[1]
     Yq = np.broadcast_to(Y[:, None], (mesh.num_cells, nq, 2, 2))
+    detYq = np.broadcast_to(detY[:, None], (mesh.num_cells, nq))
     Gq = fem.growth_at_quadrature(mesh, problem.growth)
     x = mesh.quad_points()
-    D, beta = problem.model.coefficients(Gq, Yq, x)
+    D, beta = problem.model.coefficients(Gq, Yq, x, detY=detYq)
     return np.asarray(D, dtype=float), np.asarray(beta, dtype=float)
 
 

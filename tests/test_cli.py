@@ -4,10 +4,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from morphosim import cli
 from morphosim.cli import main
+from morphosim.materials import StressModulatedGrowthLaw
 from morphosim.mesh import read_mesh
 
 TRIVIAL = """
@@ -111,6 +113,21 @@ class TestRun:
         value, guard = re.search(r"growth norm (\S+) above guard (\S+)",
                                  note).groups()
         assert float(value) > float(guard) == 10.0
+
+    def test_nan_growth_rate_leaves_failure_files(self, tmp_path,
+                                                  scenario_dir, capsys,
+                                                  monkeypatch):
+        def nan_rate(self, G, Y, N, x):
+            return np.full_like(G, np.nan)
+        monkeypatch.setattr(StressModulatedGrowthLaw, "evaluate", nan_rate)
+        outdir = tmp_path / "nan"
+        assert main(["run", str(scenario_dir / "stress_modulated.cfg"),
+                     "--t-end", "0.05", "--output-dir", str(outdir)]) == 1
+        note = (outdir / "failure.txt").read_text()
+        assert "status: guard_violation\n" in note
+        assert "non-finite growth rate at t = 0" in note
+        assert (outdir / "failure_snapshot.vtk").exists()
+        assert "guard_violation" in capsys.readouterr().err
 
     def test_output_dir_under_a_file(self, tmp_path, scenario_dir, capsys,
                                      monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from morphosim import coupled, fem
 from morphosim.benchmarks import analytic_growth_scenario, identity_scenario
 from morphosim.coupled import run_coupled, trajectory_csv, write_outputs
-from morphosim.growth import rk4_step
+from morphosim.growth import TimeGrid, rk4_step
 from morphosim.elasticity import EquilibriumProblem, residual
 from morphosim.nutrient import NutrientProblem, nutrient_coefficient_fields
 from morphosim.scenario import load_scenario
@@ -243,6 +243,32 @@ class TestFirstStageReuse:
         assert traj.status == "completed"
         steps = len(traj.states) - 1
         assert len(calls) == 4 * steps
+
+
+class TestTimeOrder:
+    """The coupled loop's order in time on `stress_modulated.cfg` (Newton,
+    growth rate 4 so that the time error dominates), observed from
+    differences of the final growth field at dt = T/4, T/8, T/16.
+    Staggered freezes Y and N over a step and is first order; substeps
+    re-solves at every stage and keeps RK4's fourth order."""
+
+    @pytest.mark.parametrize("substeps, low, high",
+                             [(False, 0.8, 1.4), (True, 3.5, 4.5)])
+    def test_observed_order(self, scenario_dir, substeps, low, high):
+        t_end = 0.3
+        finals = []
+        for steps in (4, 8, 16):
+            sc = load_scenario(scenario_dir / "stress_modulated.cfg")
+            sc.growth_law.gamma = 4.0
+            sc.time = TimeGrid(t_end=t_end, dt=t_end / steps)
+            sc.substeps = substeps
+            traj = run_coupled(sc)
+            assert traj.status == "completed"
+            assert traj.states[-1].t == t_end
+            finals.append(traj.states[-1].growth)
+        coarse = np.max(np.abs(finals[0] - finals[1]))
+        fine = np.max(np.abs(finals[1] - finals[2]))
+        assert low <= np.log2(coarse / fine) <= high
 
 
 def vtk_text_reference(mesh, state):

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import io
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -598,3 +601,69 @@ class TestComputedOnce:
         assert np.array_equal(ws.grad_ft,
                               fem.interpolate_gradient(problem.mesh,
                                                        ws.f_tilde))
+
+
+class _Factor:
+    """A weakly referenceable stand-in for a SuperLU factor."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+class TestWorkingSet:
+    """A solve's working set: the mesh tier is built once per mesh, and a
+    solve holds one factor at a time."""
+
+    def test_contraction_problems_of_one_size_share_the_mesh_tier(
+            self, monkeypatch):
+        gc.collect()
+        plans = []
+        plan = fem.SparsityPlan
+
+        def counting_plan(*args):
+            plans.append(1)
+            return plan(*args)
+        monkeypatch.setattr(fem, "SparsityPlan", counting_plan)
+        factorize = fem._factorize_spd
+        factors = []
+
+        def counting_factorize(K):
+            factors.append(1)
+            return factorize(K)
+        monkeypatch.setattr(fem, "_factorize_spd", counting_factorize)
+        chord = benchmarks.contraction_problem(10)
+        newton = benchmarks.contraction_problem(10, method="newton")
+        assert chord.mesh is newton.mesh
+        solve_fixed_point(chord)
+        sol = solve_newton(newton)
+        # one vector and one scalar plan; one lift factor, the chord's
+        # operator and one tangent per Newton sweep
+        assert len(plans) == 2
+        assert len(factors) == 2 + sol.iterations
+
+    def test_newton_holds_one_factor_and_one_operator(self, monkeypatch):
+        problem = benchmarks.contraction_problem(8, method="newton")
+        problem.workspace  # the lift factor stays cached with the mesh
+
+        def tracking(what, build, live):
+            def tracked(*args, **kwargs):
+                gc.collect()
+                assert all(ref() is None for ref in live), \
+                    "the previous sweep's %s is still reachable" % what
+                made = build(*args, **kwargs)
+                live.append(weakref.ref(made))
+                return made
+            return tracked
+        factors, operators = [], []
+        splu = fem.spla.splu
+        monkeypatch.setattr(fem, "spla", types.SimpleNamespace(
+            splu=tracking("factor", lambda *a, **k: _Factor(splu(*a, **k)),
+                          factors)))
+        monkeypatch.setattr(fem, "assemble_vector_operator", tracking(
+            "operator", fem.assemble_vector_operator, operators))
+        sol = solve_newton(problem)
+        assert sol.iterations >= 2
+        assert len(factors) == len(operators) == sol.iterations

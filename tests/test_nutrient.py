@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morphosim import fem
 from morphosim.errors import (EllipticityViolation, SingularMatrix,
                               SingularSystem, ValidationError)
 from morphosim.materials import ConstantNutrientModel, DetRatioNutrientModel
@@ -148,6 +149,40 @@ class TestCoefficientFields:
         assert np.max(np.abs(D - np.swapaxes(D, -1, -2))) <= 1e-12
         assert np.min(np.linalg.eigvalsh(D)) >= model.ellipticity_nu
         assert np.min(beta) >= 0.0
+
+    def test_det_y_is_taken_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        mesh = rectangle_mesh(4, 4)
+        model = DetRatioNutrientModel(d0=np.diag([1.0, 2.0]), beta0=0.3)
+        G = np.eye(2) + 0.1 * rng.standard_normal((mesh.num_vertices, 2, 2))
+        y = mesh.vertices + 0.01 * rng.standard_normal((mesh.num_vertices, 2))
+        det = np.linalg.det
+        shapes = []
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return det(a)
+        monkeypatch.setattr(np.linalg, "det", counting)
+        D, beta = nutrient_coefficient_fields(
+            make_problem(mesh, model, growth=G, y=y))
+        monkeypatch.undo()
+        # det Y of the cells once, det G at the quadrature points once
+        nc = mesh.num_cells
+        assert shapes == [(nc, 2, 2), (nc, 3, 2, 2)]
+        # the same fields as the model taking det Y at every point itself
+        Y = fem.interpolate_gradient(mesh, y)
+        Yq = np.broadcast_to(Y[:, None], (nc, 3, 2, 2))
+        Gq = fem.growth_at_quadrature(mesh, G)
+        D_ref, beta_ref = model.coefficients(Gq, Yq, mesh.quad_points())
+        assert np.array_equal(D, D_ref)
+        assert np.array_equal(beta, beta_ref)
+
+    def test_handed_det_y_is_still_checked(self):
+        model = DetRatioNutrientModel(d0=1.0, beta0=0.3)
+        G = np.broadcast_to(np.eye(2), (4, 2, 2))
+        with pytest.raises(SingularMatrix):
+            model.coefficients(G, G, np.zeros((4, 2)),
+                               detY=np.array([1.0, 1.0, 0.0, 1.0]))
 
     def test_degenerate_deformation(self):
         mesh = rectangle_mesh(4, 4)
