@@ -118,8 +118,10 @@ class _CoupledDriver:
         return problem, sol, nut
 
     def law_inputs(self, sol, nut):
-        Y = fem.nodal_from_cells(
-            self.mesh, fem.interpolate_gradient(self.mesh, sol.deformation))
+        Y = None
+        if self.law.needs_deformation:
+            Y = fem.nodal_from_cells(self.mesh, fem.interpolate_gradient(
+                self.mesh, sol.deformation))
         N = nut.concentration if nut is not None \
             else np.zeros(self.mesh.num_vertices)
         return Y, N

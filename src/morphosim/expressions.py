@@ -1,133 +1,96 @@
-"""Tiny analytic-expression grammar for scenario boundary data.
+"""Tiny analytic-expression language for scenario boundary data.
 
 Supported: variables ``t``, ``x``, ``y`` (plus ``nx``, ``ny`` for the
-outward normal in traction expressions), numbers, the constant ``pi``,
-operators ``+ - * / ^`` with unary minus, parentheses, and the functions
-``sin``, ``cos``, ``exp``.  Expressions evaluate vectorized over numpy
+outward normal in boundary-flux expressions), numbers, the constant ``pi``,
+operators ``+ - * / ^`` (or ``**``) with unary ``+`` and ``-``,
+parentheses, and the one-argument functions ``sin``, ``cos``, ``exp``.
+Python's parser reads the text, with ``^`` as ``**`` and every literal a
+float; parse keeps only trees in the language, as nested tuples, so no
+text is ever evaluated.  Expressions evaluate vectorized over numpy
 arrays, and can be differentiated with respect to the spatial variables
-(needed for analytic gradient initial data), provided every exponent is a
-constant.
+(needed for analytic gradient initial data), provided every exponent is
+a constant.
 """
 
+import ast
+import operator
 import re
+import warnings
 
 import numpy as np
 
 from .errors import ParseError
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                    r"|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(\*\*|[-+*/^(),]))")
-
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.pi}
-_VARIABLES = ("t", "x", "y", "nx", "ny")
+POINT = ("t", "x", "y")
+BOUNDARY = POINT + ("nx", "ny")
+# the deepest tree parse accepts: the derivative of such a tree, about
+# three times as deep, still evaluates within Python's recursion limit
+MAX_DEPTH = 200
+
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+           ast.Pow: "^"}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": operator.pow}
+# any character outside the language; Python would read `#` as a comment,
+# `_` as a digit separator and `,` as a tuple or a second argument
+_FOREIGN = re.compile(r"[^\sA-Za-z\d.+\-*/^()]")
+# a name, or a decimal literal (group 1): `007`, `1.` and `.5` are floats
+_WORD = re.compile(r"[A-Za-z][A-Za-z0-9]*|(\d+\.\d*(?:[eE][+-]?\d+)?"
+                   r"|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)")
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError("cannot tokenize %r (at %r)" % (text, rest[:10]))
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", float(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
+def _float_literal(match):
+    if match.group(1) is None:
+        return match.group()
+    value = float(match.group(1))
+    # spaced apart, so `1E1e5` stays two tokens and not one Python float
+    return " %s " % ("1e999" if value == np.inf else repr(value))
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def parse(text, variables=BOUNDARY):
+    """Parse one expression over `variables` into nested tuples."""
+    foreign = _FOREIGN.search(text)
+    if foreign:
+        raise ParseError("unexpected %r in %r" % (foreign.group(), text))
+    source = " ".join(_WORD.sub(_float_literal, text).split())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning rejects
+            tree = ast.parse(source.replace("^", "**"), mode="eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # MemoryError: the parser's stack overflowed on deep nesting
+        raise ParseError("cannot parse %r: %s"
+                         % (text, getattr(exc, "msg", exc)))
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, expect=None):
-        kind, value = self.tokens[self.pos]
-        if expect is not None and (kind, value) != expect:
-            raise ParseError("expected %r in %r, got %r"
-                             % (expect[1], self.text, value))
-        self.pos += 1
-        return kind, value
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ParseError("trailing input in %r" % self.text)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.factor()
-            node = (op, node, rhs)
-        return node
-
-    def factor(self):
-        # unary minus binds looser than the power: -x^2 == -(x^2)
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.factor())
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.factor()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            rhs = self.factor()  # right associative; exponent may be signed
-            return ("^", node, rhs)
-        return node
-
-    def atom(self):
-        kind, value = self.take()
-        if kind == "num":
-            return ("num", value)
-        if kind == "name":
-            if value in _FUNCTIONS:
-                self.take(("op", "("))
-                arg = self.expr()
-                self.take(("op", ")"))
-                return ("call", value, arg)
-            if value in _CONSTANTS:
-                return ("num", _CONSTANTS[value])
-            if value in _VARIABLES:
-                return ("var", value)
-            raise ParseError("unknown name %r in %r" % (value, self.text))
-        if (kind, value) == ("op", "("):
-            node = self.expr()
-            self.take(("op", ")"))
-            return node
-        raise ParseError("unexpected token %r in %r" % (value, self.text))
-
-
-def parse(text):
-    """Parse one expression into an AST (nested tuples)."""
-    return _Parser(text).parse()
+    def translate(node, depth):
+        if depth > MAX_DEPTH:
+            raise ParseError("%r is nested more than %d deep"
+                             % (text, MAX_DEPTH))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], translate(node.left, depth + 1),
+                    translate(node.right, depth + 1))
+        if isinstance(node, ast.UnaryOp) and type(node.op) is ast.UAdd:
+            return translate(node.operand, depth + 1)
+        if isinstance(node, ast.UnaryOp) and type(node.op) is ast.USub:
+            return ("neg", translate(node.operand, depth + 1))
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            return ("num", node.value)
+        if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+            return ("num", _CONSTANTS[node.id])
+        if isinstance(node, ast.Name) and node.id in variables:
+            return ("var", node.id)
+        # the col_offset test rejects `(sin)(x)`
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS
+                and node.func.col_offset == node.col_offset
+                and len(node.args) == 1 and not node.keywords):
+            return ("call", node.func.id, translate(node.args[0], depth + 1))
+        what = getattr(node, "id", type(node).__name__)
+        raise ParseError("unsupported %r in %r (names here: %s)"
+                         % (what, text, ", ".join(variables)))
+    return translate(tree.body, 1)
 
 
 def split_components(text):
@@ -145,12 +108,12 @@ def split_components(text):
     return [p.strip() for p in parts]
 
 
-def parse_vector(text, n_components):
+def parse_vector(text, n_components, variables=BOUNDARY):
     parts = split_components(text)
     if len(parts) != n_components:
         raise ParseError("expected %d comma-separated components in %r, "
                          "got %d" % (n_components, text, len(parts)))
-    return [parse(p) for p in parts]
+    return [parse(p, variables) for p in parts]
 
 
 def evaluate(node, env):
@@ -166,23 +129,7 @@ def evaluate(node, env):
         return -evaluate(node[1], env)
     if kind == "call":
         return _FUNCTIONS[node[1]](evaluate(node[2], env))
-    a = evaluate(node[1], env)
-    b = evaluate(node[2], env)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    if kind == "^":
-        return a ** b
-    raise ParseError("corrupt expression node %r" % (kind,))
-
-
-def _is_const(node):
-    return node[0] == "num"
+    return _ARITHMETIC[kind](evaluate(node[1], env), evaluate(node[2], env))
 
 
 def derivative(node, var):
@@ -209,16 +156,14 @@ def derivative(node, var):
         return ("*", outer, inner)
     a, b = node[1], node[2]
     da, db = derivative(a, var), derivative(b, var)
-    if kind == "+":
-        return ("+", da, db)
-    if kind == "-":
-        return ("-", da, db)
+    if kind in ("+", "-"):
+        return (kind, da, db)
     if kind == "*":
         return ("+", ("*", da, b), ("*", a, db))
     if kind == "/":
         return ("/", ("-", ("*", da, b), ("*", a, db)), ("*", b, b))
     if kind == "^":
-        if not _is_const(b):
+        if b[0] != "num":
             raise ParseError("cannot differentiate a power with non-constant "
                              "exponent")
         p = b[1]
@@ -226,45 +171,34 @@ def derivative(node, var):
     raise ParseError("corrupt expression node %r" % (kind,))
 
 
-def uses_variable(node, var):
-    kind = node[0]
-    if kind == "num":
-        return False
-    if kind == "var":
-        return node[1] == var
-    if kind in ("neg",):
-        return uses_variable(node[1], var)
-    if kind == "call":
-        return uses_variable(node[2], var)
-    return uses_variable(node[1], var) or uses_variable(node[2], var)
+def _env(t, points, normals=None):
+    """The variables at stacked points (and normals), and the value shape."""
+    points = np.asarray(points, dtype=float)
+    env = {"t": t, "x": points[..., 0], "y": points[..., 1]}
+    if normals is not None:
+        normals = np.asarray(normals, dtype=float)
+        env["nx"] = normals[..., 0]
+        env["ny"] = normals[..., 1]
+    return env, points.shape[:-1]
+
+
+def _values(node, env, shape):
+    return np.broadcast_to(np.asarray(evaluate(node, env), dtype=float),
+                           shape)
 
 
 def vector_evaluator(nodes):
     """Bind vector-valued ASTs into a callable of (t, points[, normals])
     returning stacked vectors with one trailing component axis."""
     def call(t, points, normals=None):
-        points = np.asarray(points, dtype=float)
-        env = {"t": t, "x": points[..., 0], "y": points[..., 1]}
-        if normals is not None:
-            normals = np.asarray(normals, dtype=float)
-            env["nx"] = normals[..., 0]
-            env["ny"] = normals[..., 1]
-        cols = [np.broadcast_to(np.asarray(evaluate(n, env), dtype=float),
-                                points.shape[:-1]) for n in nodes]
-        return np.stack(cols, axis=-1)
+        env, shape = _env(t, points, normals)
+        return np.stack([_values(n, env, shape) for n in nodes], axis=-1)
     return call
 
 
 def scalar_evaluator(node):
     def call(t, points, normals=None):
-        points = np.asarray(points, dtype=float)
-        env = {"t": t, "x": points[..., 0], "y": points[..., 1]}
-        if normals is not None:
-            normals = np.asarray(normals, dtype=float)
-            env["nx"] = normals[..., 0]
-            env["ny"] = normals[..., 1]
-        value = np.asarray(evaluate(node, env), dtype=float)
-        return np.broadcast_to(value, points.shape[:-1])
+        return _values(node, *_env(t, points, normals))
     return call
 
 
@@ -274,13 +208,8 @@ def gradient_evaluator(nodes):
     grads = [[derivative(n, "x"), derivative(n, "y")] for n in nodes]
 
     def call(t, points):
-        points = np.asarray(points, dtype=float)
-        env = {"t": t, "x": points[..., 0], "y": points[..., 1]}
-        rows = []
-        for row in grads:
-            entries = [np.broadcast_to(np.asarray(evaluate(g, env),
-                                                  dtype=float),
-                                       points.shape[:-1]) for g in row]
-            rows.append(np.stack(entries, axis=-1))
+        env, shape = _env(t, points)
+        rows = [np.stack([_values(g, env, shape) for g in row], axis=-1)
+                for row in grads]
         return np.stack(rows, axis=-2)
     return call

@@ -159,7 +159,8 @@ class GrowthLaw:
     matrices, N a stacked scalar (nutrient concentration, >= 0), x the
     stacked material points.  The flags `needs_deformation` /
     `needs_nutrient` let drivers skip subsolves whose output the law
-    ignores.
+    ignores; a law whose `needs_deformation` is False is passed Y = None
+    and must not read it.
     """
 
     needs_deformation = True

@@ -4,9 +4,9 @@ assumptions.
 
 A scenario bundles everything one coupled run needs: the mesh (generated
 or loaded), the energy/growth/nutrient models with their parameters, the
-boundary data f, g, f_n, g_n as expressions of (t, x, y) (tractions may
-also reference the outward normal via nx, ny), the initial growth field,
-the time grid, guards, solver options, and output settings.
+boundary data f, g, f_n, g_n as expressions of (t, x, y) (g and g_n may
+also use the outward normal nx, ny), the initial growth field, the time
+grid, guards, solver options, and output settings.
 """
 
 import configparser
@@ -237,7 +237,7 @@ def _parse_g0(text):
         return "constant", _parse_matrix(text[len("constant:"):])
     if text.startswith("gradient:"):
         body = text[len("gradient:"):]
-        return "gradient", ex.parse_vector(body, 2)
+        return "gradient", ex.parse_vector(body, 2, ex.POINT)
     raise ParseError("initial growth must be 'identity', 'constant: ...' or "
                      "'gradient: ...', got %r" % text)
 
@@ -284,9 +284,9 @@ def _build_scenario(cp, path):
     if "f" not in bpar:
         raise ParseError("%s: [boundary] needs the Dirichlet position 'f'"
                          % path)
-    f_nodes = ex.parse_vector(bpar["f"], 2)
+    f_nodes = ex.parse_vector(bpar["f"], 2, ex.POINT)
     g_nodes = ex.parse_vector(bpar["g"], 2) if "g" in bpar else None
-    fn_node = ex.parse(bpar["f_n"]) if "f_n" in bpar else None
+    fn_node = ex.parse(bpar["f_n"], ex.POINT) if "f_n" in bpar else None
     gn_node = ex.parse(bpar["g_n"]) if "g_n" in bpar else None
 
     ipar = _section(cp, "initial", path, required=False)

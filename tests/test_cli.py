@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from morphosim import cli
+from morphosim import cli, elasticity
 from morphosim.cli import main
 from morphosim.materials import StressModulatedGrowthLaw
 from morphosim.mesh import read_mesh
@@ -129,6 +129,44 @@ class TestRun:
         assert (outdir / "failure_snapshot.vtk").exists()
         assert "guard_violation" in capsys.readouterr().err
 
+    def _solver_failure(self, scenario_dir, outdir, cause):
+        """A short stress_modulated run halts after its first snapshot with
+        a solver failure and leaves both failure files."""
+        assert main(["run", str(scenario_dir / "stress_modulated.cfg"),
+                     "--t-end", "0.05", "--output-dir", str(outdir)]) == 1
+        note = (outdir / "failure.txt").read_text()
+        assert "status: solver_failure\n" in note
+        assert "halted after 1 snapshots" in note
+        assert cause in note
+        assert (outdir / "failure_snapshot.vtk").exists()
+
+    def test_singular_newton_tangent_leaves_failure_files(
+            self, tmp_path, scenario_dir, capsys, monkeypatch):
+        # the first snapshot returns at iterate 0; the first tangent
+        # assembled afterwards is zero, so its factorization fails
+        stiffness = elasticity._Workspace.stiffness
+
+        def zero_stiffness(self, state):
+            K = stiffness(self, state)
+            K.data[:] = 0.0
+            return K
+        monkeypatch.setattr(elasticity._Workspace, "stiffness",
+                            zero_stiffness)
+        self._solver_failure(scenario_dir, tmp_path / "singular",
+                             "cause: Newton tangent singular at sweep 1: "
+                             "sparse factorization failed")
+
+    def test_line_search_failure_leaves_failure_files(
+            self, tmp_path, scenario_dir, capsys, monkeypatch):
+        def far(state, free, step):
+            # every trial leaves the admissible ball: its potential is inf
+            u = state.u.reshape(-1).copy()
+            u[free] += 1e3
+            return u.reshape(-1, 2)
+        monkeypatch.setattr(elasticity, "_stepped", far)
+        self._solver_failure(scenario_dir, tmp_path / "line_search",
+                             "cause: line search failed at sweep 1")
+
     def test_output_dir_under_a_file(self, tmp_path, scenario_dir, capsys,
                                      monkeypatch):
         def no_run(scenario):
@@ -171,6 +209,29 @@ class TestCheck:
         cfg, _ = write_cfg(tmp_path, text)
         assert main(["check", str(cfg)]) == 1
         assert "FAIL nutrient_uniqueness" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("f", [
+        "(" * 300 + "x" + ")" * 300 + ", y",   # past Python's paren bound
+        "x" + " + 0*x" * 1200 + ", y",         # flat, but 1,200 levels deep
+        "__import__('os').system('true'), y"],  # never reaches eval
+        ids=["nested_300", "terms_1200", "import"])
+    def test_unparsable_expression_is_usage_error(self, tmp_path,
+                                                  scenario_dir, capsys, f):
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_free.cfg",
+                            "boundary", "f", f)
+        assert main(["check", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key,value,name", [("f", "x + 0*nx, y", "nx"),
+                                                ("f_n", "1 + 0*ny", "ny")])
+    def test_normal_outside_boundary_flux_is_usage_error(
+            self, tmp_path, scenario_dir, capsys, key, value, name):
+        # the normal exists only where g and g_n are evaluated
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_free.cfg",
+                            "boundary", key, value)
+        assert main(["check", str(cfg)]) == 2
+        assert main(["run", str(cfg)]) == 2
+        assert "unsupported %r" % name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,key,value", MALFORMED)
     def test_malformed_value_is_usage_error(self, tmp_path, scenario_dir,

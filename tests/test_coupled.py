@@ -245,6 +245,50 @@ class TestFirstStageReuse:
         assert len(calls) == 4 * steps
 
 
+class TestDeformationOnlyWhenRead:
+    """Nodal Y is built only for a law that reads it."""
+
+    def _record(self, sc, monkeypatch):
+        counts = {"nodal_from_cells": 0, "interpolate_gradient": 0}
+        for name in counts:
+            def counting(*args, _call=getattr(fem, name), _name=name):
+                counts[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(fem, name, counting)
+        seen = []
+        evaluate = sc.growth_law.evaluate
+
+        def recording(G, Y, N, x):
+            seen.append(Y)
+            return evaluate(G, Y, N, x)
+        monkeypatch.setattr(sc.growth_law, "evaluate", recording)
+        traj = run_coupled(sc)
+        assert traj.status == "completed"
+        return traj, counts, seen
+
+    def test_stress_blind_law_gets_no_y(self, scenario_dir, monkeypatch):
+        sc = load_scenario(scenario_dir / "stress_modulated.cfg")
+        assert not sc.growth_law.needs_deformation  # mu = identity
+        traj, counts, seen = self._record(sc, monkeypatch)
+        assert len(traj.states) == 51
+        # one nodal stress per snapshot and no nodal Y; a nodal Y per step
+        # made these 101 and 353
+        assert counts == {"nodal_from_cells": 51,
+                          "interpolate_gradient": 303}
+        assert seen and all(Y is None for Y in seen)
+
+    def test_stress_reading_law_gets_nodal_y(self, scenario_dir,
+                                             monkeypatch):
+        sc = load_scenario(scenario_dir / "stress_modulated.cfg")
+        sc.growth_law.mu_name = "linear_stress"
+        sc.time.t_end = 0.02
+        traj, counts, seen = self._record(sc, monkeypatch)
+        steps = len(traj.states) - 1
+        assert counts["nodal_from_cells"] == len(traj.states) + steps
+        assert len(seen) == 4 * steps  # the rate and three RK4 stages
+        assert all(Y.shape == (sc.mesh.num_vertices, 2, 2) for Y in seen)
+
+
 class TestTimeOrder:
     """The coupled loop's order in time on `stress_modulated.cfg` (Newton,
     growth rate 4 so that the time error dominates), observed from

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphosim import expressions as ex
 from morphosim.errors import ParseError
@@ -116,6 +117,116 @@ class TestDerivative:
         out = grad(0.0, pts)
         assert np.allclose(out[0], [[3.0, 2.0], [1.0, 2.0]])
 
-    def test_uses_variable(self):
-        assert ex.uses_variable(ex.parse("x / (1 - t)"), "t")
-        assert not ex.uses_variable(ex.parse("x + y"), "t")
+
+# where Python's grammar and the language's differ; each is a ParseError
+REJECTED = ["x#y", "1_0", "0x1", "1j", "sin(x,)", "sin(x, y)", "sin(x=1)",
+            "x if y else t", "x.real", "[x]", "x % 2", "x // 2", "True",
+            "None", "__import__('os')", "(sin)(x)", "sin(^x)", "1E1e5",
+            "x, y", "(x, y)", "sin()", "pi(x)", "not x", "x is y"]
+
+
+class TestLanguage:
+    @pytest.mark.parametrize("text", REJECTED)
+    def test_rejected(self, text):
+        with pytest.raises(ParseError):
+            ex.parse(text)
+
+    def test_literals_are_floats(self):
+        assert ex.parse("007") == ("num", 7.0)
+        assert ex.parse("1.") == ("num", 1.0)
+        assert ex.parse(".5e-3") == ("num", 0.0005)
+        assert ex.parse("1e999") == ("num", np.inf)
+
+    def test_configparser_whitespace(self):
+        assert ex.parse("x\n  +\ty") == ("+", ("var", "x"), ("var", "y"))
+
+    def test_normals_only_where_given(self):
+        assert ex.parse("x + nx") == ("+", ("var", "x"), ("var", "nx"))
+        with pytest.raises(ParseError, match="'nx'"):
+            ex.parse("x + 0*nx", ex.POINT)
+        with pytest.raises(ParseError):
+            ex.parse_vector("x, ny", 2, ex.POINT)
+
+    def test_depth_bound(self):
+        deepest = "sin(" * (ex.MAX_DEPTH - 1) + "x" + ")" * (ex.MAX_DEPTH - 1)
+        assert ex.parse(deepest)[0] == "call"
+        with pytest.raises(ParseError, match="nested"):
+            ex.parse("x" + " + x" * ex.MAX_DEPTH)
+        with pytest.raises(ParseError):  # Python's own parenthesis bound
+            ex.parse("(" * 300 + "x" + ")" * 300)
+
+    def test_deepest_gradient_evaluates(self):
+        # a quotient chain is the deepest derivative per level
+        k = ex.MAX_DEPTH - 1
+        chain = "x/(" * (k - 1) + "x/x" + ")" * (k - 1)
+        grad = ex.gradient_evaluator(ex.parse_vector(chain + ", y", 2))
+        out = grad(0.0, np.array([[0.5, 0.5]]))
+        assert np.all(np.isfinite(out))
+
+
+# -- round trip: print random trees back to text and parse them again ------
+
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+# precedence of a printed node: sum 1, product 2, unary 3, power 4, atom 5
+BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def _literal(value, form, zeros):
+    if form == "repr":
+        text = repr(value)
+    elif form == "exponent":
+        text = "%.17e" % value
+    else:
+        text = "%.17g" % value
+    return "0" * zeros + text if text[0].isdigit() else text
+
+
+LEAVES = st.one_of(
+    st.sampled_from(ex.BOUNDARY).map(lambda v: (("var", v), v, 5)),
+    st.just((("num", np.pi), "pi", 5)),
+    st.builds(lambda v, form, zeros: (("num", v), _literal(v, form, zeros), 5),
+              st.floats(0.0, 1e300).map(abs),
+              st.sampled_from(["repr", "exponent", "general"]),
+              st.integers(0, 2)),
+    st.integers(0, 10 ** 6).map(
+        lambda n: (("num", float(n)), "00%d" % n, 5)))
+
+
+def _wrap(child, need, pad):
+    tree, text, prec = child
+    return text if prec >= need else "(" + pad + text + pad + ")"
+
+
+def _binary(op, left, right, pad, star):
+    prec = BINARY_PREC[op]
+    # left operands associate to the left, powers to the right
+    need_left, need_right = (5, 3) if op == "^" else (prec, prec + 1)
+    sign = "**" if op == "^" and star else op
+    text = (_wrap(left, need_left, pad) + pad + sign + pad
+            + _wrap(right, need_right, pad))
+    return (op, left[0], right[0]), text, prec
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(_binary, st.sampled_from(sorted(BINARY_PREC)), children,
+                  children, SPACE, st.booleans()),
+        st.builds(lambda c, pad: (("neg", c[0]), "-" + pad + _wrap(c, 3, pad),
+                                  3), children, SPACE),
+        # unary plus leaves no node; it binds like unary minus
+        st.builds(lambda c, pad: (c[0], "+" + pad + c[1], min(c[2], 3)),
+                  children, SPACE),
+        st.builds(lambda f, c, pad: (("call", f, c[0]),
+                                     f + pad + "(" + pad + c[1] + pad + ")",
+                                     5),
+                  st.sampled_from(["sin", "cos", "exp"]), children, SPACE),
+        # redundant parentheses
+        st.builds(lambda c, pad: (c[0], "(" + pad + c[1] + pad + ")", 5),
+                  children, SPACE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(LEAVES, _extend, max_leaves=20), SPACE, SPACE)
+def test_printed_tree_parses_back(node, before, after):
+    tree, text, _ = node
+    assert ex.parse(before + text + after) == tree
