@@ -7,7 +7,8 @@ parentheses, and the one-argument functions ``sin``, ``cos``, ``exp``.
 Python's parser reads the text, with ``^`` as ``**`` and every literal a
 float; parse keeps only trees in the language, as nested tuples, so no
 text is ever evaluated.  Expressions evaluate vectorized over numpy
-arrays, and can be differentiated with respect to the spatial variables
+arrays in float64 arithmetic, constants too (``1/0`` is inf, not an
+error), and can be differentiated with respect to the spatial variables
 (needed for analytic gradient initial data), provided every exponent is
 a constant.
 """
@@ -120,7 +121,7 @@ def evaluate(node, env):
     """Evaluate an AST over an environment of numpy arrays/scalars."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        return np.float64(node[1])
     if kind == "var":
         if node[1] not in env:
             raise ParseError("variable %r not available here" % node[1])
@@ -183,8 +184,10 @@ def _env(t, points, normals=None):
 
 
 def _values(node, env, shape):
-    return np.broadcast_to(np.asarray(evaluate(node, env), dtype=float),
-                           shape)
+    # non-finite data are reported by `validate_scenario`, not warned about
+    with np.errstate(all="ignore"):
+        value = evaluate(node, env)
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
 def vector_evaluator(nodes):

@@ -11,11 +11,12 @@ row/column elimination with a symmetric right-hand-side correction, so
 the reduced operator stays symmetric positive definite, which the pivot
 check of its sparse LU factorization verifies.
 
-A plan and its eliminations are worked out once, by pushing entry ids
-through the scipy calls a COO scatter and `eliminate` make; every later
-operator on the same pattern is a gather of the element matrices in the
-order those calls sum and slice them, so it is the scattered and sliced
-operator bit for bit.
+A plan records once the sort that scipy's COO-to-CSR conversion applies
+to the element entries; every later operator on the same pattern lays
+its terms out in that order and scipy's own `sum_duplicates` adds them,
+so it is the scattered operator bit for bit.  An elimination pushes
+entry positions through `eliminate` once, so its blocks are gathers
+equal to the sliced ones.
 """
 
 import numpy as np
@@ -116,80 +117,46 @@ def _scatter(n_dofs, edofs, Ke):
 
 
 class SparsityPlan:
-    """The CSR pattern of every operator assembled from element matrices
-    on the element dofs `edofs` (cells, nloc), and the order in which a
-    COO scatter sums their entries.
+    """The order in which a COO scatter of element matrices on the
+    element dofs `edofs` (cells, nloc) lays out their terms to sum them.
 
-    scipy's COO-to-CSR conversion places the entries row by row, sorts
-    each row with `sort_indices` and then adds each run of duplicates
-    left to right, starting from its first term.  The plan pushes entry
-    ids through the same calls once and keeps that order.  It numbers
-    the stored entries by their count of terms, most first, so that the
-    k-th terms of all entries that have one form a prefix: `gather` lists
-    the first terms of all entries, then the second terms, and so on,
-    `bounds` the slice of each round after the first, and `slot` the
-    place of each stored entry in that numbering.
+    scipy's COO-to-CSR conversion places the terms row by row, sorts each
+    row with `sort_indices` and adds each run of duplicates with
+    `sum_duplicates`.  The plan pushes term ids through the first two
+    calls once and keeps the permutation they apply, `order`, and the
+    sorted pattern before summation; `assemble` lays the terms out in
+    that order and leaves every addition to `sum_duplicates`.
     """
 
     def __init__(self, n_dofs, edofs):
         nloc = edofs.shape[1]
         coo = _coo(n_dofs, edofs, np.arange(edofs.size * nloc, dtype=float))
-        K = coo.tocsr()                    # what `_scatter` returns
-        coo.has_canonical_format = True    # convert again without summing
+        coo.has_canonical_format = True    # convert without summing
         ordered = coo.tocsr()
         del coo
         ordered.sort_indices()             # the order the sum sees
-        index, n = K.indices.dtype, ordered.nnz
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = ordered.indices[1:] != ordered.indices[:-1]
-        row_starts = ordered.indptr[:-1]
-        starts[row_starts[row_starts < n]] = True
-        if (np.count_nonzero(starts) != K.nnz or
-                not np.array_equal(ordered.indices[starts], K.indices)):
-            raise AssertionError("scipy's duplicate order is not the one "
-                                 "its scatter sums in")
-        entry = np.cumsum(starts, dtype=index) - 1
-        first = np.flatnonzero(starts).astype(index)
-        del starts
-        rank = np.arange(n, dtype=index)
-        rank -= first[entry]
-        by_terms = np.argsort(-np.diff(first, append=n), kind="stable")
-        self.slot = np.empty(K.nnz, dtype=np.intp)
-        self.slot[by_terms] = np.arange(K.nnz)
-        # round k holds the entries of slots 0 .. counts[k] - 1
-        counts = np.bincount(rank)
-        stops = np.cumsum(counts)
-        place = self.slot[entry]
-        del entry
-        place += (stops - counts)[rank]
-        self.gather = np.empty(n, dtype=np.intp)
-        self.gather[place] = ordered.data
-        self.bounds = [(int(c), int(b - c), int(b))
-                       for c, b in zip(counts[1:], stops[1:])]
-        self.indptr, self.indices, self.shape = K.indptr, K.indices, K.shape
-        for shared in (self.slot, self.gather, self.indptr, self.indices):
+        self.order = ordered.data.astype(np.intp)
+        self.indptr, self.indices = ordered.indptr, ordered.indices
+        self.shape = ordered.shape
+        for shared in (self.order, self.indptr, self.indices):
             shared.flags.writeable = False
         self._eliminations = {}
 
     def assemble(self, Ke):
         """CSR operator of the element matrices Ke (cells, nloc, nloc),
-        equal to `_scatter` bit for bit; its index arrays are read-only
-        views of the plan's."""
-        terms = Ke.ravel()[self.gather]
-        sums = terms[:len(self.slot)]
-        for count, start, stop in self.bounds:
-            sums[:count] += terms[start:stop]
-        return sp.csr_matrix((sums[self.slot], self.indices, self.indptr),
-                             shape=self.shape)
+        equal to `_scatter` bit for bit."""
+        K = sp.csr_matrix((Ke.ravel()[self.order], self.indices.copy(),
+                           self.indptr.copy()), shape=self.shape)
+        K.has_sorted_indices = True
+        K.sum_duplicates()
+        return K
 
     def elimination(self, fixed):
         """The cached `Elimination` of the dofs `fixed` on this pattern."""
         key = np.asarray(fixed).tobytes()
         if key not in self._eliminations:
-            positions = sp.csr_matrix(
-                (np.zeros(len(self.indices)), self.indices, self.indptr),
-                shape=self.shape)
-            self._eliminations[key] = Elimination(positions, fixed)
+            zero = self.assemble(np.zeros(len(self.order)))
+            self._eliminations[key] = Elimination(zero, fixed)
         return self._eliminations[key]
 
 

@@ -259,24 +259,17 @@ class StressModulatedGrowthLaw(GrowthLaw):
 class NutrientModel:
     """Pointwise diffusion/absorption coefficients of the nutrient equation.
 
-    `diffusion(G, Y, x)` returns stacked symmetric matrices (units
-    area/time) with smallest eigenvalue >= `ellipticity_nu`;
-    `absorption(G, Y, x)` returns stacked non-negative scalars (units
-    1/time).  `coefficients(G, Y, x, detY=None)` returns both; models
-    whose two coefficients share work override it to do that work once,
-    and may use `detY`, det Y already computed and checked by the caller.
+    `coefficients(G, Y, x, detY=None)` returns ``(D, beta)``: stacked
+    symmetric diffusion matrices (units area/time) with smallest
+    eigenvalue >= `ellipticity_nu`, and stacked non-negative absorption
+    rates (units 1/time).  `detY`, when given, is det Y already computed
+    and checked by the caller.
     """
 
     ellipticity_nu = 1e-8
 
-    def diffusion(self, G, Y, x):
-        raise NotImplementedError
-
-    def absorption(self, G, Y, x):
-        raise NotImplementedError
-
     def coefficients(self, G, Y, x, detY=None):
-        return self.diffusion(G, Y, x), self.absorption(G, Y, x)
+        raise NotImplementedError
 
 
 def _spatial_matrix(value, x):
@@ -322,14 +315,6 @@ class DetRatioNutrientModel(NutrientModel):
             raise SingularMatrix("det-ratio coefficients need positive determinants")
         return detG / detY
 
-    def diffusion(self, G, Y, x):
-        r = self._ratio(G, Y)
-        return r[..., None, None] * _spatial_matrix(self.d0, x)
-
-    def absorption(self, G, Y, x):
-        r = self._ratio(G, Y)
-        return _spatial_scalar(self.beta0, x) / r
-
     def coefficients(self, G, Y, x, detY=None):
         r = self._ratio(G, Y, detY)
         return (r[..., None, None] * _spatial_matrix(self.d0, x),
@@ -347,11 +332,8 @@ class ConstantNutrientModel(NutrientModel):
             ellipticity_nu = 0.5 * float(np.min(np.linalg.eigvalsh(0.5 * (probe + probe.T))))
         self.ellipticity_nu = float(ellipticity_nu)
 
-    def diffusion(self, G, Y, x):
-        return _spatial_matrix(self.d0, x)
-
-    def absorption(self, G, Y, x):
-        return _spatial_scalar(self.beta0, x)
+    def coefficients(self, G, Y, x, detY=None):
+        return _spatial_matrix(self.d0, x), _spatial_scalar(self.beta0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +409,10 @@ def check_nutrient_frame_indifference(model, samples=1000, seed=0):
     Y = _sample_admissible(rng, samples, 0.3)
     x = rng.uniform(0.0, 1.0, size=(samples, 2))
     Q = _sample_rotations(rng, samples)
-    dD = np.abs(model.diffusion(G, Q @ Y, x) - model.diffusion(G, Y, x))
-    db = np.abs(model.absorption(G, Q @ Y, x) - model.absorption(G, Y, x))
-    scaleD = 1.0 + np.abs(model.diffusion(G, Y, x))
-    scaleb = 1.0 + np.abs(model.absorption(G, Y, x))
+    D, beta = model.coefficients(G, Y, x)
+    DQ, betaQ = model.coefficients(G, Q @ Y, x)
+    dD, db = np.abs(DQ - D), np.abs(betaQ - beta)
+    scaleD, scaleb = 1.0 + np.abs(D), 1.0 + np.abs(beta)
     passed = bool(np.all(dD <= 1e-10 * scaleD) and np.all(db <= 1e-10 * scaleb))
     return CheckReport("nutrient_frame_indifference", passed, {
         "samples": samples,
@@ -484,8 +466,7 @@ def check_nutrient_assumptions(model, samples=1000, seed=0):
     G = _sample_admissible(rng, samples, 0.3)
     Y = _sample_admissible(rng, samples, 0.3)
     x = rng.uniform(0.0, 1.0, size=(samples, 2))
-    D = model.diffusion(G, Y, x)
-    beta = model.absorption(G, Y, x)
+    D, beta = model.coefficients(G, Y, x)
     sym_err = float(np.max(np.abs(D - tensor.transpose(D))))
     Dsym = 0.5 * (D + tensor.transpose(D))
     min_eig = float(np.min(np.linalg.eigvalsh(Dsym)))

@@ -361,7 +361,8 @@ def validate_scenario(scenario, samples=500, seed=0):
     has_nutrient_d = bool(np.any(mesh.facet_nutrient_dirichlet))
     qpts = mesh.quad_points()
     eyes = np.broadcast_to(np.eye(2), qpts.shape[:-1] + (2, 2))
-    beta_ref = np.asarray(scenario.nutrient_model.absorption(eyes, eyes, qpts))
+    beta_ref = np.asarray(
+        scenario.nutrient_model.coefficients(eyes, eyes, qpts)[1])
     absorbing = bool(np.any(beta_ref > 0.0))
     reports.append(CheckReport(
         "nutrient_uniqueness", has_nutrient_d or absorbing,
@@ -372,25 +373,33 @@ def validate_scenario(scenario, samples=500, seed=0):
         reports.append(CheckReport("nutrient_dirichlet_data", False,
                                    {"reason": "facets tagged but f_n missing"}))
 
-    # sign conditions on nutrient data over a few times
+    # boundary data where the solves read them, over a few times: finite,
+    # and the nutrient data non-negative
     times = [scenario.time.t0,
              0.5 * (scenario.time.t0 + scenario.time.t_end),
              scenario.time.t_end] if scenario.time else [0.0]
-    if scenario.fn_node is not None and len(mesh.nutrient_dirichlet_nodes()):
-        pts = mesh.vertices[mesh.nutrient_dirichlet_nodes()]
-        worst = min(float(np.min(scenario.nutrient_dirichlet_at(t)(pts)))
-                    for t in times)
-        reports.append(CheckReport("nutrient_dirichlet_sign", worst >= 0.0,
-                                   {"min_value": worst}))
-    if scenario.gn_node is not None and np.any(~mesh.facet_nutrient_dirichlet):
-        mask = ~mesh.facet_nutrient_dirichlet
-        mids = 0.5 * (mesh.vertices[mesh.facets[mask][:, 0]]
-                      + mesh.vertices[mesh.facets[mask][:, 1]])
-        normals = mesh.facet_normals()[mask]
-        worst = min(float(np.min(scenario.nutrient_flux_at(t)(mids, normals)))
-                    for t in times)
-        reports.append(CheckReport("nutrient_flux_sign", worst >= 0.0,
-                                   {"min_value": worst}))
+    data = {"f": (scenario.dirichlet_at,
+                  (mesh.vertices[mesh.elastic_dirichlet_nodes()],)),
+            "g": (scenario.traction_at,
+                  _facet_midpoints(mesh, ~mesh.facet_elastic_dirichlet)),
+            "f_n": (scenario.nutrient_dirichlet_at,
+                    (mesh.vertices[mesh.nutrient_dirichlet_nodes()],)),
+            "g_n": (scenario.nutrient_flux_at,
+                    _facet_midpoints(mesh, ~mesh.facet_nutrient_dirichlet))}
+    sampled = {name: [at(t)(*points) for t in times]
+               for name, (at, points) in data.items()
+               if at(times[0]) is not None}
+    non_finite = [name for name, values in sampled.items()
+                  if not all(np.all(np.isfinite(v)) for v in values)]
+    reports.append(CheckReport("boundary_data_finite", not non_finite, {
+        "checked": " ".join(sampled),
+        "non_finite": " ".join(non_finite) or "none"}))
+    for name, check in (("f_n", "nutrient_dirichlet_sign"),
+                        ("g_n", "nutrient_flux_sign")):
+        if name in sampled and sampled[name][0].size:
+            worst = min(float(np.min(v)) for v in sampled[name])
+            reports.append(CheckReport(check, worst >= 0.0,
+                                       {"min_value": worst}))
 
     # initial growth admissibility
     G0 = scenario.initial_growth_nodal()
@@ -401,6 +410,13 @@ def validate_scenario(scenario, samples=500, seed=0):
         "initial_growth", min_det > 0.0 and dev <= 0.5 * radius + 1e-12,
         {"min_det": min_det, "max_dev": dev, "half_radius": 0.5 * radius}))
     return reports
+
+
+def _facet_midpoints(mesh, mask):
+    """Midpoints and outward normals of the boundary facets in `mask`."""
+    facets = mesh.facets[mask]
+    return (0.5 * (mesh.vertices[facets[:, 0]] + mesh.vertices[facets[:, 1]]),
+            mesh.facet_normals()[mask])
 
 
 def require_valid(reports):

@@ -117,15 +117,6 @@ def polar_rotation(F):
     return _polar_rotation_2d(F)
 
 
-def polar_rotation_derivative(F):
-    """Derivative ``d R(F)[i, j] / d F[k, l]`` of the rotation factor,
-    differentiating the closed form directly.  Makes the same checks as
-    `polar_rotation`."""
-    F = np.asarray(F, dtype=float)
-    polar_rotation(F)
-    return _polar_rotation_derivative_2d(F)
-
-
 def _polar_rotation_2d(F):
     """Closed-form 2-d rotation factor ``(F + cof F) / |F + cof F|_row``.
     Unchecked: the caller has established finite entries and det F > 0."""
@@ -140,7 +131,9 @@ def _polar_rotation_2d(F):
 
 
 def _polar_rotation_derivative_2d(F):
-    """Derivative of `_polar_rotation_2d`, under the same preconditions."""
+    """Derivative ``d R(F)[i, j] / d F[k, l]`` of `_polar_rotation_2d`,
+    differentiating the closed form directly, under the same
+    preconditions."""
     p = F[..., 0, 0] + F[..., 1, 1]
     q = F[..., 0, 1] - F[..., 1, 0]
     r2 = p * p + q * q

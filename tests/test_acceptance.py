@@ -130,12 +130,10 @@ def test_criterion_05_frame_indifference():
                       / (1.0 + np.abs(w))) <= 1e-10
         G = np.eye(2) + rng.uniform(-0.2, 0.2, size=(1000, 2, 2))
         G = np.where(np.linalg.det(G)[:, None, None] > 0.3, G, np.eye(2))
-        D0 = model.diffusion(G, F, x)
-        b0 = model.absorption(G, F, x)
-        assert np.max(np.abs(model.diffusion(G, Q @ F, x) - D0)
-                      / (1.0 + np.abs(D0))) <= 1e-10
-        assert np.max(np.abs(model.absorption(G, Q @ F, x) - b0)
-                      / (1.0 + np.abs(b0))) <= 1e-10
+        D0, b0 = model.coefficients(G, F, x)
+        DQ, bQ = model.coefficients(G, Q @ F, x)
+        assert np.max(np.abs(DQ - D0) / (1.0 + np.abs(D0))) <= 1e-10
+        assert np.max(np.abs(bQ - b0) / (1.0 + np.abs(b0))) <= 1e-10
 
 
 def test_criterion_06_contraction_behavior():

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,30 @@ class TestCheck:
         assert main(["check", str(cfg)]) == 2
         assert main(["run", str(cfg)]) == 2
         assert "unsupported %r" % name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # IEEE arithmetic makes each datum inf or nan at some boundary point,
+    # and validation names it before any solve
+    @pytest.mark.parametrize("key,value", [
+        ("f_n", "1/0*x"), ("f_n", "10^400*x"), ("f_n", "(0-1)^0.5*x"),
+        ("f", "x/0, y")], ids=["divide", "overflow", "complex", "position"])
+    def test_non_finite_boundary_data_fail_validation(
+            self, tmp_path, scenario_dir, capsys, key, value):
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
+                            "boundary", key, value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", str(cfg)]) == 1
+            check = capsys.readouterr()
+            assert main(["run", str(cfg)]) == 1
+            run = capsys.readouterr()
+        failure = r"FAIL boundary_data_finite: [^;\n]*non_finite=%s\b" % key
+        assert re.search(failure, check.out)
+        assert re.search(failure, run.err)
+        assert "Traceback" not in check.err + run.err
+        # ComplexWarning is a RuntimeWarning
+        assert not [w for w in caught if issubclass(w.category,
+                                                    RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,key,value", MALFORMED)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +53,20 @@ class TestParseEvaluate:
     def test_missing_variable_at_evaluation(self):
         with pytest.raises(ParseError):
             ev("x + 1")
+
+    def test_constant_arithmetic_follows_ieee(self):
+        with np.errstate(all="ignore"):
+            assert ev("1/0") == np.inf
+            assert ev("-1/0") == -np.inf
+            assert ev("10^400") == np.inf
+            assert np.isnan(ev("(0-1)^0.5"))
+
+    def test_evaluators_do_not_warn(self):
+        f = ex.scalar_evaluator(ex.parse("1/0*x"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f(0.0, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert values[0] == np.inf and np.isnan(values[1])
 
 
 class TestVectors:

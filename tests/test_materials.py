@@ -226,9 +226,9 @@ class TestCheckers:
     def test_nutrient_eigenvalues_without_compression(self):
         model = DetRatioNutrientModel(d0=np.diag([2.0, 3.0]), beta0=0.0)
         G = np.eye(2)[None]
-        D = model.diffusion(G, G, np.zeros((1, 2)))
+        D, beta = model.coefficients(G, G, np.zeros((1, 2)))
         assert np.allclose(np.linalg.eigvalsh(D[0]), [2.0, 3.0])
-        assert model.absorption(G, G, np.zeros((1, 2)))[0] == 0.0
+        assert beta[0] == 0.0
 
     def test_nutrient_frame_indifference(self):
         report = check_nutrient_frame_indifference(
@@ -302,16 +302,18 @@ class TestNutrientModels:
         model = DetRatioNutrientModel(d0=np.diag([1.5, 0.5]), beta0=2.0)
         G = sample_admissible(rng, 30, radius=0.2)
         x = np.zeros((30, 2))
-        assert np.allclose(model.diffusion(G, G, x), np.diag([1.5, 0.5]))
-        assert np.allclose(model.absorption(G, G, x), 2.0)
+        D, beta = model.coefficients(G, G, x)
+        assert np.allclose(D, np.diag([1.5, 0.5]))
+        assert np.allclose(beta, 2.0)
 
     def test_det_ratio_compression_scaling(self):
         # doubling the deformation gradient in d = 2 quarters D, quadruples beta
         model = DetRatioNutrientModel(d0=1.0, beta0=1.0)
         G = np.eye(2)[None]
         x = np.zeros((1, 2))
-        assert np.allclose(model.diffusion(G, 2.0 * G, x), 0.25 * np.eye(2))
-        assert np.allclose(model.absorption(G, 2.0 * G, x), 4.0)
+        D, beta = model.coefficients(G, 2.0 * G, x)
+        assert np.allclose(D, 0.25 * np.eye(2))
+        assert np.allclose(beta, 4.0)
 
     def test_det_ratio_scaling_identity(self):
         # scaling Y by s multiplies D by s^-d and beta by s^d, exactly
@@ -321,17 +323,18 @@ class TestNutrientModels:
         Y = sample_admissible(rng, 20, radius=0.2)
         x = np.zeros((20, 2))
         s = 1.37
-        assert np.allclose(model.diffusion(G, s * Y, x),
-                           s ** -2 * model.diffusion(G, Y, x), rtol=1e-13)
-        assert np.allclose(model.absorption(G, s * Y, x),
-                           s ** 2 * model.absorption(G, Y, x), rtol=1e-13)
+        D, beta = model.coefficients(G, Y, x)
+        Ds, betas = model.coefficients(G, s * Y, x)
+        assert np.allclose(Ds, s ** -2 * D, rtol=1e-13)
+        assert np.allclose(betas, s ** 2 * beta, rtol=1e-13)
 
     def test_constant_model(self):
         model = ConstantNutrientModel(d0=np.diag([1.0, 3.0]), beta0=0.2)
         G = 1.3 * np.eye(2)[None]
         x = np.zeros((1, 2))
-        assert np.allclose(model.diffusion(G, 2 * G, x), np.diag([1.0, 3.0]))
-        assert np.allclose(model.absorption(G, 2 * G, x), 0.2)
+        D, beta = model.coefficients(G, 2 * G, x)
+        assert np.allclose(D, np.diag([1.0, 3.0]))
+        assert np.allclose(beta, 0.2)
 
     def test_spatial_fields(self):
         model = DetRatioNutrientModel(
@@ -341,13 +344,13 @@ class TestNutrientModels:
             beta0=lambda x: x[..., 0])
         G = np.broadcast_to(np.eye(2), (3, 2, 2))
         x = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
-        beta = model.absorption(G, G, x)
+        _, beta = model.coefficients(G, G, x)
         assert np.allclose(beta, [0.0, 0.5, 1.0])
 
 
 class TestComputedOnce:
-    """The energy checks det F once; the nutrient model forms its
-    determinant ratio once.  Results equal the separate computations."""
+    """The energy checks det F once; the nutrient model takes det Y from
+    its caller.  Results equal the separate computations."""
 
     @pytest.mark.parametrize("dim", [2])
     def test_energy_matches_public_polar_kernels(self, dim):
@@ -362,7 +365,7 @@ class TestComputedOnce:
         W = tensor.dist_so(F) ** 2 + d ** 2.0 + d ** -2.0 - 2.0
         P = 2.0 * (F - tensor.polar_rotation(F)) + hp[..., None, None] * cof
         H = 2.0 * (np.einsum("ik,jl->ijkl", eye, eye)
-                   - tensor.polar_rotation_derivative(F))
+                   - tensor._polar_rotation_derivative_2d(F))
         H = H + hs[..., None, None, None, None] * np.einsum(
             "...ij,...kl->...ijkl", cof, cof)
         H = H + hp[..., None, None, None, None] * \
@@ -383,11 +386,14 @@ class TestComputedOnce:
     @pytest.mark.parametrize("model", [
         DetRatioNutrientModel(d0=np.diag([1.5, 0.5]), beta0=0.7),
         ConstantNutrientModel(d0=np.diag([1.0, 3.0]), beta0=0.2)])
-    def test_nutrient_coefficients_match_separate_calls(self, model):
+    def test_nutrient_coefficients_with_given_det(self, model):
+        # det Y handed in by the nutrient solve gives the coefficients the
+        # model computes from Y alone
         rng = np.random.default_rng(9)
         G = sample_admissible(rng, 40)
         Y = sample_admissible(rng, 40)
         x = rng.uniform(0.0, 1.0, size=(40, 2))
-        D, beta = model.coefficients(G, Y, x)
-        assert np.array_equal(D, model.diffusion(G, Y, x))
-        assert np.array_equal(beta, model.absorption(G, Y, x))
+        D, beta = model.coefficients(G, Y, x, detY=np.linalg.det(Y))
+        D_own, beta_own = model.coefficients(G, Y, x)
+        assert np.array_equal(D, D_own)
+        assert np.array_equal(beta, beta_own)

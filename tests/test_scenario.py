@@ -176,6 +176,18 @@ class TestValidation:
         assert any(r.name == "nutrient_dirichlet_sign" and not r.passed
                    for r in reports)
 
+    def test_non_finite_fluxes_flagged(self, tmp_path):
+        # the normals: nx = 0 on the top and bottom sides, so 0 * inf
+        text = MINIMAL.replace("[mesh]\n", "[mesh]\nelastic_dirichlet = left\n"
+                               "nutrient_dirichlet = left\n").replace(
+            "f_n = 1", "f_n = 1\ng = 1/0*nx, 0\ng_n = 0*nx/0")
+        sc = load_scenario(write_cfg(tmp_path, text))
+        report, = [r for r in validate_scenario(sc, samples=100)
+                   if r.name == "boundary_data_finite"]
+        assert not report.passed
+        assert report.details == {"checked": "f g f_n g_n",
+                                  "non_finite": "g g_n"}
+
     def test_initial_growth_outside_ball_flagged(self, tmp_path):
         text = MINIMAL + "\n[initial]\ng0 = constant: 1.4 0; 0 1.4\n"
         sc = load_scenario(write_cfg(tmp_path, text))

@@ -179,7 +179,7 @@ class TestPolarDerivative:
         rng = np.random.default_rng(31 + d)
         F = np.eye(d) + 0.3 * rng.standard_normal((30, d, d))
         F = F[np.linalg.det(F) > 0.4]
-        DR = tensor.polar_rotation_derivative(F)
+        DR = tensor._polar_rotation_derivative_2d(F)
         h = 1e-6
         for k in range(d):
             for l in range(d):
