@@ -30,7 +30,7 @@ from .nutrient import (NutrientProblem, NutrientSolution,
                        nutrient_coefficient_fields, solve_nutrient)
 from .scenario import (Scenario, load_scenario, require_valid,
                        validate_scenario)
-from .tensor import (cofactor, dist_so, frobenius_norm, invert,
-                     polar_rotation, rotation, transpose)
+from .tensor import (cofactor, dist_so, frobenius_norm, polar_rotation,
+                     positive_det, rotation, transpose)
 
 __version__ = "0.1.0"

@@ -8,14 +8,16 @@ or parse errors.
 """
 
 import argparse
+import inspect
 import os
 import sys
 
-from .benchmarks import BENCHMARKS, run_benchmark
+from .benchmarks import BENCHMARKS, SCENARIOS
 from .coupled import run_coupled, write_outputs
 from .elasticity import METHODS
 from .errors import (InvalidTagRule, IoError, MorphosimError, ParseError,
                      ValidationError)
+from .growth import TimeGrid
 from .mesh import rectangle_mesh, write_mesh
 from .scenario import load_scenario, require_valid, validate_scenario
 
@@ -30,9 +32,9 @@ def _add_run_options(parser):
     parser.add_argument("--method", default=None,
                         choices=METHODS,
                         help="override the equilibrium solver method")
-    parser.add_argument("--cold-start", action="store_true",
+    parser.add_argument("--cold-start", action="store_true", default=None,
                         help="disable warm starting between steps")
-    parser.add_argument("--verbose", action="store_true",
+    parser.add_argument("--verbose", action="store_true", default=None,
                         help="stream per-iteration diagnostics to stderr")
 
 
@@ -69,14 +71,22 @@ def build_parser():
     return parser
 
 
+# the options `_add_run_options` adds, by argparse destination
+RUN_OPTIONS = ("output_dir", "dt", "t_end", "method", "cold_start", "verbose")
+
+
 def _apply_overrides(scenario, args):
-    from .growth import TimeGrid
+    """Apply the run options to a scenario; a time grid that `TimeGrid`
+    rejects is a usage error."""
     if args.dt is not None or args.t_end is not None:
         grid = scenario.time
-        scenario.time = TimeGrid(
-            t_end=args.t_end if args.t_end is not None else grid.t_end,
-            dt=args.dt if args.dt is not None else grid.dt,
-            t0=grid.t0, adaptive=grid.adaptive)
+        try:
+            scenario.time = TimeGrid(
+                t_end=args.t_end if args.t_end is not None else grid.t_end,
+                dt=args.dt if args.dt is not None else grid.dt,
+                t0=grid.t0, adaptive=grid.adaptive)
+        except ValueError as exc:
+            raise ParseError("--dt/--t-end: %s" % exc)
     if args.method is not None:
         scenario.solver.method = args.method
     if args.cold_start:
@@ -85,6 +95,20 @@ def _apply_overrides(scenario, args):
         scenario.solver.diagnostics = sys.stderr
     if args.output_dir is not None:
         scenario.output.directory = args.output_dir
+
+
+def _write(trajectory, scenario, args):
+    """Write a trajectory's outputs; False, with a message, if it
+    halted."""
+    paths = write_outputs(trajectory, scenario.mesh, scenario.output)
+    if args.verbose:
+        for p in paths:
+            print("wrote %s" % p, file=sys.stderr)
+    if trajectory.failed:
+        print("morphosim: %s halted (%s): %s"
+              % (scenario.name, trajectory.status, trajectory.error),
+              file=sys.stderr)
+    return not trajectory.failed
 
 
 def _cmd_run(args):
@@ -97,14 +121,7 @@ def _cmd_run(args):
     except OSError as exc:
         raise IoError("cannot write outputs: %s" % exc)
     trajectory = run_coupled(scenario)
-    paths = write_outputs(trajectory, scenario.mesh, scenario.output)
-    if args.verbose:
-        for p in paths:
-            print("wrote %s" % p, file=sys.stderr)
-    if trajectory.failed:
-        print("morphosim: %s halted (%s): %s"
-              % (scenario.name, trajectory.status, trajectory.error),
-              file=sys.stderr)
+    if not _write(trajectory, scenario, args):
         return 1
     print("completed %s: %d snapshots, final t = %.17g"
           % (scenario.name, len(trajectory.states),
@@ -121,19 +138,26 @@ def _cmd_check(args):
 
 
 def _cmd_bench(args):
-    overrides = {"dt": args.dt, "t_end": args.t_end, "method": args.method}
-    if args.cold_start:
-        overrides["warm_start"] = False
-    result = run_benchmark(args.name, **overrides)
+    """A benchmark that runs a scenario takes every run option, as `run`
+    does; any other takes the options its parameters name."""
+    bench = BENCHMARKS[args.name]
+    if args.name in SCENARIOS:
+        scenario = SCENARIOS[args.name]()
+        scenario.output.directory = os.path.join("out", args.name)
+        _apply_overrides(scenario, args)
+        result = bench(scenario)
+    else:
+        options = {name: getattr(args, name) for name in RUN_OPTIONS
+                   if getattr(args, name) is not None}
+        for name in options:
+            if name not in inspect.signature(bench).parameters:
+                raise ParseError("benchmark %s takes no --%s"
+                                 % (args.name, name.replace("_", "-")))
+        result = bench(**options)
     print(result.table())
-    if result.trajectory is not None:
-        outdir = args.output_dir or os.path.join("out", args.name)
-        write_outputs(result.trajectory, result.mesh, outdir)
-        if result.trajectory.failed:
-            print("morphosim: benchmark trajectory halted (%s): %s"
-                  % (result.trajectory.status, result.trajectory.error),
-                  file=sys.stderr)
-            return 1
+    if args.name in SCENARIOS and not _write(result.trajectory, scenario,
+                                             args):
+        return 1
     return 0 if result.passed else 1
 
 
@@ -142,10 +166,13 @@ def _cmd_mesh(args):
         x0, y0, x1, y1 = (float(v) for v in args.extent.split(","))
     except ValueError:
         raise ParseError("--extent expects x0,y0,x1,y1")
-    mesh = rectangle_mesh(args.nx, args.ny, extent=((x0, y0), (x1, y1)),
-                          mode=args.mode,
-                          elastic_dirichlet=args.elastic_dirichlet,
-                          nutrient_dirichlet=args.nutrient_dirichlet)
+    try:
+        mesh = rectangle_mesh(args.nx, args.ny, extent=((x0, y0), (x1, y1)),
+                              mode=args.mode,
+                              elastic_dirichlet=args.elastic_dirichlet,
+                              nutrient_dirichlet=args.nutrient_dirichlet)
+    except ValueError as exc:
+        raise ParseError("mesh gen: %s" % exc)
     write_mesh(mesh, args.out)
     print("wrote %s (%d vertices, %d cells)"
           % (args.out, mesh.num_vertices, mesh.num_cells))
@@ -153,18 +180,11 @@ def _cmd_mesh(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "check": _cmd_check, "bench": _cmd_bench,
+                "mesh": _cmd_mesh}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "mesh":
-            return _cmd_mesh(args)
-        parser.error("unknown command")
+        return commands[args.command](args)
     except (ParseError, InvalidTagRule) as exc:
         print("morphosim: %s" % exc, file=sys.stderr)
         return 2
@@ -175,7 +195,6 @@ def main(argv=None):
         print("morphosim: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ scenario produce byte-identical diagnostics.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +72,12 @@ class Trajectory:
     def failed(self):
         return self.status != "completed"
 
+    def halt(self, status, error):
+        """Record the halting cause and return the trajectory."""
+        self.status = status
+        self.error = error
+        return self
+
     @property
     def times(self):
         return np.array([s.t for s in self.states])
@@ -81,10 +87,7 @@ def _resolve_guards(scenario, G0):
     guards = scenario.guards
     if guards.norm_max is None:
         base = float(np.max(np.abs(G0)))
-        guards = growth_mod.GuardConfig(
-            det_min=guards.det_min,
-            norm_max=10.0 * max(base, 1e-12),
-            contraction_budget=guards.contraction_budget)
+        guards = replace(guards, norm_max=10.0 * max(base, 1e-12))
     return guards
 
 
@@ -167,9 +170,7 @@ def run_coupled(scenario):
             _, sol, nut = driver.solve_state(
                 t, driver.growth_for_solves(G))
         except MorphosimError as exc:
-            traj.status = "solver_failure"
-            traj.error = exc
-            return traj
+            return traj.halt("solver_failure", exc)
         pnorm = tensor.frobenius_norm(sol.stress)
         state = SystemState(
             t=t, growth=G.copy(), displacement=sol.displacement,
@@ -188,13 +189,15 @@ def run_coupled(scenario):
 
         remaining = grid.t_end - t
         if remaining <= 1e-12 * max(1.0, abs(grid.t_end)):
-            traj.status = "completed"
             return traj
 
         dt_k = min(grid.dt, remaining)
         Y_frozen, N_frozen = driver.law_inputs(sol, nut)
-        rate_now = scenario.growth_law.evaluate(G, Y_frozen, N_frozen,
-                                                mesh.vertices)
+        try:
+            rate_now = scenario.growth_law.evaluate(G, Y_frozen, N_frozen,
+                                                    mesh.vertices)
+        except MorphosimError as exc:
+            return traj.halt("solver_failure", exc)
         if grid.adaptive:
             k_hat = 0.0
             if prev_rate is not None:
@@ -207,11 +210,9 @@ def run_coupled(scenario):
             dt_k = growth_mod.picard_step_control(
                 k_hat, m_hat, r0, dt_k, safety=guards.contraction_budget)
             if dt_k < 1e-12 * max(1.0, grid.dt):
-                traj.status = "guard_violation"
-                traj.error = GuardViolation(
+                return traj.halt("guard_violation", GuardViolation(
                     "admissible step size underflowed at t = %.6g (state "
-                    "pinned against the guards)" % t)
-                return traj
+                    "pinned against the guards)" % t))
         prev_rate, prev_G = rate_now, G
 
         rhs = driver.make_rhs(t, Y_frozen, N_frozen)
@@ -219,13 +220,9 @@ def run_coupled(scenario):
             G = growth_mod.rk4_step(G, rhs, t, dt_k, guards=guards,
                                     k1=rate_now)
         except GuardViolation as exc:
-            traj.status = "guard_violation"
-            traj.error = exc
-            return traj
+            return traj.halt("guard_violation", exc)
         except MorphosimError as exc:
-            traj.status = "solver_failure"
-            traj.error = exc
-            return traj
+            return traj.halt("solver_failure", exc)
         if dt_k >= remaining - 1e-15:
             t = grid.t_end
         else:

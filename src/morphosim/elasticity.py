@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, tensor
+from . import fem, materials
 from .errors import (ContractionLost, LiftDegenerate, NoConvergence,
                      OutsideAdmissibleBall, SingularJacobian, SingularMatrix,
                      SingularSystem, ValidationError)
@@ -161,9 +161,9 @@ _PULLBACK_PATH = ["einsum_path", (0, 1), (0, 1)]
 @dataclass(frozen=True)
 class ElasticState:
     """One iterate u with its elastic state F_el at the quadrature points
-    and det F_el, both already checked (admissible ball, singularity
-    cutoff).  The residual, the tangent and the potential of u all read
-    it, so each iterate's state is computed once."""
+    and det F_el, both checked by `materials.elastic_factor`.  The
+    residual, the tangent and the potential of u all read it, so each
+    iterate's state is computed once."""
 
     u: np.ndarray
     Fel: np.ndarray
@@ -181,15 +181,13 @@ class _Workspace:
         self.grads = mesh.cell_gradients()
         self.qpoints = mesh.quad_points()
         self.Gq = fem.growth_at_quadrature(mesh, problem.growth)
-        detGq = np.linalg.det(self.Gq)
-        if np.any(detGq <= 0.0):
+        self.detGq = np.linalg.det(self.Gq)
+        if np.any(self.detGq <= 0.0):
             raise ValidationError("growth tensor with non-positive determinant")
         Gn = fem.growth_at_nodes(mesh, problem.growth)
-        if Gn is not None:
-            if np.any(np.linalg.det(Gn) <= 0.0):
-                raise ValidationError("growth tensor with non-positive nodal "
-                                      "determinant")
-        self.detGq = detGq
+        if Gn is not None and np.any(np.linalg.det(Gn) <= 0.0):
+            raise ValidationError("growth tensor with non-positive nodal "
+                                  "determinant")
         self.Ginvq = np.linalg.inv(self.Gq)
         self.f_tilde, self.grad_ft = lift_dirichlet(
             mesh, problem.dirichlet_data, with_gradient=True)
@@ -202,30 +200,16 @@ class _Workspace:
             self.traction_load = np.zeros(2 * mesh.num_vertices)
 
     def elastic_state(self, u):
-        """The `ElasticState` of u: F_el = (grad u + grad f_tilde) G^{-1}
-        at the quadrature points and its determinant.  Raises
-        OutsideAdmissibleBall with the worst cell, then SingularMatrix."""
-        gradu = fem.interpolate_gradient(self.mesh, u)
-        F = gradu + self.grad_ft
-        # 2-term sums from a zero start, as einsum "cij,cqjk->cqik"
-        Fel = sum(F[:, None, :, j, None] * self.Ginvq[:, :, None, j, :]
-                  for j in range(2))
-        dev = tensor.max_abs(Fel - np.eye(2))
-        worst = np.unravel_index(np.argmax(dev), dev.shape)
-        if dev[worst] >= self.energy.admissible_radius:
-            raise OutsideAdmissibleBall(
-                "elastic state left the admissible ball on cell %d "
-                "(max|F_el - 1| = %.4g)" % (worst[0], float(dev[worst])),
-                worst_cell=int(worst[0]), deviation=float(dev[worst]))
-        return ElasticState(u, Fel, self.energy.determinant(Fel))
+        """The `ElasticState` of u: `materials.elastic_factor` of
+        ``grad u + grad f_tilde`` at the quadrature points."""
+        F = fem.interpolate_gradient(self.mesh, u) + self.grad_ft
+        return ElasticState(u, *materials.elastic_factor(
+            self.energy, F[:, None], self.Ginvq))
 
     def stress(self, state):
         """First Piola-Kirchhoff stress at the quadrature points."""
-        DW = self.energy.first_derivative(self.qpoints, state.Fel,
-                                          det=state.det)
-        # DW G^-T in the order of einsum "cqij,cqkj->cqik"
-        return self.detGq[..., None, None] * sum(
-            DW[..., :, None, j] * self.Ginvq[..., None, :, j] for j in range(2))
+        return materials.grown_stress(self.energy, self.qpoints, state.Fel,
+                                      state.det, self.Ginvq, self.detGq)
 
     def residual(self, state):
         """Weak residual over all dofs, its norm on the free dofs, and the

@@ -235,23 +235,20 @@ def boundary_load_vector(mesh, facet_mask, load, n_components):
     scalars or (k, q, n_components) for vectors.
     """
     n = mesh.num_vertices * n_components
-    out = np.zeros(n)
     if not np.any(facet_mask):
-        return out
+        return np.zeros(n)
     pts, weights, shape, facets = _edge_quadrature(mesh, facet_mask)
     normals = mesh.facet_normals()[facet_mask]
     normals_q = np.broadcast_to(normals[:, None, :], pts.shape)
     values = np.asarray(load(pts, normals_q), dtype=float)
     if not np.all(np.isfinite(values)):
         raise AssemblyError("non-finite boundary load")
-    if n_components == 1:
-        contrib = np.einsum("kq,Aq,kq->kA", weights, shape, values)
-        np.add.at(out, facets, contrib)
-    else:
-        contrib = np.einsum("kq,Aq,kqi->kAi", weights, shape, values)
-        dofs = n_components * facets[:, :, None] + np.arange(n_components)
-        np.add.at(out, dofs, contrib)
-    return out
+    # a scalar is one component
+    values = values.reshape(pts.shape[:2] + (n_components,))
+    contrib = np.einsum("kq,Aq,kqi->kAi", weights, shape, values)
+    dofs = n_components * facets[:, :, None] + np.arange(n_components)
+    # bincount adds in index order, as a scatter-add would
+    return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=n)
 
 
 # The paths greedy `einsum_path` finds for every cell count from 3 up (the

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .errors import OutsideAdmissibleBall, SingularMatrix
+from .errors import OutsideAdmissibleBall, SingularMatrix, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -24,8 +24,8 @@ class EnergyModel:
     Subclasses provide `evaluate`, `first_derivative` and
     `second_derivative`, all vectorized over ``x: (..., 2)`` points and
     ``F: (..., 2, 2)`` matrices.  Each also takes ``det``, the value of
-    `determinant` at F that a caller already holds; without it they
-    compute and check it themselves.  The model promises
+    `tensor.positive_det` at F that a caller already holds; without it
+    they compute and check it themselves.  The model promises
 
     * W(x, F) >= 0 with W(x, 1) = 0 (unstressed reference),
     * D_pW(x, 1) = 0 (the identity is an interior minimum),
@@ -45,24 +45,9 @@ class EnergyModel:
     def second_derivative(self, x, F, det=None):
         raise NotImplementedError
 
-    def determinant(self, F):
-        """det F, checked to lie above the scale-invariant singularity
-        cutoff; raises SingularMatrix otherwise."""
-        d = np.linalg.det(F)
-        if np.any(d <= tensor.singularity_threshold(F)):
-            raise SingularMatrix("energy evaluated at non-positive determinant")
-        return d
 
-    def require_admissible(self, F, context=""):
-        F = np.asarray(F)
-        dev = tensor.max_abs(F - np.eye(2))
-        worst = int(np.argmax(dev)) if dev.ndim else None
-        if np.any(dev >= self.admissible_radius):
-            raise OutsideAdmissibleBall(
-                "elastic state outside admissible ball%s: max|F-1| = %.3g >= %.3g"
-                % ((" (%s)" % context) if context else "",
-                   float(np.max(dev)), self.admissible_radius),
-                worst_cell=worst, deviation=float(np.max(dev)))
+# d F[i, j] / d F[k, l]
+_IDENTITY4 = np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2))
 
 
 class PolarWellEnergy(EnergyModel):
@@ -86,48 +71,65 @@ class PolarWellEnergy(EnergyModel):
         self.p = float(p)
         self.admissible_radius = float(admissible_radius)
 
-    # The polar helpers below run after `determinant`, here or in the
-    # caller that passes `det`, which makes the same determinant check as
-    # `tensor.polar_rotation`; only the non-finite check is left to do
-    # before the closed form.
-
-    def _rotation(self, F):
-        tensor._check_finite(F)
-        return tensor._polar_rotation_2d(F)
-
-    def _rotation_derivative(self, F):
-        tensor._check_finite(F)
-        return tensor._polar_rotation_derivative_2d(F)
+    # The unchecked polar kernels below run after `tensor.positive_det`,
+    # here or in the caller that passes `det`, which is the check
+    # `tensor.polar_rotation` makes.
 
     def evaluate(self, x, F, det=None):
         F = np.asarray(F, dtype=float)
-        d = self.determinant(F) if det is None else det
+        d = tensor.positive_det(F) if det is None else det
         p = self.p
-        dist = tensor.frobenius_norm(F - self._rotation(F))
+        dist = tensor.frobenius_norm(F - tensor._polar_rotation_2d(F))
         return dist ** 2 + d ** p + d ** (-p) - 2.0
 
     def first_derivative(self, x, F, det=None):
         F = np.asarray(F, dtype=float)
-        d = self.determinant(F) if det is None else det
+        d = tensor.positive_det(F) if det is None else det
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
-        R = self._rotation(F)
+        R = tensor._polar_rotation_2d(F)
         return 2.0 * (F - R) + hprime[..., None, None] * tensor.cofactor(F)
 
     def second_derivative(self, x, F, det=None):
         F = np.asarray(F, dtype=float)
-        d = self.determinant(F) if det is None else det
+        d = tensor.positive_det(F) if det is None else det
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
         hsecond = p * (p - 1) * d ** (p - 2) + p * (p + 1) * d ** (-p - 2)
-        I4 = np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2))
-        DR = self._rotation_derivative(F)
+        DR = tensor._polar_rotation_derivative_2d(F)
         cof = tensor.cofactor(F)
-        H = 2.0 * (I4 - DR)
+        H = 2.0 * (_IDENTITY4 - DR)
         H = H + hsecond[..., None, None, None, None] * np.einsum(
             "...ij,...kl->...ijkl", cof, cof)
         H = H + hprime[..., None, None, None, None] * tensor.cofactor_derivative(F)
         return H
+
+
+def elastic_factor(energy, F, Ginv):
+    """``(F_el, det F_el)`` for the split ``F = F_el G`` over broadcast
+    stacks; each F_el entry is a 2-term sum from a zero start, as einsum's.
+
+    Raises OutsideAdmissibleBall, naming the worst stack index, where F_el
+    leaves the energy's ball, then as `tensor.positive_det` does.
+    """
+    Fel = sum(F[..., :, j, None] * Ginv[..., None, j, :] for j in range(2))
+    dev = tensor.max_abs(Fel - np.eye(2))
+    worst = tuple(int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
+    if dev[worst] >= energy.admissible_radius:
+        raise OutsideAdmissibleBall(
+            "elastic state left the admissible ball at index %s "
+            "(max|F_el - 1| = %.4g)" % (worst, dev[worst]),
+            worst_cell=worst[0] if worst else None,
+            deviation=float(dev[worst]))
+    return Fel, tensor.positive_det(Fel)
+
+
+def grown_stress(energy, x, Fel, det, Ginv, detG):
+    """First Piola-Kirchhoff stress ``det(G) DW(x, F_el) G^-T`` from
+    `elastic_factor`'s output, added in einsum's order."""
+    DW = energy.first_derivative(x, Fel, det=det)
+    return detG[..., None, None] * sum(
+        DW[..., :, None, j] * Ginv[..., None, :, j] for j in range(2))
 
 
 def piola_kirchhoff(energy, x, G, Y):
@@ -135,17 +137,14 @@ def piola_kirchhoff(energy, x, G, Y):
     gradient Y:  ``det(G) * D_pW(x, Y G^-1) * G^-T``.
 
     Vanishes whenever Y = G (compatible state: the elastic factor is the
-    identity).  Raises SingularMatrix for non-invertible G and
+    identity).  Raises SingularMatrix unless det G > 0 and
     OutsideAdmissibleBall when ``Y G^-1`` leaves the model ball.
     """
     G = np.asarray(G, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Ginv = tensor.invert(G)
-    Fel = Y @ Ginv
-    energy.require_admissible(Fel, context="piola_kirchhoff")
-    P = energy.first_derivative(x, Fel)
-    detG = np.linalg.det(G)
-    return detG[..., None, None] * (P @ tensor.transpose(Ginv))
+    detG = tensor.positive_det(G)
+    Ginv = np.linalg.inv(G)
+    Fel, det = elastic_factor(energy, np.asarray(Y, dtype=float), Ginv)
+    return grown_stress(energy, x, Fel, det, Ginv, detG)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,8 @@ class StressModulatedGrowthLaw(GrowthLaw):
         G = np.asarray(G, dtype=float)
         N = np.asarray(N, dtype=float)
         if np.any(N < 0.0):
-            raise ValueError("nutrient concentration must be non-negative")
+            raise ValidationError("nutrient concentration must be "
+                                  "non-negative (min %.6g)" % float(np.min(N)))
         scale = self._gamma(x) * self.eta(N)
         if self.mu_name == "identity":
             rate = G.copy()
@@ -307,16 +307,13 @@ class DetRatioNutrientModel(NutrientModel):
             ellipticity_nu = 0.25 * lam
         self.ellipticity_nu = float(ellipticity_nu)
 
-    def _ratio(self, G, Y, detY=None):
+    def coefficients(self, G, Y, x, detY=None):
         detG = np.linalg.det(np.asarray(G, dtype=float))
         if detY is None:
             detY = np.linalg.det(np.asarray(Y, dtype=float))
         if np.any(detY <= 0.0) or np.any(detG <= 0.0):
             raise SingularMatrix("det-ratio coefficients need positive determinants")
-        return detG / detY
-
-    def coefficients(self, G, Y, x, detY=None):
-        r = self._ratio(G, Y, detY)
+        r = detG / detY
         return (r[..., None, None] * _spatial_matrix(self.d0, x),
                 _spatial_scalar(self.beta0, x) / r)
 

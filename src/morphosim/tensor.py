@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SingularMatrix
 
-#: |det F| <= SINGULARITY_REL * ||F||_F^2 is treated as singular.
+#: det F <= SINGULARITY_REL * ||F||_F^2 fails `positive_det`.
 SINGULARITY_REL = 1e-12
 
 
@@ -47,32 +47,19 @@ def rotation(theta):
     return R
 
 
-def singularity_threshold(F):
-    """Scale-invariant singularity cutoff for `F`."""
-    F = np.asarray(F)
-    return SINGULARITY_REL * frobenius_norm(F) ** 2
+def positive_det(F):
+    """det F over the trailing two axes: the one checked determinant.
 
-
-def _check_finite(F, what="matrix"):
-    if not np.all(np.isfinite(F)):
-        raise ValueError("%s contains non-finite entries" % what)
-
-
-def invert(F):
-    """Inverse over the trailing two axes.
-
-    Raises
-    ------
-    SingularMatrix
-        If ``|det F| <= SINGULARITY_REL * ||F||_F^2`` anywhere in the
-        stack.
+    Raises ValueError on a non-finite entry and SingularMatrix where
+    ``det F <= SINGULARITY_REL * ||F||_F^2``.
     """
     F = np.asarray(F, dtype=float)
-    _check_finite(F)
+    if not np.all(np.isfinite(F)):
+        raise ValueError("matrix contains non-finite entries")
     d = np.linalg.det(F)
-    if np.any(np.abs(d) <= singularity_threshold(F)):
-        raise SingularMatrix("matrix is singular to working precision")
-    return np.linalg.inv(F)
+    if np.any(d <= SINGULARITY_REL * frobenius_norm(F) ** 2):
+        raise SingularMatrix("determinant not positive to working precision")
+    return d
 
 
 def cofactor(F):
@@ -90,12 +77,14 @@ def cofactor(F):
     return c
 
 
+_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_COFACTOR_DERIVATIVE = np.einsum("ik,jl->ijkl", _EPS2, _EPS2)
+
+
 def cofactor_derivative(F):
-    """Derivative ``d cof(F)[i, j] / d F[k, l]`` as a (..., 2, 2, 2, 2) array."""
-    F = np.asarray(F, dtype=float)
-    eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    D = np.einsum("ik,jl->ijkl", eps2, eps2)
-    return np.broadcast_to(D, F.shape + (2, 2)).copy()
+    """Derivative ``d cof(F)[i, j] / d F[k, l]``: one constant, broadcast
+    read-only to shape (..., 2, 2, 2, 2)."""
+    return np.broadcast_to(_COFACTOR_DERIVATIVE, np.shape(F) + (2, 2))
 
 
 def polar_rotation(F):
@@ -104,22 +93,16 @@ def polar_rotation(F):
     Uses the closed form ``R = (F + cof F) / |F + cof F|_row`` (robust
     arbitrarily close to rotations).
 
-    Raises
-    ------
-    SingularMatrix
-        If ``det F`` is not positive (beyond the scale-invariant cutoff).
+    Raises ValueError or SingularMatrix as `positive_det` does.
     """
     F = np.asarray(F, dtype=float)
-    _check_finite(F)
-    detF = np.linalg.det(F)
-    if np.any(detF <= singularity_threshold(F)):
-        raise SingularMatrix("polar decomposition requires det F > 0")
+    positive_det(F)
     return _polar_rotation_2d(F)
 
 
 def _polar_rotation_2d(F):
     """Closed-form 2-d rotation factor ``(F + cof F) / |F + cof F|_row``.
-    Unchecked: the caller has established finite entries and det F > 0."""
+    Unchecked: the caller has called `positive_det` on F."""
     p = F[..., 0, 0] + F[..., 1, 1]
     q = F[..., 0, 1] - F[..., 1, 0]
     r = np.hypot(p, q)
@@ -140,11 +123,10 @@ def _polar_rotation_derivative_2d(F):
     r = np.sqrt(r2)
     dp = np.array([[1.0, 0.0], [0.0, 1.0]])
     dq = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    shape = F.shape[:-2]
     dr = (p[..., None, None] * dp + q[..., None, None] * dq) / r[..., None, None]
     dpr = dp / r[..., None, None] - (p / r2)[..., None, None] * dr
     dqr = dq / r[..., None, None] - (q / r2)[..., None, None] * dr
-    DR = np.empty(shape + (2, 2, 2, 2))
+    DR = np.empty(F.shape[:-2] + (2, 2, 2, 2))
     DR[..., 0, 0, :, :] = dpr
     DR[..., 1, 1, :, :] = dpr
     DR[..., 0, 1, :, :] = dqr

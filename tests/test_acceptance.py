@@ -38,7 +38,7 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def stress_free_result():
-    return bench_stress_free_reference(nx=16)
+    return bench_stress_free_reference()
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def analytic_result():
 
 def bench_analytic():
     from morphosim.benchmarks import bench_analytic_growth
-    return bench_analytic_growth(nx=16, dt=1e-3, t_end=0.5)
+    return bench_analytic_growth()
 
 
 def test_criterion_01_stress_free_reference(stress_free_result):

@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from morphosim import cli, elasticity
+from morphosim import benchmarks, cli, elasticity
 from morphosim.cli import main
+from morphosim.coupled import run_coupled
 from morphosim.materials import StressModulatedGrowthLaw
 from morphosim.mesh import read_mesh
 
@@ -168,6 +169,23 @@ class TestRun:
         self._solver_failure(scenario_dir, tmp_path / "line_search",
                              "cause: line search failed at sweep 1")
 
+    def test_negative_nutrient_halts_cleanly(self, tmp_path, scenario_dir,
+                                             capsys):
+        # strong absorption drives the nutrient below zero on this mesh;
+        # the growth law refuses it and the run halts with a failure note
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
+                            "nutrient", "beta0", "2000")
+        assert main(["check", str(cfg)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["run", str(cfg), "--t-end", "0.02"]) == 1
+        note = (tmp_path / "out" / "failure.txt").read_text()
+        assert "status: solver_failure\n" in note
+        assert "nutrient concentration must be non-negative" in note
+        assert (tmp_path / "out" / "run.csv").exists()
+        assert (tmp_path / "out" / "failure_snapshot.vtk").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_output_dir_under_a_file(self, tmp_path, scenario_dir, capsys,
                                      monkeypatch):
         def no_run(scenario):
@@ -193,6 +211,32 @@ class TestRun:
         target = tmp_path / "elsewhere"
         assert main(["run", str(cfg), "--output-dir", str(target)]) == 0
         assert (target / "run.csv").exists()
+
+
+# values the command line's constructors reject: usage errors
+REJECTED = [
+    (["run", "{cfg}", "--dt", "-1"], "dt must be positive"),
+    (["run", "{cfg}", "--t-end", "0"], "need 0 <= t0 < t_end"),
+    (["bench", "stress_free_reference", "--dt", "0"], "dt must be positive"),
+    (["mesh", "gen", "--nx", "0", "--ny", "2", "--out", "{mesh}"],
+     "nx and ny must be >= 1"),
+    (["mesh", "gen", "--nx", "2", "--ny", "2", "--out", "{mesh}",
+      "--extent", "0,0,0,1"], "degenerate extent")]
+
+
+@pytest.mark.parametrize("argv,message", REJECTED,
+                         ids=["run_dt", "run_t_end", "bench_dt", "mesh_nx",
+                              "mesh_extent"])
+def test_rejected_value_is_usage_error(tmp_path, capsys, argv, message):
+    cfg, _ = write_cfg(tmp_path, TRIVIAL)
+    mesh = tmp_path / "grid.mesh"
+    argv = [a.format(cfg=cfg, mesh=mesh) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert not mesh.exists()
 
 
 class TestCheck:
@@ -282,6 +326,35 @@ class TestBench:
         with pytest.raises(SystemExit) as info:
             main(["bench", "no_such_bench"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ode_order", "--dt", "0.5"], ["contraction", "--method", "newton"],
+        ["compatible_growth", "--t-end", "5"],
+        ["nutrient_manufactured", "--cold-start"], ["ode_order", "--verbose"],
+        ["contraction", "--output-dir", "x"]], ids=lambda a: "_".join(a))
+    def test_option_the_benchmark_ignores_is_usage_error(self, capsys, argv):
+        assert main(["bench"] + argv) == 2
+        err = capsys.readouterr().err
+        assert "benchmark %s takes no %s" % (argv[0], argv[1]) in err
+
+    def test_trajectory_benchmark_takes_run_options(self, tmp_path, capsys,
+                                                    monkeypatch):
+        seen = []
+
+        def recording_run(scenario):
+            seen.append(scenario)
+            return run_coupled(scenario)
+        monkeypatch.setattr(benchmarks, "run_coupled", recording_run)
+        outdir = tmp_path / "b"
+        assert main(["bench", "stress_free_reference", "--dt", "0.125",
+                     "--method", "newton", "--cold-start", "--verbose",
+                     "--output-dir", str(outdir)]) == 0
+        solver = seen[0].solver
+        assert (solver.method, solver.warm_start) == ("newton", False)
+        assert solver.diagnostics is sys.stderr
+        csv = (outdir / "run.csv").read_text()
+        assert len(csv.strip().split("\n")) == 1 + 3  # t = 0, 0.125, 0.25
+        assert "wrote %s" % (outdir / "run.csv") in capsys.readouterr().err
 
     def test_guard_firing_returns_failure(self, tmp_path, capsys):
         outdir = tmp_path / "guard"

@@ -264,6 +264,64 @@ def nodal_from_cells_scatter_add(mesh, cell_values):
     return acc / den.reshape(column)
 
 
+def boundary_load_scatter_add(mesh, facet_mask, load, n_components):
+    """`np.add.at` boundary load with a scalar branch (reference for the
+    bincount version)."""
+    out = np.zeros(mesh.num_vertices * n_components)
+    if not np.any(facet_mask):
+        return out
+    pts, weights, shape, facets = fem._edge_quadrature(mesh, facet_mask)
+    normals = mesh.facet_normals()[facet_mask]
+    values = load(pts, np.broadcast_to(normals[:, None, :], pts.shape))
+    if n_components == 1:
+        contrib = np.einsum("kq,Aq,kq->kA", weights, shape, values)
+        np.add.at(out, facets, contrib)
+    else:
+        contrib = np.einsum("kq,Aq,kqi->kAi", weights, shape, values)
+        dofs = n_components * facets[:, :, None] + np.arange(n_components)
+        np.add.at(out, dofs, contrib)
+    return out
+
+
+BOUNDARY_MESHES = {"crossed_3x2": dict(nx=3, ny=2),
+                   "diagonal_4x4": dict(nx=4, ny=4, mode="diagonal"),
+                   "crossed_5x3_box": dict(nx=5, ny=3,
+                                           extent=((-1.0, 0.5), (2.0, 1.5))),
+                   "crossed_6x6": dict(nx=6, ny=6)}
+
+
+class TestBoundaryLoad:
+    @pytest.mark.parametrize("n_components", [1, 2])
+    @pytest.mark.parametrize("values", ["random", "negative_zero",
+                                        "signed_zeros"])
+    @pytest.mark.parametrize("mesh_name", sorted(BOUNDARY_MESHES))
+    def test_matches_scatter_add(self, mesh_name, values, n_components):
+        # same bytes as the scatter-add, -0.0 included, on 20 facet masks
+        mesh = rectangle_mesh(**BOUNDARY_MESHES[mesh_name])
+        rng = np.random.default_rng(5)
+        tail = (n_components,) if n_components > 1 else ()
+
+        def load(pts, normals):
+            shape = pts.shape[:2] + tail
+            if values == "random":
+                return rng.standard_normal(shape)
+            if values == "negative_zero":
+                return np.full(shape, -0.0)
+            return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+        masks = [np.zeros(len(mesh.facets), bool),
+                 np.ones(len(mesh.facets), bool)]
+        masks += [rng.random(len(mesh.facets)) < p
+                  for p in np.linspace(0.05, 0.95, 18)]
+        for mask in masks:
+            state = rng.bit_generator.state
+            got = fem.boundary_load_vector(mesh, mask, load, n_components)
+            rng.bit_generator.state = state
+            expected = boundary_load_scatter_add(mesh, mask, load,
+                                                 n_components)
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestComputedOnce:
     @pytest.mark.parametrize("mode", ["crossed", "diagonal"])
     @pytest.mark.parametrize("trailing", [(), (2,), (2, 2)])

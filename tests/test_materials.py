@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from morphosim import tensor
-from morphosim.errors import OutsideAdmissibleBall, SingularMatrix
+from morphosim import EquilibriumProblem, interpolate_gradient, tensor
+from morphosim.errors import (OutsideAdmissibleBall, SingularMatrix,
+                              ValidationError)
 from morphosim.materials import (ConstantNutrientModel, DetRatioNutrientModel,
                                  EnergyModel, PolarWellEnergy,
                                  ProductGrowthLaw, StressModulatedGrowthLaw,
@@ -11,6 +12,7 @@ from morphosim.materials import (ConstantNutrientModel, DetRatioNutrientModel,
                                  check_nutrient_assumptions,
                                  check_nutrient_frame_indifference,
                                  piola_kirchhoff)
+from morphosim.mesh import rectangle_mesh
 
 X0 = np.zeros(2)
 
@@ -160,6 +162,25 @@ class TestPiolaKirchhoff:
         with pytest.raises(SingularMatrix):
             piola_kirchhoff(e, X0, np.zeros((2, 2)), np.eye(2))
 
+    def test_matches_workspace_stress(self):
+        # the growth law's stress and the equilibrium solve's stress are
+        # one computation: equal bytes at quadrature-point G and Y
+        mesh = rectangle_mesh(5, 4)
+        problem = EquilibriumProblem(
+            mesh, PolarWellEnergy(),
+            growth=lambda pts: np.eye(2) + 0.1 * np.stack([
+                np.stack([np.sin(pts[..., 0]), 0.5 * pts[..., 1]], -1),
+                np.stack([0.3 * pts[..., 0], np.cos(pts[..., 1])], -1)],
+                -2),
+            dirichlet_data=lambda pts: 1.05 * np.asarray(pts))
+        ws = problem.workspace
+        u = 0.01 * np.random.default_rng(4).standard_normal(
+            (mesh.num_vertices, 2))
+        Y = interpolate_gradient(mesh, u) + ws.grad_ft
+        P = piola_kirchhoff(ws.energy, ws.qpoints, ws.Gq,
+                            np.broadcast_to(Y[:, None], ws.Gq.shape))
+        assert np.array_equal(P, ws.stress(ws.elastic_state(u)))
+
 
 class _NotFrameIndifferent(EnergyModel):
     admissible_radius = 0.5
@@ -292,7 +313,8 @@ class TestGrowthLaws:
     def test_negative_nutrient_rejected(self):
         law = StressModulatedGrowthLaw(PolarWellEnergy())
         G = np.eye(2)[None]
-        with pytest.raises(ValueError):
+        # a MorphosimError, so the coupled loop halts with a failure note
+        with pytest.raises(ValidationError, match=r"non-negative \(min -1\)"):
             law.evaluate(G, G, np.array([-1.0]), np.zeros((1, 2)))
 
 

@@ -150,27 +150,31 @@ class TestCofactor:
                 assert np.max(np.abs(DC[..., k, l] - fd)) <= 1e-8
 
 
-class TestInvert:
+class TestPositiveDet:
     def test_identity(self):
-        assert np.allclose(tensor.invert(np.eye(2)), np.eye(2))
+        assert tensor.positive_det(np.eye(2)) == 1.0
 
     def test_diagonal(self):
-        assert np.allclose(tensor.invert(np.diag([2.0, 4.0])),
-                           np.diag([0.5, 0.25]))
+        assert np.isclose(tensor.positive_det(np.diag([2.0, 4.0])), 8.0)
 
-    def test_residual(self):
+    def test_matches_linalg_det(self):
         rng = np.random.default_rng(23)
         F = random_gl2(rng, 200)
-        resid = np.max(np.abs(F @ tensor.invert(F) - np.eye(2)))
-        assert resid <= 1e-12
+        assert np.array_equal(tensor.positive_det(F), np.linalg.det(F))
 
     def test_singular(self):
         with pytest.raises(SingularMatrix):
-            tensor.invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            tensor.positive_det(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            tensor.invert(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    def test_negative_det(self):
+        F = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(SingularMatrix):
+            tensor.positive_det(F)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            tensor.positive_det(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestPolarDerivative:
