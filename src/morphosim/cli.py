@@ -13,7 +13,7 @@ import os
 import sys
 
 from .benchmarks import BENCHMARKS, SCENARIOS
-from .coupled import run_coupled, write_outputs
+from .coupled import check_first_step, run_coupled, write_outputs
 from .elasticity import METHODS
 from .errors import (InvalidTagRule, IoError, MorphosimError, ParseError,
                      ValidationError)
@@ -130,8 +130,12 @@ def _cmd_run(args):
 
 
 def _cmd_check(args):
+    """Print every assumption check and, once they all pass, whether the
+    first step solves and yields a growth rate."""
     scenario = load_scenario(args.scenario)
     reports = validate_scenario(scenario)
+    if all(r.passed for r in reports):
+        reports.append(check_first_step(scenario))
     for report in reports:
         print(report)
     return 0 if all(r.passed for r in reports) else 1

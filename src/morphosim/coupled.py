@@ -29,7 +29,7 @@ from . import fem, growth as growth_mod, tensor
 # bench/tracing.py wraps coupled.stress_field, so the name stays importable
 from .elasticity import EquilibriumProblem, solve_equilibrium, stress_field
 from .errors import GuardViolation, IoError, MorphosimError
-from .materials import ZeroGrowthLaw
+from .materials import CheckReport, ZeroGrowthLaw
 from .nutrient import NutrientProblem, solve_nutrient
 from .scenario import OutputConfig
 
@@ -115,9 +115,12 @@ class _CoupledDriver:
         self.warm_u = sol.displacement
         nut = None
         if with_nutrient:
+            # the growth tier: G as the workspace sampled and checked it
+            ws = problem.workspace
             nut = solve_nutrient(NutrientProblem(
-                self.mesh, sc.nutrient_model, growth_repr, sol.deformation,
-                sc.nutrient_dirichlet_at(t), sc.nutrient_flux_at(t)))
+                self.mesh, sc.nutrient_model, ws.Gq, sol.deformation,
+                sc.nutrient_dirichlet_at(t), sc.nutrient_flux_at(t),
+                growth_det=ws.detGq))
         return problem, sol, nut
 
     def law_inputs(self, sol, nut):
@@ -128,6 +131,12 @@ class _CoupledDriver:
         N = nut.concentration if nut is not None \
             else np.zeros(self.mesh.num_vertices)
         return Y, N
+
+    def rate(self, G, sol, nut):
+        """The law's inputs at a solved state and the growth rate there:
+        ``(Y, N, dG/dt)``."""
+        Y, N = self.law_inputs(sol, nut)
+        return Y, N, self.law.evaluate(G, Y, N, self.mesh.vertices)
 
     def make_rhs(self, t_step, Y_frozen, N_frozen):
         sc = self.scenario
@@ -142,8 +151,7 @@ class _CoupledDriver:
         def rhs(ts, Gf):
             _, sol, nut = self.solve_state(ts, Gf,
                                            with_nutrient=law.needs_nutrient)
-            Y, N = self.law_inputs(sol, nut)
-            return law.evaluate(Gf, Y, N, x)
+            return self.rate(Gf, sol, nut)[2]
         return rhs
 
 
@@ -192,10 +200,8 @@ def run_coupled(scenario):
             return traj
 
         dt_k = min(grid.dt, remaining)
-        Y_frozen, N_frozen = driver.law_inputs(sol, nut)
         try:
-            rate_now = scenario.growth_law.evaluate(G, Y_frozen, N_frozen,
-                                                    mesh.vertices)
+            Y_frozen, N_frozen, rate_now = driver.rate(G, sol, nut)
         except MorphosimError as exc:
             return traj.halt("solver_failure", exc)
         if grid.adaptive:
@@ -227,6 +233,25 @@ def run_coupled(scenario):
             t = grid.t_end
         else:
             t = t + dt_k
+
+
+def check_first_step(scenario):
+    """Solve the state at t0 and evaluate the growth rate there through the
+    driver code `run_coupled`'s first step runs.  Returns a CheckReport
+    named ``first_step`` that fails with the error's text when either
+    raises."""
+    driver = _CoupledDriver(scenario)
+    G = scenario.initial_growth_nodal()
+    t0 = scenario.time.t0
+    try:
+        _, sol, nut = driver.solve_state(t0, driver.growth_for_solves(G))
+        driver.rate(G, sol, nut)
+    except MorphosimError as exc:
+        return CheckReport("first_step", False, {
+            "t": t0, "error": "%s: %s" % (type(exc).__name__, exc)})
+    return CheckReport("first_step", True, {
+        "t": t0, "equilibrium_iters": sol.iterations,
+        "nutrient_min": nut.min_value})
 
 
 # ---------------------------------------------------------------------------

@@ -117,21 +117,37 @@ def lift_dirichlet(mesh, dirichlet_data, with_gradient=False):
     LiftDegenerate is raised.  With `with_gradient`, returns
     ``(f_tilde, grad f_tilde)``, the per-cell gradient the orientation
     check computed.
+
+    The lift is a function of the mesh and the evaluated boundary
+    positions alone, so the mesh tier keeps the last one beside the lift
+    factor: a call whose positions equal the last call's exactly returns
+    the same arrays without a solve.  Both arrays are read-only; a lift
+    that raised is never kept.
     """
     lu, Kfc, free_idx, nodes = _lift_solver(mesh)
-    shift = np.zeros((mesh.num_vertices, 2))
+    bc = np.zeros((0, 2))
     if len(nodes):
-        bc = np.asarray(dirichlet_data(mesh.vertices[nodes]), dtype=float)
-        shift[nodes] = bc.reshape(len(nodes), 2) - mesh.vertices[nodes]
-        if len(free_idx):
-            rhs = -(Kfc @ shift[nodes])
-            shift[free_idx, 0] = lu.solve(rhs[:, 0])
-            shift[free_idx, 1] = lu.solve(rhs[:, 1])
-    f_tilde = mesh.vertices + shift
-    jac = fem.interpolate_gradient(mesh, f_tilde)
-    if np.any(np.linalg.det(jac) <= 0.0):
-        raise LiftDegenerate("lifted Dirichlet data folds some cell "
-                             "(det grad f_tilde <= 0)")
+        bc = np.asarray(dirichlet_data(mesh.vertices[nodes]),
+                        dtype=float).reshape(len(nodes), 2)
+    last = mesh._cache.get("last_lift")
+    if last is None or not np.array_equal(last[0], bc):
+        shift = np.zeros((mesh.num_vertices, 2))
+        if len(nodes):
+            shift[nodes] = bc - mesh.vertices[nodes]
+            if len(free_idx):
+                rhs = -(Kfc @ shift[nodes])
+                shift[free_idx, 0] = lu.solve(rhs[:, 0])
+                shift[free_idx, 1] = lu.solve(rhs[:, 1])
+        f_tilde = mesh.vertices + shift
+        jac = fem.interpolate_gradient(mesh, f_tilde)
+        if np.any(np.linalg.det(jac) <= 0.0):
+            raise LiftDegenerate("lifted Dirichlet data folds some cell "
+                                 "(det grad f_tilde <= 0)")
+        last = (bc.copy(), f_tilde, jac)
+        for kept in last:
+            kept.flags.writeable = False
+        mesh._cache["last_lift"] = last
+    _, f_tilde, jac = last
     return (f_tilde, jac) if with_gradient else f_tilde
 
 

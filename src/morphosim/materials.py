@@ -259,16 +259,16 @@ class StressModulatedGrowthLaw(GrowthLaw):
 class NutrientModel:
     """Pointwise diffusion/absorption coefficients of the nutrient equation.
 
-    `coefficients(G, Y, x, detY=None)` returns ``(D, beta)``: stacked
-    symmetric diffusion matrices (units area/time) with smallest
+    `coefficients(G, Y, x, detY=None, detG=None)` returns ``(D, beta)``:
+    stacked symmetric diffusion matrices (units area/time) with smallest
     eigenvalue >= `ellipticity_nu`, and stacked non-negative absorption
-    rates (units 1/time).  `detY`, when given, is det Y already computed
-    and checked by the caller.
+    rates (units 1/time).  `detY` and `detG`, when given, are det Y and
+    det G already computed and checked by the caller.
     """
 
     ellipticity_nu = 1e-8
 
-    def coefficients(self, G, Y, x, detY=None):
+    def coefficients(self, G, Y, x, detY=None, detG=None):
         raise NotImplementedError
 
 
@@ -307,8 +307,9 @@ class DetRatioNutrientModel(NutrientModel):
             ellipticity_nu = 0.25 * lam
         self.ellipticity_nu = float(ellipticity_nu)
 
-    def coefficients(self, G, Y, x, detY=None):
-        detG = np.linalg.det(np.asarray(G, dtype=float))
+    def coefficients(self, G, Y, x, detY=None, detG=None):
+        if detG is None:
+            detG = np.linalg.det(np.asarray(G, dtype=float))
         if detY is None:
             detY = np.linalg.det(np.asarray(Y, dtype=float))
         if np.any(detY <= 0.0) or np.any(detG <= 0.0):
@@ -329,7 +330,7 @@ class ConstantNutrientModel(NutrientModel):
             ellipticity_nu = 0.5 * float(np.min(np.linalg.eigvalsh(0.5 * (probe + probe.T))))
         self.ellipticity_nu = float(ellipticity_nu)
 
-    def coefficients(self, G, Y, x, detY=None):
+    def coefficients(self, G, Y, x, detY=None, detG=None):
         return _spatial_matrix(self.d0, x), _spatial_scalar(self.beta0, x)
 
 

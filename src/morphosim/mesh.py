@@ -34,7 +34,7 @@ class Mesh:
     ----------
     vertices : (n, 2) float array
     cells : (m, 3) int array
-        Positively oriented vertex triples.
+        Positively oriented vertex triples; every vertex belongs to one.
     facets : (k, 2) int array
         Boundary edges; must cover the topological boundary exactly once.
     elastic_dirichlet, nutrient_dirichlet : (k,) bool arrays
@@ -63,6 +63,11 @@ class Mesh:
             raise ValueError("non-finite vertex coordinates")
         if not self._in_range(self.cells):
             raise ValueError("cell vertex index out of range")
+        used = np.zeros(self.num_vertices, dtype=bool)
+        used[self.cells.ravel()] = True
+        if not np.all(used):
+            raise ValueError("vertex %d belongs to no cell"
+                             % int(np.argmin(used)))
         if np.any(self.cell_volumes() <= 0.0):
             raise ValueError("all cells must be positively oriented")
         if (len(self.facet_elastic_dirichlet) != len(self.facets)

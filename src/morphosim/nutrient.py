@@ -19,6 +19,11 @@ from .errors import NegativeSolutionWarning, SingularMatrix, ValidationError
 class NutrientProblem:
     """One nutrient solve.
 
+    `growth` is any description `fem.growth_at_quadrature` accepts;
+    `growth_det`, when given, is det G of the sampled (cells, nq, 2, 2)
+    `growth`, already computed and checked by the caller (the coupled loop
+    hands over the equilibrium workspace's `Gq` and `detGq`, so G is
+    sampled and its determinant taken once per state).
     `deformation` is the nodal total deformation y (not the displacement);
     `dirichlet_data` maps boundary points to concentrations >= 0 on the
     nutrient Dirichlet part and `neumann_flux` maps (points, normals) to
@@ -32,6 +37,7 @@ class NutrientProblem:
     deformation: np.ndarray
     dirichlet_data: object = None
     neumann_flux: object = None
+    growth_det: np.ndarray = None
 
 
 @dataclass
@@ -58,7 +64,8 @@ def nutrient_coefficient_fields(problem):
     detYq = np.broadcast_to(detY[:, None], (mesh.num_cells, nq))
     Gq = fem.growth_at_quadrature(mesh, problem.growth)
     x = mesh.quad_points()
-    D, beta = problem.model.coefficients(Gq, Yq, x, detY=detYq)
+    D, beta = problem.model.coefficients(Gq, Yq, x, detY=detYq,
+                                         detG=problem.growth_det)
     return np.asarray(D, dtype=float), np.asarray(beta, dtype=float)
 
 

@@ -12,7 +12,7 @@ from morphosim import benchmarks, cli, elasticity
 from morphosim.cli import main
 from morphosim.coupled import run_coupled
 from morphosim.materials import StressModulatedGrowthLaw
-from morphosim.mesh import read_mesh
+from morphosim.mesh import read_mesh, rectangle_mesh, write_mesh
 
 TRIVIAL = """
 [mesh]
@@ -175,7 +175,6 @@ class TestRun:
         # the growth law refuses it and the run halts with a failure note
         cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
                             "nutrient", "beta0", "2000")
-        assert main(["check", str(cfg)]) == 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(["run", str(cfg), "--t-end", "0.02"]) == 1
@@ -240,6 +239,49 @@ def test_rejected_value_is_usage_error(tmp_path, capsys, argv, message):
 
 
 class TestCheck:
+    @pytest.mark.parametrize("demo", sorted(
+        name for name in os.listdir(os.path.join(
+            os.path.dirname(__file__), "..", "demos", "scenarios"))
+        if name.endswith(".cfg")))
+    def test_shipped_scenario_passes(self, scenario_dir, capsys, demo):
+        assert main(["check", str(scenario_dir / demo)]) == 0
+        assert "PASS first_step: t=0" in capsys.readouterr().out
+
+    def test_failing_first_step(self, tmp_path, scenario_dir, capsys):
+        # strong absorption drives the t0 nutrient below zero, which the
+        # growth law refuses: the run would halt at its first step
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
+                            "nutrient", "beta0", "2000")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["check", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert ("FAIL first_step: t=0, error=ValidationError: nutrient "
+                "concentration must be non-negative" in captured.out)
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_unused_mesh_vertex_is_usage_error(self, tmp_path, scenario_dir,
+                                               capsys):
+        # a vertex no cell uses would leave the operators singular
+        write_mesh(rectangle_mesh(4, 4), tmp_path / "grid.mesh")
+        lines = (tmp_path / "grid.mesh").read_text().splitlines()
+        n = int(lines[1])
+        lines[1] = str(n + 1)
+        lines.insert(2 + n, "5 5")
+        (tmp_path / "grid.mesh").write_text("\n".join(lines) + "\n")
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
+                            "mesh", "source", "file")
+        text = cfg.read_text().replace("source = file",
+                                       "source = file\npath = grid.mesh")
+        cfg.write_text(text)
+        for command in ("check", "run"):
+            assert main([command, str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "vertex %d belongs to no cell" % n in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_valid_scenario(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, TRIVIAL)
         assert main(["check", str(cfg)]) == 0

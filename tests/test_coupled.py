@@ -272,9 +272,11 @@ class TestDeformationOnlyWhenRead:
         traj, counts, seen = self._record(sc, monkeypatch)
         assert len(traj.states) == 51
         # one nodal stress per snapshot and no nodal Y; a nodal Y per step
-        # made these 101 and 353
+        # made these 101 and 353.  The data f = (x, y) do not change, so
+        # only the first of the 51 lifts takes a gradient (303 when every
+        # lift was recomputed)
         assert counts == {"nodal_from_cells": 51,
-                          "interpolate_gradient": 303}
+                          "interpolate_gradient": 253}
         assert seen and all(Y is None for Y in seen)
 
     def test_stress_reading_law_gets_nodal_y(self, scenario_dir,
@@ -287,6 +289,39 @@ class TestDeformationOnlyWhenRead:
         assert counts["nodal_from_cells"] == len(traj.states) + steps
         assert len(seen) == 4 * steps  # the rate and three RK4 stages
         assert all(Y.shape == (sc.mesh.num_vertices, 2, 2) for Y in seen)
+
+
+class TestGrowthTierShared:
+    """The nutrient solve reads the equilibrium workspace's sampled G and
+    its checked det G instead of sampling again."""
+
+    def test_growth_is_sampled_once_per_state(self, scenario_dir,
+                                              monkeypatch):
+        sc = load_scenario(scenario_dir / "stress_modulated.cfg")
+        sc.time.t_end = 0.02
+        sample = fem.growth_at_quadrature
+        calls = []
+
+        def recording(mesh, growth):
+            Gq = sample(mesh, growth)
+            calls.append(Gq is growth)
+            return Gq
+        monkeypatch.setattr(fem, "growth_at_quadrature", recording)
+        nutrient_growth = []
+        solve = coupled.solve_nutrient
+
+        def solving(problem):
+            nutrient_growth.append((problem.growth, problem.growth_det))
+            return solve(problem)
+        monkeypatch.setattr(coupled, "solve_nutrient", solving)
+        traj = run_coupled(sc)
+        assert traj.status == "completed" and len(traj.states) == 3
+        # one sampling per equilibrium solve; the nutrient solves hand
+        # the sampled array through
+        assert calls == [False, True] * 3
+        for Gq, detG in nutrient_growth:
+            assert Gq.shape == (sc.mesh.num_cells, 3, 2, 2)
+            assert detG.tobytes() == np.linalg.det(Gq).tobytes()
 
 
 class TestTimeOrder:

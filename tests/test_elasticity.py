@@ -75,6 +75,108 @@ class TestLift:
             lift_dirichlet(mesh, folding)
 
 
+def _sine_data(amplitude):
+    fmap, _ = sine_map_nodes(amplitude)
+    return lambda pts: fmap(0.0, pts)
+
+
+class _CountingFactor:
+    """Stands in for the lift factor and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.calls = 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.lu.solve(rhs)
+
+
+def count_lift_solves(mesh):
+    """Wrap the mesh's lift factor; the returned counter's `calls` is twice
+    the number of harmonic extensions (one solve per component)."""
+    lu, Kfc, free_idx, nodes = elasticity._lift_solver(mesh)
+    counter = _CountingFactor(lu)
+    mesh._cache["lift_solver"] = (counter, Kfc, free_idx, nodes)
+    return counter
+
+
+class TestLastLift:
+    """The mesh tier keeps the last lift, keyed on the evaluated boundary
+    positions compared exactly."""
+
+    def test_memoized_lift_equals_fresh(self):
+        mesh = rectangle_mesh(6, 6, elastic_dirichlet="left")
+        first, second = _sine_data(0.05), _sine_data(0.03)
+        lifts = [lift_dirichlet(mesh, data, with_gradient=True)
+                 for data in (first, first, second, first, first)]
+        assert lifts[1][0] is lifts[0][0] and lifts[4][0] is lifts[3][0]
+        for data, (ft, jac) in zip((first, first, second, first, first),
+                                   lifts):
+            fresh = rectangle_mesh(6, 6, elastic_dirichlet="left")
+            ft_ref, jac_ref = lift_dirichlet(fresh, data, with_gradient=True)
+            assert ft.tobytes() == ft_ref.tobytes()
+            assert jac.tobytes() == jac_ref.tobytes()
+
+    def test_lift_is_read_only(self):
+        mesh = rectangle_mesh(4, 4)
+        for _ in range(2):
+            ft, jac = lift_dirichlet(mesh, _sine_data(0.05),
+                                     with_gradient=True)
+            assert not ft.flags.writeable and not jac.flags.writeable
+            with pytest.raises(ValueError):
+                ft[0, 0] = 1.0
+
+    def test_key_is_a_copy_of_the_data(self):
+        # data that later change the array they handed back do not change
+        # the key
+        mesh = rectangle_mesh(4, 4)
+        held = []
+
+        def data(pts):
+            held.append(np.array(pts, dtype=float))
+            return held[-1]
+        lift_dirichlet(mesh, data)
+        held[-1] *= 1.1
+        scaled = lift_dirichlet(mesh, lambda pts: 1.1 * pts)
+        fresh = lift_dirichlet(rectangle_mesh(4, 4), lambda pts: 1.1 * pts)
+        assert scaled.tobytes() == fresh.tobytes()
+
+    def test_folding_lift_raises_on_every_call(self):
+        mesh = rectangle_mesh(4, 4)
+        kept = lift_dirichlet(mesh, identity_map)
+        counter = count_lift_solves(mesh)
+
+        def folding(pts):
+            out = np.array(pts, dtype=float, copy=True)
+            out[:, 0] = -out[:, 0]
+            return out
+        for calls in (2, 4, 6):
+            with pytest.raises(LiftDegenerate):
+                lift_dirichlet(mesh, folding)
+            assert counter.calls == calls
+        assert lift_dirichlet(mesh, identity_map) is kept
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_substeps_run_lifts_each_datum_once(self, scenario_dir, steps):
+        # RK4's stages 2 and 3 solve at t + dt/2 and stage 4 at the next
+        # snapshot's time: 2k + 1 distinct data over k steps
+        sc = load_scenario(scenario_dir / "analytic_growth.cfg")
+        sc.time = TimeGrid(t_end=steps * sc.time.dt, dt=sc.time.dt)
+        counter = count_lift_solves(sc.mesh)
+        traj = run_coupled(sc)
+        assert traj.status == "completed" and len(traj.states) == steps + 1
+        assert counter.calls == 2 * (2 * steps + 1)
+
+    def test_time_independent_data_lift_once(self, scenario_dir):
+        sc = load_scenario(scenario_dir / "stress_modulated.cfg")
+        sc.time.t_end = 0.03
+        counter = count_lift_solves(sc.mesh)
+        traj = run_coupled(sc)
+        assert traj.status == "completed" and len(traj.states) == 4
+        assert counter.calls == 2
+
+
 class TestResidual:
     def test_reference_state_is_equilibrated(self):
         mesh = rectangle_mesh(8, 8)

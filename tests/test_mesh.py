@@ -87,6 +87,14 @@ class TestMeshValidation:
         with pytest.raises(ValueError):
             Mesh(vertices, cells, facets, tags, tags)
 
+    def test_unused_vertex_rejected(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        cells = np.array([[0, 1, 3]])  # vertex 2 lies in no cell
+        facets = np.array([[0, 1], [1, 3], [3, 0]])
+        tags = np.ones(3, dtype=bool)
+        with pytest.raises(ValueError, match="vertex 2 belongs to no cell"):
+            Mesh(vertices, cells, facets, tags, tags)
+
     def test_facets_must_cover_boundary(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         cells = np.array([[0, 1, 2]])

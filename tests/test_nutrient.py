@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from morphosim import fem
+from morphosim.elasticity import EquilibriumProblem
 from morphosim.errors import (EllipticityViolation, SingularMatrix,
                               SingularSystem, ValidationError)
-from morphosim.materials import ConstantNutrientModel, DetRatioNutrientModel
+from morphosim.materials import (ConstantNutrientModel, DetRatioNutrientModel,
+                                 PolarWellEnergy)
 from morphosim.mesh import rectangle_mesh
 from morphosim.nutrient import (NutrientProblem, nutrient_coefficient_fields,
                                 solve_nutrient)
@@ -176,6 +178,30 @@ class TestCoefficientFields:
         D_ref, beta_ref = model.coefficients(Gq, Yq, mesh.quad_points())
         assert np.array_equal(D, D_ref)
         assert np.array_equal(beta, beta_ref)
+
+    def test_workspace_growth_tier_gives_the_resampled_fields(self):
+        # the coupled loop hands the equilibrium workspace's Gq and its
+        # checked det G to the nutrient solve instead of resampling
+        rng = np.random.default_rng(7)
+        mesh = rectangle_mesh(4, 4)
+        model = DetRatioNutrientModel(d0=np.diag([1.0, 2.0]), beta0=0.3)
+        G = np.eye(2) + 0.1 * rng.standard_normal((mesh.num_vertices, 2, 2))
+        y = mesh.vertices + 0.01 * rng.standard_normal((mesh.num_vertices, 2))
+        ws = EquilibriumProblem(mesh, PolarWellEnergy(), G,
+                                lambda pts: pts).workspace
+        handed = NutrientProblem(mesh, model, ws.Gq, y, growth_det=ws.detGq)
+        D, beta = nutrient_coefficient_fields(handed)
+        D_ref, beta_ref = nutrient_coefficient_fields(
+            make_problem(mesh, model, growth=G, y=y))
+        assert D.tobytes() == D_ref.tobytes()
+        assert beta.tobytes() == beta_ref.tobytes()
+
+    def test_handed_det_g_is_still_checked(self):
+        model = DetRatioNutrientModel(d0=1.0, beta0=0.3)
+        G = np.broadcast_to(np.eye(2), (4, 2, 2))
+        with pytest.raises(SingularMatrix):
+            model.coefficients(G, G, np.zeros((4, 2)),
+                               detG=np.array([1.0, -1.0, 1.0, 1.0]))
 
     def test_handed_det_y_is_still_checked(self):
         model = DetRatioNutrientModel(d0=1.0, beta0=0.3)
