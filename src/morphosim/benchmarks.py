@@ -280,7 +280,7 @@ def bench_ode_order():
         steps = int(round(1.0 / dt))
         t = 0.0
         for _ in range(steps):
-            G = growth_mod.rk4_step(G, rhs_exp, t, dt)
+            G, _ = growth_mod.rk4_step(G, rhs_exp, t, dt)
             t += dt
         errors.append(abs(G[0, 0, 0] - np.e))
     for k in range(len(errors) - 1):
@@ -298,7 +298,7 @@ def bench_ode_order():
     dt = 1e-3
     t = 0.0
     for _ in range(1000):
-        G = growth_mod.rk4_step(G, rhs_jacobi, t, dt)
+        G, _ = growth_mod.rk4_step(G, rhs_jacobi, t, dt)
         t += dt
     drift = abs(float(np.linalg.det(G[0])) - 1.0)
     _metric(metrics, "det drift per unit time", drift, "<= 1e-10",

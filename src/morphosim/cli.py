@@ -11,6 +11,7 @@ import argparse
 import inspect
 import os
 import sys
+import warnings
 
 from .benchmarks import BENCHMARKS, SCENARIOS
 from .coupled import check_first_step, run_coupled, write_outputs
@@ -183,22 +184,33 @@ def _cmd_mesh(args):
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    """One ``morphosim: warning:`` line per warning, without the source
+    location Python's default formatter adds."""
+    print("morphosim: warning: %s: %s" % (category.__name__, message),
+          file=sys.stderr if file is None else file)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     commands = {"run": _cmd_run, "check": _cmd_check, "bench": _cmd_bench,
                 "mesh": _cmd_mesh}
-    try:
-        return commands[args.command](args)
-    except (ParseError, InvalidTagRule) as exc:
-        print("morphosim: %s" % exc, file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print("morphosim: scenario invalid: %s" % exc, file=sys.stderr)
-        return 1
-    except MorphosimError as exc:
-        print("morphosim: %s: %s" % (type(exc).__name__, exc),
-              file=sys.stderr)
-        return 1
+    # restored on return, so library users keep their own formatter
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return commands[args.command](args)
+        except (ParseError, InvalidTagRule) as exc:
+            print("morphosim: %s" % exc, file=sys.stderr)
+            return 2
+        except ValidationError as exc:
+            print("morphosim: scenario invalid: %s" % exc, file=sys.stderr)
+            return 1
+        except MorphosimError as exc:
+            print("morphosim: %s: %s" % (type(exc).__name__, exc),
+                  file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

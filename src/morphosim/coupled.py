@@ -170,6 +170,8 @@ def run_coupled(scenario):
     grid = scenario.time
     traj = Trajectory()
     t = grid.t0
+    # the guard report of G: checked here once, then handed on by each step
+    report = growth_mod.det_guard(G, guards)
     prev_rate = None
     prev_G = None
 
@@ -184,7 +186,6 @@ def run_coupled(scenario):
             t=t, growth=G.copy(), displacement=sol.displacement,
             lifted=sol.lifted_data, nutrient=nut.concentration,
             stress_nodes=fem.nodal_from_cells(mesh, np.mean(pnorm, axis=1)))
-        report = growth_mod.det_guard(G, guards)
         traj.states.append(state)
         traj.diagnostics.append(StepDiagnostics(
             t=t,
@@ -223,8 +224,8 @@ def run_coupled(scenario):
 
         rhs = driver.make_rhs(t, Y_frozen, N_frozen)
         try:
-            G = growth_mod.rk4_step(G, rhs, t, dt_k, guards=guards,
-                                    k1=rate_now)
+            G, report = growth_mod.rk4_step(G, rhs, t, dt_k, guards=guards,
+                                            k1=rate_now, start_report=report)
         except GuardViolation as exc:
             return traj.halt("guard_violation", exc)
         except MorphosimError as exc:

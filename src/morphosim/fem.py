@@ -17,6 +17,14 @@ its terms out in that order and scipy's own `sum_duplicates` adds them,
 so it is the scattered operator bit for bit.  An elimination pushes
 entry positions through `eliminate` once, so its blocks are gathers
 equal to the sliced ones.
+
+Gradient transfer is one sparse product with an operator the mesh keeps,
+built on first use: B maps nodal values to per-cell gradients, S samples
+a nodal growth field at the quadrature points, and N sums volume-weighted
+cell values at the vertices.  Each is laid out in corner order and never
+sorted or summed, so scipy's `csr_matvec`/`csr_matvecs` add each row from
+a zero start in stored order: the einsum and bincount sums they replace,
+bit for bit.
 """
 
 import numpy as np
@@ -329,6 +337,50 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
 # gradient transfer
 
 
+def _transfer(mesh, kind):
+    """The mesh's transfer operator of `kind`, built on first use, each
+    row listing its terms in the order the sum it replaces adds them:
+
+    * ``"gradient"``: B, rows (c, a), entries g[c, A, a] in corner order;
+    * ``"sampling"``: S, rows (c, q), entries TRI_POINTS[q, A] likewise;
+    * ``"averaging"``: ``(N, N 1)``, N with rows the vertices and entries
+      vol[c] corner-major in cell order, as one scatter-add per corner.
+
+    The CSR arrays are read-only and never sorted or summed, so `@` adds
+    each row from a zero start in stored order (scipy's `csr_matvec` and
+    `csr_matvecs`), as einsum and bincount do.
+    """
+    key = ("transfer", kind)
+    if key in mesh._cache:
+        return mesh._cache[key]
+    if kind == "averaging":
+        corners = mesh.cells.T.ravel()
+        columns = np.argsort(corners, kind="stable") % mesh.num_cells
+        data = mesh.cell_volumes()[columns]
+        indptr = np.concatenate(([0], np.cumsum(
+            np.bincount(corners, minlength=mesh.num_vertices))))
+        n_cols = mesh.num_cells
+    else:
+        weights = (np.swapaxes(mesh.cell_gradients(), 1, 2)
+                   if kind == "gradient" else
+                   np.broadcast_to(TRI_POINTS,
+                                   (mesh.num_cells,) + TRI_POINTS.shape))
+        data = weights.ravel()
+        columns = np.broadcast_to(mesh.cells[:, None], weights.shape).ravel()
+        indptr = np.arange(0, data.size + 1, 3)
+        n_cols = mesh.num_vertices
+    op = sp.csr_matrix((data, columns, indptr),
+                       shape=(len(indptr) - 1, n_cols))
+    for shared in (op.data, op.indices, op.indptr):
+        shared.flags.writeable = False
+    if kind == "averaging":
+        den = op @ np.ones(n_cols)
+        den.flags.writeable = False
+        op = (op, den)
+    mesh._cache[key] = op
+    return op
+
+
 def interpolate_gradient(mesh, values):
     """Piecewise-constant gradient of the nodal interpolant.
 
@@ -336,30 +388,20 @@ def interpolate_gradient(mesh, values):
     (cells, k, 2) with entry [c, i, a] = d_a v^i on cell c.
     """
     values = np.asarray(values, dtype=float)
-    g = mesh.cell_gradients()
-    local = values[mesh.cells]
-    # `sum` adds from a zero start over A = 0, 1, 2, as einsum does
+    grad = _transfer(mesh, "gradient") @ values
     if values.ndim == 1:
-        return sum(local[:, A, None] * g[:, A] for A in range(3))
-    return sum(local[:, A, :, None] * g[:, A, None, :] for A in range(3))
+        return grad.reshape(mesh.num_cells, 2)
+    return grad.reshape(mesh.num_cells, 2, -1).swapaxes(1, 2)
 
 
 def nodal_from_cells(mesh, cell_values):
     """Volume-weighted transfer of per-cell values to the vertices."""
     cell_values = np.asarray(cell_values, dtype=float)
-    n = mesh.num_vertices
-    vols = mesh.cell_volumes()
+    N, den = _transfer(mesh, "averaging")
+    acc = N @ cell_values.reshape(mesh.num_cells, -1)
     column = (-1,) + (1,) * (cell_values.ndim - 1)
-    weighted = np.tile((vols.reshape(column) * cell_values).reshape(
-        len(vols), -1), (3, 1))
-    # corner-major order: each vertex sums its cells' contributions in the
-    # same order as one scatter-add per corner would
-    corners = mesh.cells.T.ravel()
-    acc = np.empty((n, weighted.shape[1]))
-    for j in range(weighted.shape[1]):
-        acc[:, j] = np.bincount(corners, weights=weighted[:, j], minlength=n)
-    den = np.bincount(corners, weights=np.tile(vols, 3), minlength=n)
-    return acc.reshape((n,) + cell_values.shape[1:]) / den.reshape(column)
+    return (acc.reshape((mesh.num_vertices,) + cell_values.shape[1:])
+            / den.reshape(column))
 
 
 def growth_at_quadrature(mesh, growth):
@@ -377,10 +419,8 @@ def growth_at_quadrature(mesh, growth):
     if growth.shape == (mesh.num_cells, nq, 2, 2):
         return growth
     if growth.shape == (mesh.num_vertices, 2, 2):
-        nodal = growth[mesh.cells]
-        # the zero start and vertex order of einsum "qA,cAij->cqij"
-        return sum(TRI_POINTS[:, A, None, None] * nodal[:, None, A]
-                   for A in range(3))
+        sampled = _transfer(mesh, "sampling") @ growth.reshape(-1, 4)
+        return sampled.reshape(mesh.num_cells, nq, 2, 2)
     raise ValueError("growth field must be nodal (n, 2, 2), per-quadrature "
                      "(cells, nq, 2, 2), or callable")
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .errors import GuardViolation
 
 
@@ -62,7 +63,7 @@ def det_guard(G, config):
     """Report the nodal determinant/norm extremes against the guards."""
     G = np.asarray(G, dtype=float)
     dets = np.linalg.det(G)
-    norms = np.max(np.abs(G), axis=(-2, -1))
+    norms = tensor.max_abs(G)
     min_det = float(np.min(dets))
     max_norm = float(np.max(norms))
     violated = False
@@ -79,16 +80,20 @@ def det_guard(G, config):
     return GuardReport(min_det, max_norm, violated, message)
 
 
-def _check_stage(G, config, label):
+def _check_stage(G, config, label, report=None):
+    """The guard report of G (`report` when the caller holds it), raising
+    GuardViolation at `label` when it is violated; None without guards."""
     if config is None:
-        return
-    report = det_guard(G, config)
+        return None
+    if report is None:
+        report = det_guard(G, config)
     if report.violated:
         raise GuardViolation("%s at %s" % (report.message, label),
                              report=report)
+    return report
 
 
-def rk4_step(G, rhs, t, dt, guards=None, k1=None):
+def rk4_step(G, rhs, t, dt, guards=None, k1=None, start_report=None):
     """One classical 4th-order Runge-Kutta step of ``dG/dt = rhs(t, G)``.
 
     `rhs` receives the stage time and the full stacked field (n, d, d) and
@@ -96,7 +101,11 @@ def rk4_step(G, rhs, t, dt, guards=None, k1=None):
     GuardConfig is supplied; non-finite rates also raise GuardViolation.
     A caller that already holds ``rhs(t, G)`` passes it as `k1`, which
     then serves as the first stage (checked like the others) instead of a
-    fresh evaluation.
+    fresh evaluation; one that holds ``det_guard(G, guards)`` passes it as
+    `start_report`, which the step-start check then reads.
+
+    Returns the new field and the `GuardReport` of its step-end check
+    (None without guards), which the next step can take as its start.
     """
     G = np.asarray(G, dtype=float)
 
@@ -109,7 +118,7 @@ def rk4_step(G, rhs, t, dt, guards=None, k1=None):
     def rate(ts, Gs):
         return finite(ts, rhs(ts, Gs))
 
-    _check_stage(G, guards, "step start (t = %.6g)" % t)
+    _check_stage(G, guards, "step start (t = %.6g)" % t, start_report)
     k1 = rate(t, G) if k1 is None else finite(t, k1)
     s2 = G + 0.5 * dt * k1
     _check_stage(s2, guards, "stage 2 (t = %.6g)" % (t + 0.5 * dt))
@@ -121,8 +130,7 @@ def rk4_step(G, rhs, t, dt, guards=None, k1=None):
     _check_stage(s4, guards, "stage 4 (t = %.6g)" % (t + dt))
     k4 = rate(t + dt, s4)
     Gnew = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _check_stage(Gnew, guards, "step end (t = %.6g)" % (t + dt))
-    return Gnew
+    return Gnew, _check_stage(Gnew, guards, "step end (t = %.6g)" % (t + dt))
 
 
 def picard_step_control(k_hat, m_hat, r0, dt, safety=0.5):

@@ -31,8 +31,9 @@ def frobenius_norm(F):
 
 def max_abs(F):
     """Largest absolute entry over the trailing two axes."""
-    F = np.asarray(F)
-    return np.max(np.abs(F), axis=(-2, -1))
+    A = np.abs(np.asarray(F))
+    return np.maximum(np.maximum(A[..., 0, 0], A[..., 0, 1]),
+                      np.maximum(A[..., 1, 0], A[..., 1, 1]))
 
 
 def rotation(theta):

@@ -261,6 +261,29 @@ class TestCheck:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "out").exists()
 
+    def test_warning_is_one_line(self, tmp_path, scenario_dir):
+        # run as a program, so Python's own warning filters and formatter
+        # apply, not the test runner's
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
+                            "nutrient", "beta0", "2000")
+        result = subprocess.run(
+            [sys.executable, "-m", "morphosim.cli", "check", str(cfg)],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert ("morphosim: warning: NegativeSolutionWarning: nutrient "
+                "solution dips to" in result.stderr)
+        assert "nutrient.py" not in result.stderr
+        assert "warnings.warn(" not in result.stderr
+
+    def test_warning_format_is_scoped(self, tmp_path, scenario_dir, capsys):
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
+                            "nutrient", "beta0", "2000")
+        before = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["check", str(cfg)]) == 1
+            assert warnings.showwarning is before
+
     def test_unused_mesh_vertex_is_usage_error(self, tmp_path, scenario_dir,
                                                capsys):
         # a vertex no cell uses would leave the operators singular

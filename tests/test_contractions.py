@@ -1,7 +1,8 @@
 """The explicit 2x2 contractions equal the `np.einsum` calls they replace,
-byte for byte, the fixed contraction paths equal `optimize=True`, and the
+byte for byte, the fixed contraction paths equal `optimize=True`, the
 sparsity plan's gathers equal the COO scatter and sparse slicing they
-replace.
+replace, and the cached transfer operators equal the einsum and bincount
+forms they replace.
 
 Each case runs on the cell counts the benchmark workloads use, with random
 data and with two rest states (F_el = I, zero stress): the reference
@@ -17,7 +18,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from morphosim import EquilibriumProblem, PolarWellEnergy, fem, rectangle_mesh
+from morphosim import (EquilibriumProblem, PolarWellEnergy, fem,
+                       rectangle_mesh, solve_equilibrium, tensor)
 from morphosim.mesh import TRI_POINTS, Mesh, read_mesh, write_mesh
 
 # cell count -> crossed-mesh size (stress_modulated 12², inflation and
@@ -28,7 +30,8 @@ CASES = ("random", "rest", "half_turn")
 
 def assert_same_bytes(actual, expected):
     assert actual.shape == expected.shape and actual.dtype == expected.dtype
-    assert np.array_equal(actual, expected)
+    # NaN equals NaN here; the hashes below still tell every byte apart
+    assert np.array_equal(actual, expected, equal_nan=True)
     assert (hashlib.sha256(actual.tobytes()).hexdigest()
             == hashlib.sha256(expected.tobytes()).hexdigest())
 
@@ -88,23 +91,35 @@ def einsum_state(ws, u):
     return Fel, P, r - ws.traction_load
 
 
+def assert_scalar_gradient(mesh, case):
+    values = nodal_field(mesh, case)
+    expected = np.einsum("cA,cAa->ca", values[mesh.cells],
+                         mesh.cell_gradients())
+    assert_same_bytes(fem.interpolate_gradient(mesh, values), expected)
+
+
+def assert_vector_gradient(mesh, case):
+    values = nodal_field(mesh, case, (2,))
+    expected = np.einsum("cAi,cAa->cia", values[mesh.cells],
+                         mesh.cell_gradients())
+    assert_same_bytes(fem.interpolate_gradient(mesh, values), expected)
+
+
+def assert_growth_sampling(mesh, case):
+    G = nodal_growth(mesh, case)
+    expected = np.einsum("qA,cAij->cqij", TRI_POINTS, G[mesh.cells])
+    assert_same_bytes(fem.growth_at_quadrature(mesh, G), expected)
+
+
 class TestGradientTransfer:
     def test_scalar_gradient(self, mesh, case):
-        values = nodal_field(mesh, case)
-        expected = np.einsum("cA,cAa->ca", values[mesh.cells],
-                             mesh.cell_gradients())
-        assert_same_bytes(fem.interpolate_gradient(mesh, values), expected)
+        assert_scalar_gradient(mesh, case)
 
     def test_vector_gradient(self, mesh, case):
-        values = nodal_field(mesh, case, (2,))
-        expected = np.einsum("cAi,cAa->cia", values[mesh.cells],
-                             mesh.cell_gradients())
-        assert_same_bytes(fem.interpolate_gradient(mesh, values), expected)
+        assert_vector_gradient(mesh, case)
 
     def test_growth_at_quadrature(self, mesh, case):
-        G = nodal_growth(mesh, case)
-        expected = np.einsum("qA,cAij->cqij", TRI_POINTS, G[mesh.cells])
-        assert_same_bytes(fem.growth_at_quadrature(mesh, G), expected)
+        assert_growth_sampling(mesh, case)
 
 
 class TestWorkspace:
@@ -259,3 +274,108 @@ class TestSparsityPlan:
         assert fem.sparsity_plan(plan_mesh, 2) is not scalar
         nodes = plan_mesh.elastic_dirichlet_nodes()
         assert scalar.elimination(nodes.copy()) is scalar.elimination(nodes)
+
+
+def bincount_average(mesh, cell_values):
+    """The form `fem.nodal_from_cells` replaced: one bincount per column
+    over the corners listed corner-major, divided by the bincount of the
+    volumes."""
+    n = mesh.num_vertices
+    vols = mesh.cell_volumes()
+    column = (-1,) + (1,) * (cell_values.ndim - 1)
+    weighted = np.tile((vols.reshape(column) * cell_values).reshape(
+        len(vols), -1), (3, 1))
+    corners = mesh.cells.T.ravel()
+    acc = np.empty((n, weighted.shape[1]))
+    for j in range(weighted.shape[1]):
+        acc[:, j] = np.bincount(corners, weights=weighted[:, j], minlength=n)
+    den = np.bincount(corners, weights=np.tile(vols, 3), minlength=n)
+    return acc.reshape((n,) + cell_values.shape[1:]) / den.reshape(column)
+
+
+CELL_DATA = ("random", "mixed", "signed_zeros")
+
+
+def cell_field(mesh, kind, shape):
+    """Normal samples per cell; half of them, or all, made zeros of random
+    sign."""
+    rng = np.random.default_rng(mesh.num_cells + 1)
+    samples = rng.standard_normal((mesh.num_cells,) + shape)
+    zeros = np.copysign(0.0, samples)
+    if kind == "mixed":
+        return np.where(rng.random(samples.shape) < 0.5, zeros, samples)
+    return samples if kind == "random" else zeros
+
+
+def built_transfers(mesh):
+    return {key[1] for key in mesh._cache
+            if isinstance(key, tuple) and key[0] == "transfer"}
+
+
+class TestTransferOperators:
+    """The cached transfer operators against the einsum and bincount forms
+    they replace, also on meshes whose cells list their corners out of
+    vertex order (`shuffled_12`, `read_back_7x10`)."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gradient_and_sampling(self, plan_mesh, case):
+        assert_scalar_gradient(plan_mesh, case)
+        assert_vector_gradient(plan_mesh, case)
+        assert_growth_sampling(plan_mesh, case)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("kind", CELL_DATA)
+    def test_nodal_from_cells(self, plan_mesh, kind, shape):
+        values = cell_field(plan_mesh, kind, shape)
+        assert_same_bytes(fem.nodal_from_cells(plan_mesh, values),
+                          bincount_average(plan_mesh, values))
+
+    def test_rows_keep_corner_order(self, plan_mesh):
+        cells = plan_mesh.cells.astype(np.int32)
+        B = fem._transfer(plan_mesh, "gradient")
+        assert_same_bytes(B.indices.reshape(-1, 3), np.repeat(cells, 2, 0))
+        S = fem._transfer(plan_mesh, "sampling")
+        assert_same_bytes(S.indices.reshape(-1, 3), np.repeat(cells, 3, 0))
+
+    def test_cached_and_read_only(self, plan_mesh):
+        ops = {kind: fem._transfer(plan_mesh, kind)
+               for kind in ("gradient", "sampling", "averaging")}
+        for kind, op in ops.items():
+            assert fem._transfer(plan_mesh, kind) is op
+        N, den = ops["averaging"]
+        assert not den.flags.writeable
+        for matrix in (ops["gradient"], ops["sampling"], N):
+            assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+            for shared in (matrix.data, matrix.indices, matrix.indptr):
+                assert not shared.flags.writeable
+
+    def test_built_only_for_the_kinds_used(self):
+        mesh = rectangle_mesh(4, 4)
+        unit = np.eye(2)
+        problem = EquilibriumProblem(
+            mesh, PolarWellEnergy(),
+            lambda pts: np.broadcast_to(unit, pts.shape[:-1] + (2, 2)),
+            lambda x: 1.01 * x)
+        solve_equilibrium(problem)
+        assert built_transfers(mesh) == {"gradient"}
+        fem.growth_at_quadrature(
+            mesh, np.broadcast_to(unit, (mesh.num_vertices, 2, 2)))
+        assert built_transfers(mesh) == {"gradient", "sampling"}
+        fem.nodal_from_cells(mesh, np.ones(mesh.num_cells))
+        assert built_transfers(mesh) == {"gradient", "sampling",
+                                         "averaging"}
+
+
+class TestMaxAbs:
+    def test_matches_reduction(self):
+        rng = np.random.default_rng(11)
+        F = rng.standard_normal((3072, 2, 2))
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        picked = rng.integers(0, F.size, 4000)
+        F.reshape(-1)[picked] = rng.choice(specials, len(picked))
+        F[:5] = [np.full((2, 2), -0.0), [[0.0, -0.0], [-0.0, 0.0]],
+                 [[np.inf, np.nan], [-np.inf, 1.0]], np.full((2, 2), np.nan),
+                 [[-np.inf, -0.0], [0.0, -2.0]]]
+        for stack in (F, F.reshape(768, 4, 2, 2), F[3]):
+            assert_same_bytes(tensor.max_abs(stack),
+                              np.max(np.abs(stack), axis=(-2, -1)))

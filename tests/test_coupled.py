@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from morphosim import coupled, fem
+from morphosim import coupled, fem, growth
 from morphosim.benchmarks import analytic_growth_scenario, identity_scenario
 from morphosim.coupled import run_coupled, trajectory_csv, write_outputs
-from morphosim.growth import TimeGrid, rk4_step
+from morphosim.growth import GuardConfig, TimeGrid, rk4_step
 from morphosim.elasticity import EquilibriumProblem, residual
 from morphosim.nutrient import NutrientProblem, nutrient_coefficient_fields
 from morphosim.scenario import load_scenario
@@ -200,7 +200,7 @@ def substeps_reference(sc):
         if remaining <= 1e-12 * max(1.0, abs(grid.t_end)):
             return states
         dt = min(grid.dt, remaining)
-        G = rk4_step(G, driver.make_rhs(t, None, None), t, dt)
+        G, _ = rk4_step(G, driver.make_rhs(t, None, None), t, dt)
         t = grid.t_end if dt >= remaining - 1e-15 else t + dt
 
 
@@ -322,6 +322,41 @@ class TestGrowthTierShared:
         for Gq, detG in nutrient_growth:
             assert Gq.shape == (sc.mesh.num_cells, 3, 2, 2)
             assert detG.tobytes() == np.linalg.det(Gq).tobytes()
+
+
+class TestGuardReportShared:
+    """Each nodal growth state is guard-checked once: the snapshot reads
+    the report of the step-end check, and the next step's start check
+    reads the snapshot's."""
+
+    def test_one_check_per_state(self, scenario_dir, monkeypatch):
+        sc = load_scenario(scenario_dir / "analytic_growth.cfg")
+        sc.time.t_end = 0.005
+        guard = growth.det_guard
+        checked = []
+
+        def recording(G, config):
+            checked.append(np.array(G))
+            return guard(G, config)
+        monkeypatch.setattr(growth, "det_guard", recording)
+        traj = run_coupled(sc)
+        steps = len(traj.states) - 1
+        assert traj.status == "completed" and steps == 5
+        # G0, then stages 2 to 4 and the step end of every step
+        assert len(checked) == 1 + 4 * steps
+        assert len({G.tobytes() for G in checked}) == len(checked)
+        for state, diag in zip(traj.states, traj.diagnostics):
+            assert diag.min_det_growth == float(
+                np.min(np.linalg.det(state.growth)))
+
+    def test_violated_start_halts_at_step_start(self):
+        sc = analytic_growth_scenario(nx=4, dt=5e-3, t_end=0.05)
+        sc.guards = GuardConfig(det_min=2.0)
+        traj = run_coupled(sc)
+        assert traj.status == "guard_violation" and len(traj.states) == 1
+        assert str(traj.error) == ("growth determinant 1.0 below guard 2.0 "
+                                   "at step start (t = 0)")
+        assert traj.error.report.min_det == traj.diagnostics[0].min_det_growth
 
 
 class TestTimeOrder:

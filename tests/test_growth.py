@@ -14,7 +14,7 @@ def integrate(G0, rhs, t_end, dt, guards=None):
     steps = int(round(t_end / dt))
     t = 0.0
     for _ in range(steps):
-        G = rk4_step(G, rhs, t, dt, guards=guards)
+        G, _ = rk4_step(G, rhs, t, dt, guards=guards)
         t += dt
     return G
 
@@ -22,12 +22,12 @@ def integrate(G0, rhs, t_end, dt, guards=None):
 class TestRK4:
     def test_zero_rate_is_identity_step(self):
         G = np.array([[[1.2, 0.1], [0.0, 0.9]]])
-        out = rk4_step(G, lambda t, Gs: np.zeros_like(Gs), 0.0, 0.1)
+        out, _ = rk4_step(G, lambda t, Gs: np.zeros_like(Gs), 0.0, 0.1)
         assert np.array_equal(out, G)
 
     def test_exponential_single_step(self):
         dt = 0.05
-        out = rk4_step(np.eye(2)[None], lambda t, Gs: Gs, 0.0, dt)
+        out, _ = rk4_step(np.eye(2)[None], lambda t, Gs: Gs, 0.0, dt)
         assert np.max(np.abs(out - np.exp(dt) * np.eye(2))) <= dt ** 5 / 10.0
 
     def test_exponential_order(self):
@@ -80,7 +80,7 @@ class TestRK4:
         G = np.eye(2)[None]
         t, dt = 0.0, 1e-3
         while t < 1.0 - 1e-12:
-            G = rk4_step(G, lambda ts, Gs: Gs @ H, t, dt)
+            G, _ = rk4_step(G, lambda ts, Gs: Gs @ H, t, dt)
             t += dt
             assert np.linalg.det(G[0]) >= np.exp(-t * bound_rate) - 1e-8
 
@@ -120,11 +120,11 @@ class TestGivenFirstStage:
     def test_bitwise_identical_to_evaluating_it(self):
         G, rhs, calls = self.rhs_and_state()
         guards = GuardConfig(det_min=0.1, norm_max=10.0)
-        ref = rk4_step(G, rhs, 0.2, 0.05, guards=guards)
+        ref, _ = rk4_step(G, rhs, 0.2, 0.05, guards=guards)
         assert len(calls) == 4
         k1 = rhs(0.2, G)
         del calls[:]
-        got = rk4_step(G, rhs, 0.2, 0.05, guards=guards, k1=k1)
+        got, _ = rk4_step(G, rhs, 0.2, 0.05, guards=guards, k1=k1)
         assert len(calls) == 3 and 0.2 not in calls
         assert np.array_equal(got, ref)
 
