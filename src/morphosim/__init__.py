@@ -14,8 +14,9 @@ from .elasticity import (EquilibriumProblem, EquilibriumSolution,
                          elastic_energy, lift_dirichlet, residual,
                          solve_equilibrium, solve_fixed_point, solve_newton,
                          stress_field)
-from .fem import (assemble_scalar_operator, assemble_vector_operator,
-                  interpolate_gradient, nodal_from_cells, solve_dirichlet)
+from .fem import (DirichletSystem, assemble_scalar_operator,
+                  assemble_vector_operator, dirichlet_system,
+                  interpolate_gradient, nodal_from_cells)
 from .growth import (GuardConfig, TimeGrid, det_guard, picard_step_control,
                      rk4_step)
 from .materials import (CheckReport, ConstantNutrientModel,

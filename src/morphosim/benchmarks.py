@@ -184,7 +184,7 @@ _CONTRACTION_MESHES = weakref.WeakValueDictionary()
 
 def _contraction_mesh(nx):
     """The nx-by-nx contraction mesh, shared by every live problem of that
-    size, so that its cached plans, eliminations, lift factor and geometry
+    size, so that its cached Dirichlet systems, lift factor and geometry
     are built once."""
     mesh = _CONTRACTION_MESHES.get(nx)
     if mesh is None:

@@ -126,8 +126,10 @@ class _CoupledDriver:
     def law_inputs(self, sol, nut):
         Y = None
         if self.law.needs_deformation:
-            Y = fem.nodal_from_cells(self.mesh, fem.interpolate_gradient(
-                self.mesh, sol.deformation))
+            # a solved nutrient carries the gradient of this state's y
+            grad = (nut.deformation_gradient if nut is not None else
+                    fem.interpolate_gradient(self.mesh, sol.deformation))
+            Y = fem.nodal_from_cells(self.mesh, grad)
         N = nut.concentration if nut is not None \
             else np.zeros(self.mesh.num_vertices)
         return Y, N

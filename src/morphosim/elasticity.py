@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, materials
-from .errors import (ContractionLost, LiftDegenerate, NoConvergence,
-                     OutsideAdmissibleBall, SingularJacobian, SingularMatrix,
-                     SingularSystem, ValidationError)
+from .errors import (AssemblyError, ContractionLost, LiftDegenerate,
+                     NoConvergence, OutsideAdmissibleBall, SingularJacobian,
+                     SingularMatrix, SingularSystem, ValidationError)
 
 METHODS = ("fixed_point", "newton")
 
@@ -91,20 +91,14 @@ class EquilibriumSolution:
 # Dirichlet lifting
 
 
-def _lift_solver(mesh):
-    """Cached scalar Laplace factorization for the harmonic extension."""
-    if "lift_solver" not in mesh._cache:
+def _lift_factor(mesh, system):
+    """The lift's cached factor of the Laplacian's K_ff, and its K_fc."""
+    if "lift_factor" not in mesh._cache:
         w = mesh.quad_weights()
         g = mesh.cell_gradients()
-        Ke = np.einsum("cq,cAa,cBa->cAB", w, g, g)
-        plan = fem.sparsity_plan(mesh, 1)
-        nodes = mesh.elastic_dirichlet_nodes()
-        elimination = plan.elimination(nodes)
-        K = plan.assemble(Ke)
-        free_idx = elimination.free
-        lu = fem._factorize_spd(elimination.ff(K)) if len(free_idx) else None
-        mesh._cache["lift_solver"] = (lu, elimination.fc(K), free_idx, nodes)
-    return mesh._cache["lift_solver"]
+        K = system.assemble(np.einsum("cq,cAa,cBa->cAB", w, g, g))
+        mesh._cache["lift_factor"] = (system.factor(K), system.fc(K))
+    return mesh._cache["lift_factor"]
 
 
 def lift_dirichlet(mesh, dirichlet_data, with_gradient=False):
@@ -114,7 +108,8 @@ def lift_dirichlet(mesh, dirichlet_data, with_gradient=False):
 
     Affine data on a full Dirichlet boundary is reproduced exactly.  The
     extension must stay locally orientation preserving; otherwise
-    LiftDegenerate is raised.  With `with_gradient`, returns
+    LiftDegenerate is raised.  Non-finite boundary positions raise
+    AssemblyError before any solve.  With `with_gradient`, returns
     ``(f_tilde, grad f_tilde)``, the per-cell gradient the orientation
     check computed.
 
@@ -124,23 +119,27 @@ def lift_dirichlet(mesh, dirichlet_data, with_gradient=False):
     the same arrays without a solve.  Both arrays are read-only; a lift
     that raised is never kept.
     """
-    lu, Kfc, free_idx, nodes = _lift_solver(mesh)
+    system = fem.dirichlet_system(mesh, 1, mesh.elastic_dirichlet_nodes())
+    nodes, free = system.fixed, system.free
     bc = np.zeros((0, 2))
     if len(nodes):
         bc = np.asarray(dirichlet_data(mesh.vertices[nodes]),
                         dtype=float).reshape(len(nodes), 2)
+        if not np.all(np.isfinite(bc)):
+            raise AssemblyError("non-finite Dirichlet data")
     last = mesh._cache.get("last_lift")
     if last is None or not np.array_equal(last[0], bc):
         shift = np.zeros((mesh.num_vertices, 2))
-        if len(nodes):
-            shift[nodes] = bc - mesh.vertices[nodes]
-            if len(free_idx):
-                rhs = -(Kfc @ shift[nodes])
-                shift[free_idx, 0] = lu.solve(rhs[:, 0])
-                shift[free_idx, 1] = lu.solve(rhs[:, 1])
+        shift[nodes] = bc - mesh.vertices[nodes]
+        if len(free):
+            lu, Kfc = _lift_factor(mesh, system)
+            rhs = -(Kfc @ shift[nodes])
+            shift[free, 0] = lu.solve(rhs[:, 0])
+            shift[free, 1] = lu.solve(rhs[:, 1])
         f_tilde = mesh.vertices + shift
         jac = fem.interpolate_gradient(mesh, f_tilde)
-        if np.any(np.linalg.det(jac) <= 0.0):
+        # tested as not all > 0, so that a NaN determinant fails it too
+        if not np.all(np.linalg.det(jac) > 0.0):
             raise LiftDegenerate("lifted Dirichlet data folds some cell "
                                  "(det grad f_tilde <= 0)")
         last = (bc.copy(), f_tilde, jac)
@@ -153,20 +152,6 @@ def lift_dirichlet(mesh, dirichlet_data, with_gradient=False):
 
 # ---------------------------------------------------------------------------
 # per-problem workspace
-
-
-def _dof_maps(mesh):
-    """Cached elastic dof maps: fixed dofs, free-dof mask, element dofs."""
-    if "elastic_dofs" not in mesh._cache:
-        nodes = mesh.elastic_dirichlet_nodes()
-        fixed = (2 * nodes[:, None] + np.arange(2)).ravel()
-        free = np.ones(2 * mesh.num_vertices, dtype=bool)
-        free[fixed] = False
-        edofs = 2 * mesh.cells[:, :, None] + np.arange(2)
-        for shared in (fixed, free, edofs):
-            shared.flags.writeable = False
-        mesh._cache["elastic_dofs"] = (fixed, free, edofs)
-    return mesh._cache["elastic_dofs"]
 
 
 # greedy `einsum_path`'s path for the coefficient pull-back at every cell
@@ -207,13 +192,17 @@ class _Workspace:
         self.Ginvq = np.linalg.inv(self.Gq)
         self.f_tilde, self.grad_ft = lift_dirichlet(
             mesh, problem.dirichlet_data, with_gradient=True)
-        self.fixed_dofs, self.free, self.edofs = _dof_maps(mesh)
         if problem.neumann_traction is not None:
             self.traction_load = fem.boundary_load_vector(
                 mesh, ~mesh.facet_elastic_dirichlet,
                 problem.neumann_traction, 2)
         else:
             self.traction_load = np.zeros(2 * mesh.num_vertices)
+
+    @functools.cached_property
+    def system(self):
+        return fem.dirichlet_system(self.mesh, 2,
+                                    self.mesh.elastic_dirichlet_nodes())
 
     def elastic_state(self, u):
         """The `ElasticState` of u: `materials.elastic_factor` of
@@ -239,10 +228,10 @@ class _Workspace:
                       + wP[:, q, None, :, 1] * g[:, :, None, 1]
                       for q in range(3))
         # bincount adds in index order, as a scatter-add would
-        r = np.bincount(self.edofs.ravel(), weights=contrib.ravel(),
+        r = np.bincount(self.system.edofs.ravel(), weights=contrib.ravel(),
                         minlength=2 * self.mesh.num_vertices)
         r -= self.traction_load
-        return r, float(np.linalg.norm(r[self.free])), P
+        return r, float(np.linalg.norm(r[self.system.free])), P
 
     def coefficient_tensor(self, state):
         """Fourth-order stiffness coefficients at the quadrature points:
@@ -323,7 +312,7 @@ def _initial_guess(ws, initial):
     if initial is None:
         return np.zeros((ws.mesh.num_vertices, 2))
     u = np.array(initial, dtype=float, copy=True).reshape(-1, 2)
-    u.reshape(-1)[ws.fixed_dofs] = 0.0
+    u.reshape(-1)[ws.system.fixed] = 0.0
     return u
 
 
@@ -360,9 +349,7 @@ def _iterate(problem, initial, method):
              else assemble_linearized_at_zero(problem))
         tol_inc, tol_res = _tolerances(ws, K)
         done = rn <= tol_res
-        elimination = fem.sparsity_plan(ws.mesh, 2).elimination(
-            ws.fixed_dofs)
-        free = elimination.free
+    free = ws.system.free
     increments = []
     rho_hat = 0.0
     bad = k = 0
@@ -383,7 +370,7 @@ def _iterate(problem, initial, method):
                 lu = None
                 K = ws.stiffness(state)
             try:
-                lu = fem._factorize_spd(elimination.ff(K))
+                lu = ws.system.factor(K)
             except SingularSystem as exc:
                 if not newton:
                     raise

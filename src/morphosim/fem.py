@@ -1,22 +1,14 @@
 """First-order finite elements on triangle meshes: assembly of scalar and
-vector elliptic operators, Dirichlet elimination, sparse solves, and
-gradient transfer.
+vector elliptic operators, Dirichlet systems, and gradient transfer.
 
 Degrees of freedom: scalar problems use one dof per vertex; vector
 problems interleave components, ``dof = 2 * vertex + component``.  The
-assemblers return the unconstrained operator, summed through the mesh's
-cached `SparsityPlan`.  An `Elimination` splits free from fixed dofs,
-and `solve_dirichlet` is the one solve with strong Dirichlet values:
-row/column elimination with a symmetric right-hand-side correction, so
-the reduced operator stays symmetric positive definite, which the pivot
-check of its sparse LU factorization verifies.
-
-A plan records once the sort that scipy's COO-to-CSR conversion applies
-to the element entries; every later operator on the same pattern lays
-its terms out in that order and scipy's own `sum_duplicates` adds them,
-so it is the scattered operator bit for bit.  An elimination pushes
-entry positions through `eliminate` once, so its blocks are gathers
-equal to the sliced ones.
+mesh keeps one `DirichletSystem` per dof layout and set of Dirichlet
+vertices (`dirichlet_system`).  It sums the assemblers' unconstrained
+operators bit for bit as a COO scatter does, and imposes strong
+Dirichlet values by row/column elimination with a symmetric
+right-hand-side correction, so the reduced operator stays symmetric
+positive definite, as the pivot check of its LU verifies.
 
 Gradient transfer is one sparse product with an operator the mesh keeps,
 built on first use: B maps nodal values to per-cell gradients, S samples
@@ -37,13 +29,13 @@ from .mesh import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS
 
 
 # ---------------------------------------------------------------------------
-# linear systems
+# Dirichlet systems
 
 
 def eliminate(K, fixed):
     """Split the CSR operator K at the `fixed` dofs by sparse slicing:
-    returns ``(K_ff as CSC, the free rows K_f, the free index)``.  An
-    `Elimination` is built from it and gives the same blocks by gather."""
+    returns ``(K_ff as CSC, the free rows K_f, the free index)``.  A
+    `DirichletSystem` finds its gathers with it and gives the same blocks."""
     mask = np.ones(K.shape[0], dtype=bool)
     mask[fixed] = False
     free = np.nonzero(mask)[0]
@@ -69,48 +61,6 @@ def _factorize_spd(Kcsc):
     return lu
 
 
-def solve_dirichlet(K, rhs, elimination, values, tol=1e-12):
-    """Solve ``K x = rhs`` with ``x[fixed] = values`` by elimination and
-    sparse direct factorization, the fixed dofs those of `elimination`
-    (an `Elimination` for K's pattern).  Returns x and the residual norm
-    ``|K_ff x_f - b_f|`` (0.0 without free dofs), verified to be at most
-    ``tol * |b_f|`` or ``10 * tol * max(1, |x_f|)``.  Raises AssemblyError
-    on a non-finite reduced load, SingularSystem on a non-positive or
-    vanishing pivot, and NoConvergence when the residual check fails."""
-    Kff = elimination.ff(K)
-    free, fixed = elimination.free, elimination.fixed
-    bf = rhs[free]
-    # K_fc u_c is exactly zero for finite K when every value is zero, and
-    # b_f - 0 is b_f bit for bit
-    if np.any(values != 0.0):
-        bf = bf - elimination.fc(K) @ values
-    x = np.zeros(K.shape[0])
-    resid = 0.0
-    if len(free):
-        if not np.all(np.isfinite(bf)):
-            raise AssemblyError("non-finite right-hand side")
-        x_free = _factorize_spd(Kff).solve(bf)
-        resid = float(np.linalg.norm(Kff @ x_free - bf))
-        if (resid > tol * max(np.linalg.norm(bf), 1e-300) and
-                resid > 10 * tol * max(1.0, np.linalg.norm(x_free))):
-            raise NoConvergence("linear solve residual %.3e exceeds "
-                                "tolerance" % resid)
-        x[free] = x_free
-    x[fixed] = values
-    return x, resid
-
-
-# ---------------------------------------------------------------------------
-# assembly
-
-
-def _as_quad_array(mesh, value, trailing):
-    """Coefficient at quadrature points: an array that broadcasts to
-    (cells, nq) + trailing."""
-    target = (mesh.num_cells, TRI_POINTS.shape[0]) + trailing
-    return np.broadcast_to(np.asarray(value, dtype=float), target)
-
-
 def _coo(n_dofs, edofs, Ke):
     nloc = edofs.shape[1]
     rows = np.repeat(edofs, nloc, axis=1).ravel()
@@ -120,70 +70,62 @@ def _coo(n_dofs, edofs, Ke):
 
 def _scatter(n_dofs, edofs, Ke):
     """CSR operator of the element matrices Ke by COO scatter: the sum
-    that a `SparsityPlan` reproduces."""
+    that `DirichletSystem.assemble` reproduces."""
     return _coo(n_dofs, edofs, Ke).tocsr()
 
 
-class SparsityPlan:
-    """The order in which a COO scatter of element matrices on the
-    element dofs `edofs` (cells, nloc) lays out their terms to sum them.
+class DirichletSystem:
+    """Assembly and solves on `n_dofs` dofs with element dofs `edofs`
+    (cells, nloc) and Dirichlet dofs `fixed`; `free` lists the others.
 
-    scipy's COO-to-CSR conversion places the terms row by row, sorts each
-    row with `sort_indices` and adds each run of duplicates with
-    `sum_duplicates`.  The plan pushes term ids through the first two
-    calls once and keeps the permutation they apply, `order`, and the
+    scipy's COO-to-CSR conversion places the element terms row by row,
+    sorts each row with `sort_indices` and adds each run of duplicates
+    with `sum_duplicates`.  The system pushes term ids through the first
+    two calls once and keeps the permutation they apply, `order`, and the
     sorted pattern before summation; `assemble` lays the terms out in
-    that order and leaves every addition to `sum_duplicates`.
+    that order and leaves every addition to `sum_duplicates`.  A system
+    built `like` another on the same element dofs takes its sort.  K_ff
+    and K_fc are gathers from an operator's data, found by pushing entry
+    positions through `eliminate`.  Every array is read-only.
     """
 
-    def __init__(self, n_dofs, edofs):
-        nloc = edofs.shape[1]
-        coo = _coo(n_dofs, edofs, np.arange(edofs.size * nloc, dtype=float))
-        coo.has_canonical_format = True    # convert without summing
-        ordered = coo.tocsr()
-        del coo
-        ordered.sort_indices()             # the order the sum sees
-        self.order = ordered.data.astype(np.intp)
-        self.indptr, self.indices = ordered.indptr, ordered.indices
-        self.shape = ordered.shape
-        for shared in (self.order, self.indptr, self.indices):
-            shared.flags.writeable = False
-        self._eliminations = {}
-
-    def assemble(self, Ke):
-        """CSR operator of the element matrices Ke (cells, nloc, nloc),
-        equal to `_scatter` bit for bit."""
-        K = sp.csr_matrix((Ke.ravel()[self.order], self.indices.copy(),
-                           self.indptr.copy()), shape=self.shape)
-        K.has_sorted_indices = True
-        K.sum_duplicates()
-        return K
-
-    def elimination(self, fixed):
-        """The cached `Elimination` of the dofs `fixed` on this pattern."""
-        key = np.asarray(fixed).tobytes()
-        if key not in self._eliminations:
+    def __init__(self, n_dofs, edofs, fixed, like=None):
+        if like is None:
+            nloc = edofs.shape[1]
+            coo = _coo(n_dofs, edofs,
+                       np.arange(edofs.size * nloc, dtype=float))
+            coo.has_canonical_format = True    # convert without summing
+            ordered = coo.tocsr()
+            del coo
+            ordered.sort_indices()             # the order the sum sees
+            self.order = ordered.data.astype(np.intp)
+            self._terms = (ordered.indices, ordered.indptr, ordered.shape)
             zero = self.assemble(np.zeros(len(self.order)))
-            self._eliminations[key] = Elimination(zero, fixed)
-        return self._eliminations[key]
-
-
-class Elimination:
-    """The blocks K_ff (CSC) and K_fc (CSR) of every operator with the
-    pattern of the CSR matrix K, split at the dofs `fixed`, as gathers
-    from the operator's data.  Built by pushing entry positions through
-    `eliminate`, so the blocks are those of `eliminate` bit for bit."""
-
-    def __init__(self, K, fixed):
-        self.fixed = fixed
-        self.indptr, self.indices = K.indptr, K.indices
+            self.indptr, self.indices = zero.indptr, zero.indices
+        else:
+            self.order, self._terms = like.order, like._terms
+            self.indptr, self.indices = like.indptr, like.indices
+        self.edofs, self.fixed = edofs, fixed
         positions = sp.csr_matrix(
-            (np.arange(len(K.indices), dtype=float), K.indices, K.indptr),
-            shape=K.shape)
+            (np.arange(len(self.indices), dtype=float), self.indices,
+             self.indptr), shape=self._terms[2])
         Kff, Kf, self.free = eliminate(positions, fixed)
         self._ff, self._fc = (
             (type(block), block.data.astype(np.intp), block.indices,
              block.indptr, block.shape) for block in (Kff, Kf[:, fixed]))
+        for shared in (self.order, self.indptr, self.indices, self.edofs,
+                       self.fixed, self.free) + self._terms[:2]:
+            shared.flags.writeable = False
+
+    def assemble(self, Ke):
+        """CSR operator of the element matrices Ke (cells, nloc, nloc),
+        equal to `_scatter` bit for bit."""
+        indices, indptr, shape = self._terms
+        K = sp.csr_matrix((Ke.ravel()[self.order], indices.copy(),
+                           indptr.copy()), shape=shape)
+        K.has_sorted_indices = True
+        K.sum_duplicates()
+        return K
 
     def ff(self, K):
         """K_ff of the CSR operator K, as CSC."""
@@ -196,21 +138,68 @@ class Elimination:
     def _block(self, block, K):
         if not (np.array_equal(K.indptr, self.indptr) and
                 np.array_equal(K.indices, self.indices)):
-            raise ValueError("operator pattern differs from the eliminated "
-                             "one")
+            raise ValueError("operator pattern differs from the system's")
         kind, gather, indices, indptr, shape = block
         return kind((K.data[gather], indices, indptr), shape=shape)
 
+    def factor(self, K):
+        """Pivot-checked sparse LU of K_ff (SingularSystem unless SPD)."""
+        return _factorize_spd(self.ff(K))
 
-def sparsity_plan(mesh, components):
-    """The mesh's `SparsityPlan` for `components` interleaved dofs per
-    vertex, built on first use and cached with the mesh."""
-    key = ("sparsity_plan", components)
-    if key not in mesh._cache:
-        edofs = (components * mesh.cells[:, :, None] + np.arange(components))
-        mesh._cache[key] = SparsityPlan(components * mesh.num_vertices,
-                                        edofs.reshape(mesh.num_cells, -1))
-    return mesh._cache[key]
+    def solve(self, K, rhs, values, tol=1e-12):
+        """Solve ``K x = rhs`` with ``x[fixed] = values`` by elimination
+        and sparse direct factorization.  Returns x and the residual norm
+        ``|K_ff x_f - b_f|`` (0.0 without free dofs), verified to be at
+        most ``tol * |b_f|`` or ``10 * tol * max(1, |x_f|)``.  Raises
+        AssemblyError on a non-finite reduced load, SingularSystem on a
+        non-positive or vanishing pivot, and NoConvergence when the
+        residual check fails."""
+        Kff = self.ff(K)
+        bf = rhs[self.free]
+        # K_fc u_c is exactly zero for finite K when every value is zero,
+        # and b_f - 0 is b_f bit for bit
+        if np.any(values != 0.0):
+            bf = bf - self.fc(K) @ values
+        x = np.zeros(K.shape[0])
+        resid = 0.0
+        if len(self.free):
+            if not np.all(np.isfinite(bf)):
+                raise AssemblyError("non-finite right-hand side")
+            x_free = _factorize_spd(Kff).solve(bf)
+            resid = float(np.linalg.norm(Kff @ x_free - bf))
+            if (resid > tol * max(np.linalg.norm(bf), 1e-300) and
+                    resid > 10 * tol * max(1.0, np.linalg.norm(x_free))):
+                raise NoConvergence("linear solve residual %.3e exceeds "
+                                    "tolerance" % resid)
+            x[self.free] = x_free
+        x[self.fixed] = values
+        return x, resid
+
+
+def dirichlet_system(mesh, components, nodes):
+    """The mesh's `DirichletSystem` for `components` interleaved dofs per
+    vertex and the Dirichlet vertices `nodes`, built on first use and
+    cached with the mesh; the systems of one layout share one sort."""
+    systems = mesh._cache.setdefault(("dirichlet_systems", components), {})
+    key = np.asarray(nodes).tobytes()
+    if key not in systems:
+        edofs = components * mesh.cells[:, :, None] + np.arange(components)
+        fixed = components * np.asarray(nodes)[:, None] + np.arange(components)
+        systems[key] = DirichletSystem(
+            components * mesh.num_vertices, edofs.reshape(mesh.num_cells, -1),
+            fixed.ravel(), like=next(iter(systems.values()), None))
+    return systems[key]
+
+
+# ---------------------------------------------------------------------------
+# assembly
+
+
+def _as_quad_array(mesh, value, trailing):
+    """Coefficient at quadrature points: an array that broadcasts to
+    (cells, nq) + trailing."""
+    target = (mesh.num_cells, TRI_POINTS.shape[0]) + trailing
+    return np.broadcast_to(np.asarray(value, dtype=float), target)
 
 
 def _min_eig_sym2(D):
@@ -272,8 +261,8 @@ def assemble_vector_operator(mesh, coeff):
 
         (v, u)  ->  int_Omega A[i, j, a, b] d_a v^i d_b u^j dx
 
-    Boundary loads come from `boundary_load_vector`, constraints from
-    the `Elimination` of ``sparsity_plan(mesh, 2)``.
+    Summed by the elastic `dirichlet_system`, which imposes the
+    constraints; boundary loads come from `boundary_load_vector`.
 
     Parameters
     ----------
@@ -289,7 +278,8 @@ def assemble_vector_operator(mesh, coeff):
     g = mesh.cell_gradients()
     Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", w, A, g, g,
                    optimize=_VECTOR_PATH)
-    return sparsity_plan(mesh, 2).assemble(Ke)
+    return dirichlet_system(mesh, 2, mesh.elastic_dirichlet_nodes()
+                            ).assemble(Ke)
 
 
 def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
@@ -299,8 +289,9 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
 
         (v, u)  ->  int_Omega grad v . D grad u + r u v dx
 
-    with weak flux data on the nutrient-Neumann part; `solve_dirichlet`
-    imposes the values on the nutrient-Dirichlet part.
+    with weak flux data on the nutrient-Neumann part, summed by the
+    nutrient `dirichlet_system`, whose `solve` imposes the values on the
+    nutrient-Dirichlet part.
 
     Raises EllipticityViolation when a sampled diffusion matrix has an
     eigenvalue below `ellipticity_nu`, and AssemblyError on non-finite or
@@ -324,7 +315,8 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
                    optimize=_DIFFUSION_PATH)
     Ke += np.einsum("cq,cq,qA,qB->cAB", w, r, TRI_POINTS, TRI_POINTS,
                     optimize=_REACTION_PATH)
-    K = sparsity_plan(mesh, 1).assemble(Ke)
+    K = dirichlet_system(mesh, 1, mesh.nutrient_dirichlet_nodes()
+                         ).assemble(Ke)
 
     rhs = np.zeros(mesh.num_vertices)
     if neumann_flux is not None:

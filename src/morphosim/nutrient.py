@@ -45,16 +45,19 @@ class NutrientSolution:
     concentration: np.ndarray
     min_value: float
     residual_norm: float
+    deformation_gradient: np.ndarray  # (cells, 2, 2) grad y, as read
 
 
-def nutrient_coefficient_fields(problem):
+def nutrient_coefficient_fields(problem, Y=None):
     """Diffusion and absorption sampled at the quadrature points.
 
     Returns ``(D, beta)`` with shapes (cells, nq, 2, 2) and (cells, nq).
+    `Y` is the per-cell gradient of the deformation when already taken.
     Raises SingularMatrix when the deformation gradient degenerates.
     """
     mesh = problem.mesh
-    Y = fem.interpolate_gradient(mesh, problem.deformation)
+    if Y is None:
+        Y = fem.interpolate_gradient(mesh, problem.deformation)
     detY = np.linalg.det(Y)
     if np.any(detY <= 0.0):
         raise SingularMatrix("deformation gradient with non-positive "
@@ -80,7 +83,8 @@ def solve_nutrient(problem, tol=1e-12):
     below ``-1e-10 * scale`` emits NegativeSolutionWarning.
     """
     mesh = problem.mesh
-    D, beta = nutrient_coefficient_fields(problem)
+    Y = fem.interpolate_gradient(mesh, problem.deformation)
+    D, beta = nutrient_coefficient_fields(problem, Y)
 
     nodes = mesh.nutrient_dirichlet_nodes()
     values = np.zeros(0)
@@ -105,12 +109,10 @@ def solve_nutrient(problem, tol=1e-12):
     K, rhs = fem.assemble_scalar_operator(
         mesh, D, reaction=beta, neumann_flux=flux,
         ellipticity_nu=problem.model.ellipticity_nu)
-    N, resid = fem.solve_dirichlet(
-        K, rhs, fem.sparsity_plan(mesh, 1).elimination(nodes), values,
-        tol=tol)
+    N, resid = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs, values, tol)
     min_value = float(np.min(N))
     scale = max(1.0, float(np.max(np.abs(N))))
     if mesh.delaunay_like and min_value < -1e-10 * scale:
         warnings.warn("nutrient solution dips to %.3e on a Delaunay-type "
                       "mesh" % min_value, NegativeSolutionWarning)
-    return NutrientSolution(N, min_value, resid)
+    return NutrientSolution(N, min_value, resid, Y)

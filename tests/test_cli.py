@@ -102,6 +102,38 @@ class TestRun:
         assert "folds some cell" in note
         assert not (tmp_path / "out" / "failure_snapshot.vtk").exists()
 
+    def test_data_non_finite_between_samples_halts_cleanly(self, tmp_path,
+                                                           capsys):
+        # validation samples the data at t = 0, 0.25 and 0.5 only; at
+        # t = 0.2 the boundary positions are infinite
+        cfg, outdir = write_cfg(tmp_path, """
+[mesh]
+nx = 4
+ny = 4
+
+[growth]
+law = none
+
+[boundary]
+f = x + 0.001 / (0.2 - t), y
+f_n = 1
+
+[time]
+t_end = 0.5
+dt = 0.1
+
+[output]
+directory = {outdir}
+""")
+        assert main(["check", str(cfg)]) == 0
+        assert main(["run", str(cfg)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rows = open(os.path.join(outdir, "run.csv")).read().splitlines()
+        assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, 0.1]
+        note = open(os.path.join(outdir, "failure.txt")).read()
+        assert "status: solver_failure\n" in note
+        assert "non-finite Dirichlet data" in note
+
     def test_guard_violation_leaves_failure_files(self, tmp_path,
                                                   scenario_dir, capsys):
         outdir = tmp_path / "guard"

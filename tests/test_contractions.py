@@ -1,8 +1,8 @@
 """The explicit 2x2 contractions equal the `np.einsum` calls they replace,
 byte for byte, the fixed contraction paths equal `optimize=True`, the
-sparsity plan's gathers equal the COO scatter and sparse slicing they
-replace, and the cached transfer operators equal the einsum and bincount
-forms they replace.
+Dirichlet system's sums and gathers equal the COO scatter and sparse
+slicing they replace, and the cached transfer operators equal the einsum
+and bincount forms they replace.
 
 Each case runs on the cell counts the benchmark workloads use, with random
 data and with two rest states (F_el = I, zero stress): the reference
@@ -73,8 +73,13 @@ def workspace_and_state(mesh, case):
                                  nodal_growth(mesh, case), lambda x: scale * x)
     ws = problem.workspace
     u = 2e-4 * nodal_field(mesh, case, (2,))
-    u.reshape(-1)[ws.fixed_dofs] = 0.0
+    u.reshape(-1)[ws.system.fixed] = 0.0
     return ws, u
+
+
+def vector_edofs(mesh):
+    """Element dofs of the interleaved vector layout, (cells, 6)."""
+    return (2 * mesh.cells[:, :, None] + np.arange(2)).reshape(-1, 6)
 
 
 def einsum_state(ws, u):
@@ -86,7 +91,7 @@ def einsum_state(ws, u):
     P = ws.detGq[..., None, None] * np.einsum("cqij,cqkj->cqik", DW,
                                               ws.Ginvq)
     contrib = np.einsum("cq,cqia,cAa->cAi", ws.weights, P, ws.grads)
-    r = np.bincount(ws.edofs.ravel(), weights=contrib.ravel(),
+    r = np.bincount(vector_edofs(ws.mesh).ravel(), weights=contrib.ravel(),
                     minlength=2 * ws.mesh.num_vertices)
     return Fel, P, r - ws.traction_load
 
@@ -138,7 +143,7 @@ class TestWorkspace:
         r, rn, P = ws.residual(ws.elastic_state(u))
         assert_same_bytes(P, P_expected)
         assert_same_bytes(r, r_expected)
-        assert rn == float(np.linalg.norm(r_expected[ws.free]))
+        assert rn == float(np.linalg.norm(r_expected[ws.system.free]))
 
     def test_coefficient_tensor_path(self, mesh, case):
         ws, u = workspace_and_state(mesh, case)
@@ -157,8 +162,8 @@ class TestAssemblyPaths:
         Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", mesh.quad_weights(), A,
                        mesh.cell_gradients(), mesh.cell_gradients(),
                        optimize=True)
-        expected = fem._scatter(2 * mesh.num_vertices,
-                                ws.edofs.reshape(-1, 6), Ke.reshape(-1, 6, 6))
+        expected = fem._scatter(2 * mesh.num_vertices, vector_edofs(mesh),
+                                Ke.reshape(-1, 6, 6))
         K = fem.assemble_vector_operator(mesh, A)
         assert_same_bytes(K.indptr, expected.indptr)
         assert_same_bytes(K.indices, expected.indices)
@@ -242,8 +247,10 @@ def assert_same_operator(actual, expected):
 
 
 class TestSparsityPlan:
-    """`SparsityPlan.assemble` and the `Elimination` blocks against their
-    oracles, `_scatter` and `eliminate` (sparse slicing)."""
+    """The sparsity plan of a `DirichletSystem` (its recorded sort and its
+    gathers): `assemble`, `ff` and `fc` against their oracles, `_scatter`
+    and `eliminate` (sparse slicing), for the elastic and the nutrient
+    Dirichlet part of every mesh."""
 
     @pytest.mark.parametrize("kind", ELEMENT_MATRICES)
     @pytest.mark.parametrize("components", [1, 2])
@@ -252,28 +259,39 @@ class TestSparsityPlan:
         edofs = (components * mesh.cells[:, :, None]
                  + np.arange(components)).reshape(mesh.num_cells, -1)
         Ke = element_matrices(mesh, edofs.shape[1], kind)
-        plan = fem.sparsity_plan(mesh, components)
-        K = plan.assemble(Ke)
         expected = fem._scatter(components * mesh.num_vertices, edofs, Ke)
-        assert_same_operator(K, expected)
-        nodes = [mesh.elastic_dirichlet_nodes(),
-                 mesh.nutrient_dirichlet_nodes()]
-        for fixed in (components * n[:, None] + np.arange(components)
-                      for n in nodes):
-            fixed = fixed.ravel()
-            elimination = plan.elimination(fixed)
-            Kff, Kfc = elimination.ff(K), elimination.fc(K)
+        for nodes in (mesh.elastic_dirichlet_nodes(),
+                      mesh.nutrient_dirichlet_nodes()):
+            system = fem.dirichlet_system(mesh, components, nodes)
+            K = system.assemble(Ke)
+            assert_same_operator(K, expected)
+            fixed = (components * nodes[:, None]
+                     + np.arange(components)).ravel()
             Kff_expected, Kf, free = fem.eliminate(expected, fixed)
-            assert_same_bytes(elimination.free, free)
-            assert_same_operator(Kff, Kff_expected)
-            assert_same_operator(Kfc, Kf[:, fixed])
+            assert_same_bytes(system.edofs, edofs)
+            assert_same_bytes(system.fixed, fixed)
+            assert_same_bytes(system.free, free)
+            assert_same_operator(system.ff(K), Kff_expected)
+            assert_same_operator(system.fc(K), Kf[:, fixed])
 
     def test_plan_is_cached_per_pattern(self, plan_mesh):
-        scalar = fem.sparsity_plan(plan_mesh, 1)
-        assert fem.sparsity_plan(plan_mesh, 1) is scalar
-        assert fem.sparsity_plan(plan_mesh, 2) is not scalar
-        nodes = plan_mesh.elastic_dirichlet_nodes()
-        assert scalar.elimination(nodes.copy()) is scalar.elimination(nodes)
+        elastic = plan_mesh.elastic_dirichlet_nodes()
+        nutrient = plan_mesh.nutrient_dirichlet_nodes()
+        scalar = fem.dirichlet_system(plan_mesh, 1, elastic)
+        assert fem.dirichlet_system(plan_mesh, 1, elastic.copy()) is scalar
+        assert fem.dirichlet_system(plan_mesh, 2, elastic) is not scalar
+        other = fem.dirichlet_system(plan_mesh, 1, nutrient)
+        assert (other is scalar) == np.array_equal(elastic, nutrient)
+        # one recorded sort per dof layout
+        assert other.order is scalar.order
+
+    def test_arrays_are_read_only(self, plan_mesh):
+        for components in (1, 2):
+            system = fem.dirichlet_system(
+                plan_mesh, components, plan_mesh.elastic_dirichlet_nodes())
+            for name in ("edofs", "fixed", "free", "order", "indptr",
+                         "indices"):
+                assert not getattr(system, name).flags.writeable, name
 
 
 def bincount_average(mesh, cell_values):

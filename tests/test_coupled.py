@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -289,6 +292,79 @@ class TestDeformationOnlyWhenRead:
         assert counts["nodal_from_cells"] == len(traj.states) + steps
         assert len(seen) == 4 * steps  # the rate and three RK4 stages
         assert all(Y.shape == (sc.mesh.num_vertices, 2, 2) for Y in seen)
+
+
+def law_inputs_anew(self, sol, nut):
+    """The growth law's inputs with the gradient of y taken anew at every
+    call."""
+    Y = None
+    if self.law.needs_deformation:
+        Y = fem.nodal_from_cells(self.mesh, fem.interpolate_gradient(
+            self.mesh, sol.deformation))
+    N = nut.concentration if nut is not None \
+        else np.zeros(self.mesh.num_vertices)
+    return Y, N
+
+
+class TestDeformationGradientShared:
+    """The cell gradient of a solved state's y is taken once: the nutrient
+    solution carries the one its coefficients read to the growth law."""
+
+    def test_one_gradient_per_solved_state(self, scenario_dir, monkeypatch):
+        def run():
+            sc = load_scenario(scenario_dir / "analytic_growth.cfg")
+            sc.time.t_end = 0.005
+            return run_coupled(sc)
+        with monkeypatch.context() as patched:
+            patched.setattr(coupled._CoupledDriver, "law_inputs",
+                            law_inputs_anew)
+            anew = run()
+        interpolate = fem.interpolate_gradient
+        callers = []
+
+        def recording(mesh, values):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return interpolate(mesh, values)
+        monkeypatch.setattr(fem, "interpolate_gradient", recording)
+        traj = run()
+        steps = len(traj.states) - 1
+        assert traj.status == "completed" and steps == 5
+        # y's gradient: the nutrient solve's at every snapshot, the
+        # coupled loop's at RK4 stages 2 to 4 (the product law reads no
+        # nutrient, so the stage solves skip it); a second one at every
+        # stepping snapshot made this 1 + 5 * steps
+        on_y = [c for c in callers
+                if c in ("morphosim.nutrient", "morphosim.coupled")]
+        assert on_y.count("morphosim.nutrient") == len(traj.states)
+        assert len(on_y) == len(traj.states) + 3 * steps
+        assert trajectory_csv(traj) == trajectory_csv(anew)
+        assert len(traj.states) == len(anew.states)
+        for state, ref in zip(traj.states, anew.states):
+            assert state.growth.tobytes() == ref.growth.tobytes()
+
+
+class TestMethodAgreement:
+    """Chord and Newton solve every shipped scenario to the same states."""
+
+    @pytest.mark.parametrize("demo", sorted(
+        name for name in os.listdir(os.path.join(
+            os.path.dirname(__file__), "..", "demos", "scenarios"))
+        if name.endswith(".cfg")))
+    def test_chord_and_newton_agree(self, scenario_dir, demo):
+        runs = []
+        for method in ("fixed_point", "newton"):
+            sc = load_scenario(scenario_dir / demo)
+            sc.solver.method = method
+            if demo == "analytic_growth.cfg":
+                sc.time.t_end = 0.05
+            runs.append(run_coupled(sc))
+        chord, newton = runs
+        assert chord.status == newton.status == "completed"
+        assert len(chord.states) == len(newton.states) > 1
+        for a, b in zip(chord.states, newton.states):
+            assert a.t == b.t
+            assert np.max(np.abs(a.displacement - b.displacement)) <= 1e-10
+            assert np.max(np.abs(a.growth - b.growth)) <= 1e-10
 
 
 class TestGrowthTierShared:

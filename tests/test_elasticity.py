@@ -95,9 +95,10 @@ class _CountingFactor:
 def count_lift_solves(mesh):
     """Wrap the mesh's lift factor; the returned counter's `calls` is twice
     the number of harmonic extensions (one solve per component)."""
-    lu, Kfc, free_idx, nodes = elasticity._lift_solver(mesh)
+    system = fem.dirichlet_system(mesh, 1, mesh.elastic_dirichlet_nodes())
+    lu, Kfc = elasticity._lift_factor(mesh, system)
     counter = _CountingFactor(lu)
-    mesh._cache["lift_solver"] = (counter, Kfc, free_idx, nodes)
+    mesh._cache["lift_factor"] = (counter, Kfc)
     return counter
 
 
@@ -207,10 +208,10 @@ class TestResidual:
         ws = problem.workspace
         rng = np.random.default_rng(3)
         u = 0.01 * rng.standard_normal((mesh.num_vertices, 2))
-        u.reshape(-1)[ws.fixed_dofs] = 0.0
+        u.reshape(-1)[ws.system.fixed] = 0.0
         r, _ = residual(problem, u)
         v = rng.standard_normal((mesh.num_vertices, 2))
-        v.reshape(-1)[ws.fixed_dofs] = 0.0
+        v.reshape(-1)[ws.system.fixed] = 0.0
         h = 1e-7
         fd = (ws.potential(ws.elastic_state(u + h * v))
               - ws.potential(ws.elastic_state(u - h * v))) / (2 * h)
@@ -269,13 +270,13 @@ class TestLinearizedOperator:
         K = ws.stiffness(ws.elastic_state(u))
         rng = np.random.default_rng(8)
         v = rng.standard_normal(2 * mesh.num_vertices)
-        v[ws.fixed_dofs] = 0.0
+        v[ws.system.fixed] = 0.0
         h = 1e-7
         rp, _ = residual(problem, (u.reshape(-1) + h * v).reshape(-1, 2))
         rm, _ = residual(problem, (u.reshape(-1) - h * v).reshape(-1, 2))
         fd = (rp - rm) / (2 * h)
         Kv = K @ v
-        free = np.nonzero(ws.free)[0]
+        free = ws.system.free
         scale = max(1.0, float(np.max(np.abs(fd[free]))))
         assert np.max(np.abs(Kv[free] - fd[free])) / scale <= 1e-6
 
@@ -285,14 +286,14 @@ class TestLinearizedOperator:
         G = np.eye(2) + 0.1 * rng.standard_normal((mesh.num_vertices, 2, 2))
         problem = make_problem(mesh, growth=G)
         Kff, _, _ = fem.eliminate(assemble_linearized_at_zero(problem),
-                                  problem.workspace.fixed_dofs)
+                                  problem.workspace.system.fixed)
         assert abs(Kff - Kff.T).max() <= 1e-10 * abs(Kff).max()
 
     def test_spd_on_constrained_space(self):
         mesh = rectangle_mesh(6, 6, elastic_dirichlet="bottom")
         problem = make_problem(mesh)
         Kff, _, _ = fem.eliminate(assemble_linearized_at_zero(problem),
-                                  problem.workspace.fixed_dofs)
+                                  problem.workspace.system.fixed)
         # raises SingularSystem unless every pivot is positive
         assert np.all(fem._factorize_spd(Kff).U.diagonal() > 0.0)
 
@@ -349,9 +350,9 @@ class TestFixedPoint:
 
         ws = problem.workspace
         u0 = np.array(u, copy=True)
-        u0.reshape(-1)[ws.fixed_dofs] = 0.0
+        u0.reshape(-1)[ws.system.fixed] = 0.0
         Kff, _, free = fem.eliminate(assemble_linearized_at_zero(problem),
-                                     ws.fixed_dofs)
+                                     ws.system.fixed)
         import scipy.sparse.linalg as spla
         r, _ = residual(problem, u0)
         expected = u0.reshape(-1).copy()
@@ -406,7 +407,7 @@ def chord_by_the_book(problem):
     factorized once, then ``u -= L^{-1} residual(u)``.  Returns
     (u, increments)."""
     K = assemble_linearized_at_zero(problem)
-    Kff, _, free = fem.eliminate(K, problem.workspace.fixed_dofs)
+    Kff, _, free = fem.eliminate(K, problem.workspace.system.fixed)
     lu = fem._factorize_spd(Kff)
     tol_inc, tol_res = elasticity._tolerances(problem.workspace, K)
     u = np.zeros((problem.mesh.num_vertices, 2))
@@ -558,7 +559,7 @@ def newton_recomputing_base(problem, newton=True):
         if k == 1 or newton:
             if k > 1:
                 K = ws.stiffness(ws.elastic_state(u))
-            Kff, _, free = fem.eliminate(K, ws.fixed_dofs)
+            Kff, _, free = fem.eliminate(K, ws.system.fixed)
             lu = fem._factorize_spd(Kff)
         delta = -lu.solve(r[free])
         step = 1.0
@@ -688,14 +689,14 @@ class TestComputedOnce:
         ws = problem.workspace
         rng = np.random.default_rng(4)
         u = 0.01 * rng.standard_normal((problem.mesh.num_vertices, 2))
-        u.reshape(-1)[ws.fixed_dofs] = 0.0
+        u.reshape(-1)[ws.system.fixed] = 0.0
         r, rn, P = ws.residual(ws.elastic_state(u))
         contrib = np.einsum("cq,cqia,cAa->cAi", ws.weights, P, ws.grads)
         expected = np.zeros(2 * problem.mesh.num_vertices)
-        np.add.at(expected, ws.edofs, contrib)
+        np.add.at(expected, ws.system.edofs, contrib.reshape(-1, 6))
         expected -= ws.traction_load
         assert np.array_equal(r, expected)
-        assert rn == float(np.linalg.norm(expected[ws.free]))
+        assert rn == float(np.linalg.norm(expected[ws.system.free]))
 
     def test_workspace_takes_the_lift_gradient(self):
         problem = self.contraction("fixed_point")
@@ -722,13 +723,13 @@ class TestWorkingSet:
     def test_contraction_problems_of_one_size_share_the_mesh_tier(
             self, monkeypatch):
         gc.collect()
-        plans = []
-        plan = fem.SparsityPlan
+        systems = []
+        system = fem.DirichletSystem
 
-        def counting_plan(*args):
-            plans.append(1)
-            return plan(*args)
-        monkeypatch.setattr(fem, "SparsityPlan", counting_plan)
+        def counting_system(*args, **kwargs):
+            systems.append(args[0])
+            return system(*args, **kwargs)
+        monkeypatch.setattr(fem, "DirichletSystem", counting_system)
         factorize = fem._factorize_spd
         factors = []
 
@@ -741,9 +742,10 @@ class TestWorkingSet:
         assert chord.mesh is newton.mesh
         solve_fixed_point(chord)
         sol = solve_newton(newton)
-        # one vector and one scalar plan; one lift factor, the chord's
-        # operator and one tangent per Newton sweep
-        assert len(plans) == 2
+        # one vector system and one scalar for the lift; one lift factor,
+        # the chord's operator and one tangent per Newton sweep
+        n = chord.mesh.num_vertices
+        assert sorted(systems) == [n, 2 * n]
         assert len(factors) == 2 + sol.iterations
 
     def test_newton_holds_one_factor_and_one_operator(self, monkeypatch):

@@ -32,10 +32,10 @@ def solve_vector(mesh, coeff, data):
     """Nodal solution with the values of `data` (a callable on points) at
     the elastic Dirichlet nodes."""
     K = fem.assemble_vector_operator(mesh, coeff)
-    values = data(mesh.vertices[mesh.elastic_dirichlet_nodes()])
-    elimination = fem.sparsity_plan(mesh, 2).elimination(elastic_dofs(mesh))
-    u, _ = fem.solve_dirichlet(K, np.zeros(K.shape[0]), elimination,
-                               np.asarray(values, dtype=float).ravel())
+    nodes = mesh.elastic_dirichlet_nodes()
+    values = np.asarray(data(mesh.vertices[nodes]), dtype=float).ravel()
+    u, _ = fem.dirichlet_system(mesh, 2, nodes).solve(
+        K, np.zeros(K.shape[0]), values)
     return u.reshape(-1, 2)
 
 
@@ -46,8 +46,7 @@ def solve_scalar(mesh, data, **coefficients):
     K, rhs = fem.assemble_scalar_operator(mesh, eye, **coefficients)
     nodes = mesh.nutrient_dirichlet_nodes()
     values = np.asarray(data(mesh.vertices[nodes]), dtype=float)
-    N, _ = fem.solve_dirichlet(
-        K, rhs, fem.sparsity_plan(mesh, 1).elimination(nodes), values)
+    N, _ = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs, values)
     return N
 
 
@@ -148,40 +147,48 @@ class TestScalarOperator:
 NONE = np.array([], dtype=int)
 
 
+def diagonal_system(fixed, n=2):
+    """A `DirichletSystem` on n dofs with one 1x1 element per dof, so its
+    operators are diagonal."""
+    return fem.DirichletSystem(n, np.arange(n)[:, None], fixed)
+
+
 class TestSolveSparse:
-    """`fem.solve_dirichlet`, the sparse direct solve with strong
+    """`DirichletSystem.solve`, the sparse direct solve with strong
     Dirichlet values."""
 
     @staticmethod
-    def solve(K, rhs, fixed, values):
-        K = sp.csr_matrix(K)
-        return fem.solve_dirichlet(K, rhs, fem.Elimination(K, fixed), values)
+    def solve(diagonal, rhs, fixed, values):
+        system = diagonal_system(fixed, len(diagonal))
+        K = system.assemble(np.asarray(diagonal, dtype=float)[:, None, None])
+        return system.solve(K, rhs, values)
 
     def test_one_by_one(self):
-        x, _ = self.solve(np.array([[2.0]]), np.array([4.0]), NONE,
-                          np.zeros(0))
+        x, _ = self.solve([2.0], np.array([4.0]), NONE, np.zeros(0))
         assert np.allclose(x, [2.0])
 
     def test_indefinite_raises(self):
         with pytest.raises(SingularSystem):
-            self.solve(np.diag([1.0, -1.0]), np.array([1.0, 1.0]), NONE,
-                       np.zeros(0))
+            self.solve([1.0, -1.0], np.array([1.0, 1.0]), NONE, np.zeros(0))
 
     def test_fully_constrained(self):
-        x, resid = self.solve(np.eye(2), np.zeros(2), np.array([0, 1]),
+        x, resid = self.solve([1.0, 1.0], np.zeros(2), np.array([0, 1]),
                               np.array([3.0, 4.0]))
         assert np.allclose(x, [3.0, 4.0]) and resid == 0.0
 
     def test_nonfinite_rhs(self):
         with pytest.raises(AssemblyError):
-            self.solve(np.eye(2), np.array([1.0, np.inf]), NONE, np.zeros(0))
+            self.solve([1.0, 1.0], np.array([1.0, np.inf]), NONE,
+                       np.zeros(0))
 
     def test_other_pattern_is_refused(self):
-        K = sp.csr_matrix(np.eye(2))
-        elimination = fem.Elimination(K, NONE)
+        system = diagonal_system(NONE)
+        for block in (system.ff, system.fc, system.factor):
+            with pytest.raises(ValueError, match="pattern"):
+                block(sp.csr_matrix(np.ones((2, 2))))
         with pytest.raises(ValueError, match="pattern"):
-            fem.solve_dirichlet(sp.csr_matrix(np.ones((2, 2))), np.ones(2),
-                                elimination, np.zeros(0))
+            system.solve(sp.csr_matrix(np.ones((2, 2))), np.ones(2),
+                         np.zeros(0))
 
 
 class TestEigenvalueEstimate:
@@ -346,9 +353,9 @@ class TestComputedOnce:
         assert (Kf != K[free]).nnz == 0
         assert (Kff != K[free][:, free]).nnz == 0
         rhs = np.random.default_rng(2).standard_normal(K.shape[0])
-        x, resid = fem.solve_dirichlet(
-            K, rhs, fem.sparsity_plan(mesh, 2).elimination(fixed),
-            np.zeros(len(fixed)))
+        x, resid = fem.dirichlet_system(
+            mesh, 2, mesh.elastic_dirichlet_nodes()).solve(
+                K, rhs, np.zeros(len(fixed)))
         expected = fem._factorize_spd(Kff).solve(rhs[free])
         assert np.array_equal(x[free], expected)
         assert not np.any(x[fixed])
@@ -359,8 +366,8 @@ class TestComputedOnce:
         K, rhs = fem.assemble_scalar_operator(mesh, np.eye(2), reaction=1.0)
         nodes = mesh.nutrient_dirichlet_nodes()
         values = np.full(len(nodes), 2.0)
-        x, resid = fem.solve_dirichlet(
-            K, rhs, fem.sparsity_plan(mesh, 1).elimination(nodes), values)
+        x, resid = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs,
+                                                              values)
         Kff, Kf, free = fem.eliminate(K, nodes)
         bf = rhs[free] - Kf[:, nodes] @ values
         assert np.array_equal(x[nodes], values)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morphosim import fem
-from morphosim.elasticity import EquilibriumProblem
+from morphosim.elasticity import EquilibriumProblem, lift_dirichlet
 from morphosim.errors import (EllipticityViolation, SingularMatrix,
                               SingularSystem, ValidationError)
 from morphosim.materials import (ConstantNutrientModel, DetRatioNutrientModel,
@@ -216,3 +216,31 @@ class TestCoefficientFields:
         y = np.zeros_like(mesh.vertices)  # constant map, zero gradient
         with pytest.raises(SingularMatrix):
             nutrient_coefficient_fields(make_problem(mesh, model, y=y))
+
+
+class TestDirichletSystemShared:
+    """The lift and the nutrient solve are both scalar problems: they share
+    one Dirichlet system when their Dirichlet vertices coincide, and one
+    recorded sort when they do not."""
+
+    @pytest.mark.parametrize("part,count", [("all", 1), ("left", 2)])
+    def test_lift_and_nutrient(self, monkeypatch, part, count):
+        built = []
+        system = fem.DirichletSystem
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return system(*args, **kwargs)
+        monkeypatch.setattr(fem, "DirichletSystem", counting)
+        mesh = rectangle_mesh(4, 4, nutrient_dirichlet=part)
+        lift_dirichlet(mesh, lambda pts: 1.01 * np.asarray(pts))
+        sol = solve_nutrient(make_problem(
+            mesh, DetRatioNutrientModel(d0=1.0, beta0=1.0),
+            dirichlet=lambda pts: np.ones(len(pts))))
+        assert built == [mesh.num_vertices] * count
+        lift, nutrient = (fem.dirichlet_system(mesh, 1, nodes) for nodes in (
+            mesh.elastic_dirichlet_nodes(), mesh.nutrient_dirichlet_nodes()))
+        assert (lift is nutrient) == (count == 1)
+        assert lift.order is nutrient.order
+        assert np.array_equal(sol.concentration[nutrient.fixed],
+                              np.ones(len(nutrient.fixed)))
