@@ -17,8 +17,7 @@ from .elasticity import (EquilibriumProblem, EquilibriumSolution,
 from .fem import (DirichletSystem, assemble_scalar_operator,
                   assemble_vector_operator, dirichlet_system,
                   interpolate_gradient, nodal_from_cells)
-from .growth import (GuardConfig, TimeGrid, det_guard, picard_step_control,
-                     rk4_step)
+from .growth import GuardConfig, TimeGrid, det_guard, rk4_step
 from .materials import (CheckReport, ConstantNutrientModel,
                         DetRatioNutrientModel, EnergyModel, GrowthLaw,
                         NutrientModel, PolarWellEnergy, ProductGrowthLaw,

@@ -85,7 +85,7 @@ def _apply_overrides(scenario, args):
             scenario.time = TimeGrid(
                 t_end=args.t_end if args.t_end is not None else grid.t_end,
                 dt=args.dt if args.dt is not None else grid.dt,
-                t0=grid.t0, adaptive=grid.adaptive)
+                t0=grid.t0)
         except ValueError as exc:
             raise ParseError("--dt/--t-end: %s" % exc)
     if args.method is not None:

@@ -31,7 +31,6 @@ from .elasticity import EquilibriumProblem, solve_equilibrium, stress_field
 from .errors import GuardViolation, IoError, MorphosimError
 from .materials import CheckReport, ZeroGrowthLaw
 from .nutrient import NutrientProblem, solve_nutrient
-from .scenario import OutputConfig
 
 
 @dataclass
@@ -174,8 +173,6 @@ def run_coupled(scenario):
     t = grid.t0
     # the guard report of G: checked here once, then handed on by each step
     report = growth_mod.det_guard(G, guards)
-    prev_rate = None
-    prev_G = None
 
     while True:
         try:
@@ -205,37 +202,14 @@ def run_coupled(scenario):
         dt_k = min(grid.dt, remaining)
         try:
             Y_frozen, N_frozen, rate_now = driver.rate(G, sol, nut)
-        except MorphosimError as exc:
-            return traj.halt("solver_failure", exc)
-        if grid.adaptive:
-            k_hat = 0.0
-            if prev_rate is not None:
-                k_hat = growth_mod.lipschitz_estimate(G, prev_G, rate_now,
-                                                      prev_rate)
-            m_hat = float(np.max(np.abs(rate_now)))
-            r0 = np.inf
-            if guards.norm_max is not None:
-                r0 = max(guards.norm_max - float(np.max(np.abs(G))), 1e-12)
-            dt_k = growth_mod.picard_step_control(
-                k_hat, m_hat, r0, dt_k, safety=guards.contraction_budget)
-            if dt_k < 1e-12 * max(1.0, grid.dt):
-                return traj.halt("guard_violation", GuardViolation(
-                    "admissible step size underflowed at t = %.6g (state "
-                    "pinned against the guards)" % t))
-        prev_rate, prev_G = rate_now, G
-
-        rhs = driver.make_rhs(t, Y_frozen, N_frozen)
-        try:
-            G, report = growth_mod.rk4_step(G, rhs, t, dt_k, guards=guards,
-                                            k1=rate_now, start_report=report)
+            G, report = growth_mod.rk4_step(
+                G, driver.make_rhs(t, Y_frozen, N_frozen), t, dt_k,
+                guards=guards, k1=rate_now, start_report=report)
         except GuardViolation as exc:
             return traj.halt("guard_violation", exc)
         except MorphosimError as exc:
             return traj.halt("solver_failure", exc)
-        if dt_k >= remaining - 1e-15:
-            t = grid.t_end
-        else:
-            t = t + dt_k
+        t = grid.t_end if dt_k >= remaining - 1e-15 else t + dt_k
 
 
 def check_first_step(scenario):
@@ -316,9 +290,8 @@ def _vtk_text(mesh, state, mesh_block=None):
 
 def write_outputs(trajectory, mesh, config):
     """Write the run CSV, per-snapshot field files, and (on failure) a
-    diagnostic snapshot of the final state.  Returns the list of paths."""
-    if isinstance(config, str):
-        config = OutputConfig(directory=config)
+    diagnostic snapshot of the final state, as the `OutputConfig` `config`
+    says.  Returns the list of paths."""
     paths = []
     mesh_block = None
     try:

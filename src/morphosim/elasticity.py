@@ -101,17 +101,16 @@ def _lift_factor(mesh, system):
     return mesh._cache["lift_factor"]
 
 
-def lift_dirichlet(mesh, dirichlet_data, with_gradient=False):
+def lift_dirichlet(mesh, dirichlet_data):
     """Extend boundary positions into the domain: ``f_tilde = id + E(f - id)``
     with E the discrete harmonic extension (natural condition on the
-    Neumann part).
+    Neumann part).  Returns ``(f_tilde, grad f_tilde)``, the nodal lift and
+    the per-cell gradient its orientation check computed.
 
     Affine data on a full Dirichlet boundary is reproduced exactly.  The
     extension must stay locally orientation preserving; otherwise
     LiftDegenerate is raised.  Non-finite boundary positions raise
-    AssemblyError before any solve.  With `with_gradient`, returns
-    ``(f_tilde, grad f_tilde)``, the per-cell gradient the orientation
-    check computed.
+    AssemblyError before any solve.
 
     The lift is a function of the mesh and the evaluated boundary
     positions alone, so the mesh tier keeps the last one beside the lift
@@ -146,8 +145,7 @@ def lift_dirichlet(mesh, dirichlet_data, with_gradient=False):
         for kept in last:
             kept.flags.writeable = False
         mesh._cache["last_lift"] = last
-    _, f_tilde, jac = last
-    return (f_tilde, jac) if with_gradient else f_tilde
+    return last[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +181,16 @@ class _Workspace:
         self.qpoints = mesh.quad_points()
         self.Gq = fem.growth_at_quadrature(mesh, problem.growth)
         self.detGq = np.linalg.det(self.Gq)
-        if np.any(self.detGq <= 0.0):
+        # tested as not all > 0, so that a NaN determinant fails it too
+        if not np.all(self.detGq > 0.0):
             raise ValidationError("growth tensor with non-positive determinant")
         Gn = fem.growth_at_nodes(mesh, problem.growth)
-        if Gn is not None and np.any(np.linalg.det(Gn) <= 0.0):
+        if Gn is not None and not np.all(np.linalg.det(Gn) > 0.0):
             raise ValidationError("growth tensor with non-positive nodal "
                                   "determinant")
         self.Ginvq = np.linalg.inv(self.Gq)
-        self.f_tilde, self.grad_ft = lift_dirichlet(
-            mesh, problem.dirichlet_data, with_gradient=True)
+        self.f_tilde, self.grad_ft = lift_dirichlet(mesh,
+                                                    problem.dirichlet_data)
         if problem.neumann_traction is not None:
             self.traction_load = fem.boundary_load_vector(
                 mesh, ~mesh.facet_elastic_dirichlet,

@@ -19,6 +19,8 @@ a zero start in stored order: the einsum and bincount sums they replace,
 bit for bit.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -68,6 +70,15 @@ def _coo(n_dofs, edofs, Ke):
     return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs))
 
 
+def _summed(data, indices, indptr, shape):
+    """CSR operator of terms already in sorted row order, each run of
+    duplicates added by `sum_duplicates`."""
+    K = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+    K.has_sorted_indices = True
+    K.sum_duplicates()
+    return K
+
+
 def _scatter(n_dofs, edofs, Ke):
     """CSR operator of the element matrices Ke by COO scatter: the sum
     that `DirichletSystem.assemble` reproduces."""
@@ -80,60 +91,68 @@ class DirichletSystem:
 
     scipy's COO-to-CSR conversion places the element terms row by row,
     sorts each row with `sort_indices` and adds each run of duplicates
-    with `sum_duplicates`.  The system pushes term ids through the first
-    two calls once and keeps the permutation they apply, `order`, and the
-    sorted pattern before summation; `assemble` lays the terms out in
-    that order and leaves every addition to `sum_duplicates`.  A system
-    built `like` another on the same element dofs takes its sort.  K_ff
-    and K_fc are gathers from an operator's data, found by pushing entry
-    positions through `eliminate`.  Every array is read-only.
+    with `sum_duplicates`.  The first `assemble` pushes term ids through
+    the first two calls and keeps the permutation they apply, `order`,
+    and the sorted pattern, which a system built `like` another on the
+    same element dofs shares; `assemble` lays the terms out in that order
+    and leaves every addition to `sum_duplicates`.  K_ff and K_fc are
+    gathers from an operator's data, found at the first `ff` or `fc` by
+    pushing entry positions through `eliminate`.  Every array is
+    read-only.
     """
 
     def __init__(self, n_dofs, edofs, fixed, like=None):
-        if like is None:
-            nloc = edofs.shape[1]
-            coo = _coo(n_dofs, edofs,
-                       np.arange(edofs.size * nloc, dtype=float))
-            coo.has_canonical_format = True    # convert without summing
-            ordered = coo.tocsr()
-            del coo
-            ordered.sort_indices()             # the order the sum sees
-            self.order = ordered.data.astype(np.intp)
-            self._terms = (ordered.indices, ordered.indptr, ordered.shape)
-            zero = self.assemble(np.zeros(len(self.order)))
-            self.indptr, self.indices = zero.indptr, zero.indices
-        else:
-            self.order, self._terms = like.order, like._terms
-            self.indptr, self.indices = like.indptr, like.indices
-        self.edofs, self.fixed = edofs, fixed
+        mask = np.ones(n_dofs, dtype=bool)
+        mask[fixed] = False
+        self.n_dofs, self.edofs, self.fixed = n_dofs, edofs, fixed
+        self.free, self._like = np.nonzero(mask)[0], like
+        for shared in (edofs, fixed, self.free):
+            shared.flags.writeable = False
+
+    @functools.cached_property
+    def _sort(self):
+        """(order, sorted terms (indices, indptr, shape), indptr, indices)"""
+        if self._like is not None:
+            return self._like._sort
+        coo = _coo(self.n_dofs, self.edofs, np.arange(
+            self.edofs.size * self.edofs.shape[1], dtype=float))
+        coo.has_canonical_format = True    # convert without summing
+        ordered = coo.tocsr()
+        del coo
+        ordered.sort_indices()             # the order the sum sees
+        terms = (ordered.indices, ordered.indptr, ordered.shape)
+        zero = _summed(np.zeros(ordered.nnz), *terms)
+        sort = (ordered.data.astype(np.intp), terms, zero.indptr, zero.indices)
+        for shared in sort[:1] + terms[:2] + sort[2:]:
+            shared.flags.writeable = False
+        return sort
+
+    order = property(lambda self: self._sort[0])
+    indptr = property(lambda self: self._sort[2])
+    indices = property(lambda self: self._sort[3])
+
+    @functools.cached_property
+    def _blocks(self):
         positions = sp.csr_matrix(
             (np.arange(len(self.indices), dtype=float), self.indices,
-             self.indptr), shape=self._terms[2])
-        Kff, Kf, self.free = eliminate(positions, fixed)
-        self._ff, self._fc = (
-            (type(block), block.data.astype(np.intp), block.indices,
-             block.indptr, block.shape) for block in (Kff, Kf[:, fixed]))
-        for shared in (self.order, self.indptr, self.indices, self.edofs,
-                       self.fixed, self.free) + self._terms[:2]:
-            shared.flags.writeable = False
+             self.indptr), shape=self._sort[1][2])
+        Kff, Kf, _ = eliminate(positions, self.fixed)
+        return [(type(b), b.data.astype(np.intp), b.indices, b.indptr, b.shape)
+                for b in (Kff, Kf[:, self.fixed])]
 
     def assemble(self, Ke):
         """CSR operator of the element matrices Ke (cells, nloc, nloc),
         equal to `_scatter` bit for bit."""
-        indices, indptr, shape = self._terms
-        K = sp.csr_matrix((Ke.ravel()[self.order], indices.copy(),
-                           indptr.copy()), shape=shape)
-        K.has_sorted_indices = True
-        K.sum_duplicates()
-        return K
+        order, terms = self._sort[:2]
+        return _summed(Ke.ravel()[order], *terms)
 
     def ff(self, K):
         """K_ff of the CSR operator K, as CSC."""
-        return self._block(self._ff, K)
+        return self._block(self._blocks[0], K)
 
     def fc(self, K):
         """K_fc of the CSR operator K, as CSR."""
-        return self._block(self._fc, K)
+        return self._block(self._blocks[1], K)
 
     def _block(self, block, K):
         if not (np.array_equal(K.indptr, self.indptr) and
@@ -146,11 +165,11 @@ class DirichletSystem:
         """Pivot-checked sparse LU of K_ff (SingularSystem unless SPD)."""
         return _factorize_spd(self.ff(K))
 
-    def solve(self, K, rhs, values, tol=1e-12):
+    def solve(self, K, rhs, values):
         """Solve ``K x = rhs`` with ``x[fixed] = values`` by elimination
         and sparse direct factorization.  Returns x and the residual norm
         ``|K_ff x_f - b_f|`` (0.0 without free dofs), verified to be at
-        most ``tol * |b_f|`` or ``10 * tol * max(1, |x_f|)``.  Raises
+        most ``1e-12 * |b_f|`` or ``1e-11 * max(1, |x_f|)``.  Raises
         AssemblyError on a non-finite reduced load, SingularSystem on a
         non-positive or vanishing pivot, and NoConvergence when the
         residual check fails."""
@@ -167,8 +186,8 @@ class DirichletSystem:
                 raise AssemblyError("non-finite right-hand side")
             x_free = _factorize_spd(Kff).solve(bf)
             resid = float(np.linalg.norm(Kff @ x_free - bf))
-            if (resid > tol * max(np.linalg.norm(bf), 1e-300) and
-                    resid > 10 * tol * max(1.0, np.linalg.norm(x_free))):
+            if (resid > 1e-12 * max(np.linalg.norm(bf), 1e-300) and
+                    resid > 1e-11 * max(1.0, np.linalg.norm(x_free))):
                 raise NoConvergence("linear solve residual %.3e exceeds "
                                     "tolerance" % resid)
             x[self.free] = x_free

@@ -72,7 +72,7 @@ def nutrient_coefficient_fields(problem, Y=None):
     return np.asarray(D, dtype=float), np.asarray(beta, dtype=float)
 
 
-def solve_nutrient(problem, tol=1e-12):
+def solve_nutrient(problem):
     """First-order FEM solution of the nutrient equation.
 
     Dirichlet data is imposed strongly, the flux datum weakly.  The
@@ -109,7 +109,7 @@ def solve_nutrient(problem, tol=1e-12):
     K, rhs = fem.assemble_scalar_operator(
         mesh, D, reaction=beta, neumann_flux=flux,
         ellipticity_nu=problem.model.ellipticity_nu)
-    N, resid = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs, values, tol)
+    N, resid = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs, values)
     min_value = float(np.min(N))
     scale = max(1.0, float(np.max(np.abs(N))))
     if mesh.delaunay_like and min_value < -1e-10 * scale:

@@ -155,13 +155,11 @@ def build_nutrient_model(model_id, params):
     beta0 = float(params.get("beta0", 0.0))
     nu = params.get("nu")
     nu = float(nu) if nu is not None else None
-    if model_id == "det_ratio":
-        return DetRatioNutrientModel(d0=d0, beta0=beta0,
-                                     ellipticity_nu=nu)
-    if model_id == "constant":
-        return ConstantNutrientModel(d0=d0, beta0=beta0,
-                                     ellipticity_nu=nu)
-    raise ParseError("unknown nutrient model %r" % (model_id,))
+    models = {"det_ratio": DetRatioNutrientModel,
+              "constant": ConstantNutrientModel}
+    if model_id not in models:
+        raise ParseError("unknown nutrient model %r" % (model_id,))
+    return models[model_id](d0=d0, beta0=beta0, ellipticity_nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +175,8 @@ _KEYS = {
     "nutrient": {"model", "d0", "beta0", "nu"},
     "boundary": {"f", "g", "f_n", "g_n"},
     "initial": {"g0"},
-    "time": {"t_end", "dt", "t0", "adaptive", "substeps"},
-    "guards": {"det_min", "norm_max", "contraction_budget"},
+    "time": {"t_end", "dt", "t0", "substeps"},
+    "guards": {"det_min", "norm_max"},
     "solver": {"method", "max_iterations", "warm_start"},
     "output": {"directory", "write_fields", "every"},
 }
@@ -299,16 +297,14 @@ def _build_scenario(cp, path):
     time_grid = TimeGrid(
         t_end=float(tpar["t_end"]),
         dt=float(tpar["dt"]),
-        t0=float(tpar.get("t0", 0.0)),
-        adaptive=_get_bool(tpar, "adaptive", False))
+        t0=float(tpar.get("t0", 0.0)))
     substeps = _get_bool(tpar, "substeps", False)
 
     gdpar = _section(cp, "guards", path, required=False)
     norm_max = gdpar.get("norm_max", "auto")
     guards = GuardConfig(
         det_min=float(gdpar.get("det_min", 0.1)),
-        norm_max=None if str(norm_max).strip() == "auto" else float(norm_max),
-        contraction_budget=float(gdpar.get("contraction_budget", 0.5)))
+        norm_max=None if str(norm_max).strip() == "auto" else float(norm_max))
 
     spar = _section(cp, "solver", path, required=False)
     solver = SolverOptions(

@@ -407,6 +407,19 @@ class TestCheck:
         assert main(["check", str(cfg)]) == 2
         assert str(cfg) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("time", "adaptive", "true"), ("guards", "contraction_budget", "0.5")])
+    def test_deleted_time_and_guard_keys_are_usage_errors(
+            self, tmp_path, scenario_dir, capsys, command, section, key,
+            value):
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_free.cfg",
+                            section, key, value)
+        assert main([command, str(cfg)]) == 2
+        assert ("unknown key %r in [%s]" % (key, section)
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
 
 class TestBench:
     def test_stress_free_reference(self, tmp_path, capsys):

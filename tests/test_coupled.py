@@ -10,7 +10,7 @@ from morphosim.coupled import run_coupled, trajectory_csv, write_outputs
 from morphosim.growth import GuardConfig, TimeGrid, rk4_step
 from morphosim.elasticity import EquilibriumProblem, residual
 from morphosim.nutrient import NutrientProblem, nutrient_coefficient_fields
-from morphosim.scenario import load_scenario
+from morphosim.scenario import OutputConfig, load_scenario
 
 
 class TestTrivialScenario:
@@ -107,7 +107,8 @@ class TestGuardHalt:
     def test_failure_outputs_written(self, tmp_path):
         sc = analytic_growth_scenario(nx=4, dt=5e-3, t_end=0.99)
         traj = run_coupled(sc)
-        paths = write_outputs(traj, sc.mesh, str(tmp_path / "out"))
+        paths = write_outputs(traj, sc.mesh,
+                              OutputConfig(directory=str(tmp_path / "out")))
         names = {p.split("/")[-1] for p in paths}
         assert "run.csv" in names
         assert "failure_snapshot.vtk" in names
@@ -139,7 +140,8 @@ class TestOutputs:
         sc = analytic_growth_scenario(nx=4, dt=1e-2, t_end=0.5)
         traj = run_coupled(sc)
         outdir = tmp_path / "fields"
-        paths = write_outputs(traj, sc.mesh, str(outdir))
+        paths = write_outputs(traj, sc.mesh,
+                              OutputConfig(directory=str(outdir)))
         vtks = sorted(p for p in paths if p.endswith(".vtk"))
         assert len(vtks) == len(traj.states)
         last = open(vtks[-1]).read()
@@ -162,30 +164,6 @@ class TestOutputs:
         vtks = [p for p in paths if p.endswith(".vtk")]
         # snapshots 0, 2, 4 plus the forced final one
         assert len(vtks) == 4
-
-
-class TestAdaptiveStepping:
-    def test_adaptive_steps_shrink_near_blowup(self):
-        # close to the norm guard the admissible horizon collapses, so the
-        # controller cuts steps below the configured dt
-        sc = analytic_growth_scenario(nx=4, dt=5e-2, t_end=0.895)
-        sc.time.adaptive = True
-        traj = run_coupled(sc)
-        assert traj.status == "completed"
-        dts = np.diff(traj.times)
-        assert np.min(dts[:-1]) < 5e-2 - 1e-12
-        assert abs(traj.times[-1] - 0.895) <= 1e-12
-        assert np.max(np.abs(traj.states[-1].growth)) < 10.0
-
-    def test_adaptive_underflow_halts_cleanly(self):
-        # the guarded state can never reach the blow-up time; the driver
-        # halts with a guard violation instead of looping forever
-        sc = analytic_growth_scenario(nx=4, dt=5e-2, t_end=0.95)
-        sc.time.adaptive = True
-        traj = run_coupled(sc)
-        assert traj.status == "guard_violation"
-        assert "underflow" in str(traj.error)
-        assert traj.states[-1].t < 0.95
 
 
 def substeps_reference(sc):
@@ -497,7 +475,8 @@ class TestVtkMeshBlockReuse:
         sc = load_scenario(scenario_dir / "stress_modulated.cfg")
         sc.time.t_end = 0.03
         traj = run_coupled(sc)
-        paths = write_outputs(traj, sc.mesh, str(tmp_path / "ok"))
+        paths = write_outputs(traj, sc.mesh,
+                              OutputConfig(directory=str(tmp_path / "ok")))
         vtks = sorted(p for p in paths if p.endswith(".vtk"))
         assert len(vtks) == len(traj.states)
         for path, state in zip(vtks, traj.states):

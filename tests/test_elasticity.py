@@ -48,19 +48,19 @@ def sine_map_nodes(amplitude=0.05):
 class TestLift:
     def test_identity_data(self):
         mesh = rectangle_mesh(4, 4)
-        ft = lift_dirichlet(mesh, identity_map)
+        ft, _ = lift_dirichlet(mesh, identity_map)
         assert np.array_equal(ft, mesh.vertices)
 
     def test_constant_shift_partial_boundary(self):
         mesh = rectangle_mesh(4, 4, elastic_dirichlet="left")
         c = np.array([0.2, -0.1])
-        ft = lift_dirichlet(mesh, lambda pts: pts + c)
+        ft, _ = lift_dirichlet(mesh, lambda pts: pts + c)
         assert np.max(np.abs(ft - (mesh.vertices + c))) <= 1e-12
 
     def test_uniform_inflation_is_reproduced(self):
         # f = (1 - t)^-1 id at t = 1/4 extends to (4/3) id exactly
         mesh = rectangle_mesh(6, 6)
-        ft = lift_dirichlet(mesh, lambda pts: pts / 0.75)
+        ft, _ = lift_dirichlet(mesh, lambda pts: pts / 0.75)
         assert np.max(np.abs(ft - mesh.vertices / 0.75)) <= 1e-12
 
     def test_degenerate_lift(self):
@@ -109,21 +109,20 @@ class TestLastLift:
     def test_memoized_lift_equals_fresh(self):
         mesh = rectangle_mesh(6, 6, elastic_dirichlet="left")
         first, second = _sine_data(0.05), _sine_data(0.03)
-        lifts = [lift_dirichlet(mesh, data, with_gradient=True)
+        lifts = [lift_dirichlet(mesh, data)
                  for data in (first, first, second, first, first)]
         assert lifts[1][0] is lifts[0][0] and lifts[4][0] is lifts[3][0]
         for data, (ft, jac) in zip((first, first, second, first, first),
                                    lifts):
             fresh = rectangle_mesh(6, 6, elastic_dirichlet="left")
-            ft_ref, jac_ref = lift_dirichlet(fresh, data, with_gradient=True)
+            ft_ref, jac_ref = lift_dirichlet(fresh, data)
             assert ft.tobytes() == ft_ref.tobytes()
             assert jac.tobytes() == jac_ref.tobytes()
 
     def test_lift_is_read_only(self):
         mesh = rectangle_mesh(4, 4)
         for _ in range(2):
-            ft, jac = lift_dirichlet(mesh, _sine_data(0.05),
-                                     with_gradient=True)
+            ft, jac = lift_dirichlet(mesh, _sine_data(0.05))
             assert not ft.flags.writeable and not jac.flags.writeable
             with pytest.raises(ValueError):
                 ft[0, 0] = 1.0
@@ -139,13 +138,13 @@ class TestLastLift:
             return held[-1]
         lift_dirichlet(mesh, data)
         held[-1] *= 1.1
-        scaled = lift_dirichlet(mesh, lambda pts: 1.1 * pts)
-        fresh = lift_dirichlet(rectangle_mesh(4, 4), lambda pts: 1.1 * pts)
+        scaled, _ = lift_dirichlet(mesh, lambda pts: 1.1 * pts)
+        fresh, _ = lift_dirichlet(rectangle_mesh(4, 4), lambda pts: 1.1 * pts)
         assert scaled.tobytes() == fresh.tobytes()
 
     def test_folding_lift_raises_on_every_call(self):
         mesh = rectangle_mesh(4, 4)
-        kept = lift_dirichlet(mesh, identity_map)
+        kept, _ = lift_dirichlet(mesh, identity_map)
         counter = count_lift_solves(mesh)
 
         def folding(pts):
@@ -156,7 +155,7 @@ class TestLastLift:
             with pytest.raises(LiftDegenerate):
                 lift_dirichlet(mesh, folding)
             assert counter.calls == calls
-        assert lift_dirichlet(mesh, identity_map) is kept
+        assert lift_dirichlet(mesh, identity_map)[0] is kept
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_substeps_run_lifts_each_datum_once(self, scenario_dir, steps):
@@ -191,8 +190,7 @@ class TestResidual:
         mesh = rectangle_mesh(8, 8)
         fmap, _ = sine_map_nodes(0.05)
         dirichlet = lambda pts: fmap(0.0, pts)
-        ft = lift_dirichlet(mesh, dirichlet)
-        grad_cells = fem.interpolate_gradient(mesh, ft)
+        _, grad_cells = lift_dirichlet(mesh, dirichlet)
         Gq = np.broadcast_to(grad_cells[:, None], (mesh.num_cells, 3, 2, 2))
         problem = make_problem(mesh, growth=np.array(Gq), dirichlet=dirichlet)
         _, norm = residual(problem, np.zeros((mesh.num_vertices, 2)))
@@ -303,6 +301,24 @@ class TestLinearizedOperator:
                               (mesh.num_vertices, 2, 2)).copy()
         with pytest.raises(ValidationError):
             assemble_linearized_at_zero(make_problem(mesh, growth=bad))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("where", ["nodal", "vertex_only"])
+    def test_nan_growth_is_invalid(self, where):
+        # a NaN determinant fails the checks at the quadrature points
+        # (nodal field) and at the nodes (a callable that is NaN at one
+        # vertex only)
+        mesh = rectangle_mesh(2, 2)
+        if where == "nodal":
+            growth = identity_growth(mesh.vertices)
+            growth[4] = np.nan
+        else:
+            def growth(pts):
+                G = identity_growth(pts)
+                G[np.all(np.asarray(pts) == 0.0, axis=-1)] = np.nan
+                return G
+        with pytest.raises(ValidationError):
+            make_problem(mesh, growth=growth).workspace
 
     def test_empty_elastic_dirichlet_part(self):
         # checked before the lift, whose Laplacian is singular without it
@@ -747,6 +763,27 @@ class TestWorkingSet:
         n = chord.mesh.num_vertices
         assert sorted(systems) == [n, 2 * n]
         assert len(factors) == 2 + sol.iterations
+
+    def test_zero_sweep_solve_builds_no_vector_sort(self, monkeypatch):
+        # a solve that returns at iterate 0 reads the vector system's dof
+        # layout only; its recorded sort is built at the first assembly
+        sorted_dofs = []
+        coo = fem._coo
+
+        def counting_coo(n_dofs, *args):
+            sorted_dofs.append(n_dofs)
+            return coo(n_dofs, *args)
+        monkeypatch.setattr(fem, "_coo", counting_coo)
+        mesh = rectangle_mesh(4, 4)
+        n = mesh.num_vertices
+        for method in ("fixed_point", "newton"):
+            sol = solve_equilibrium(make_problem(mesh, method=method))
+            assert sol.iterations == 0
+        assert sorted_dofs == [n]  # the lift's scalar system
+        assert sol.deformation.tobytes() == mesh.vertices.tobytes()
+        sol = solve_equilibrium(make_problem(
+            mesh, dirichlet=lambda pts: pts + 0.05 * pts ** 2))
+        assert sol.iterations > 0 and sorted_dofs == [n, 2 * n]
 
     def test_newton_holds_one_factor_and_one_operator(self, monkeypatch):
         problem = benchmarks.contraction_problem(8, method="newton")

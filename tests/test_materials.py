@@ -369,6 +369,18 @@ class TestNutrientModels:
         _, beta = model.coefficients(G, G, x)
         assert np.allclose(beta, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("d0", [
+        1.7, np.array([[1.5, 0.3], [0.1, 0.5]])], ids=["scalar", "matrix"])
+    @pytest.mark.parametrize("model,share", [
+        (DetRatioNutrientModel, 0.25), (ConstantNutrientModel, 0.5)])
+    def test_default_nu_is_a_share_of_d0(self, model, share, d0):
+        # the default ellipticity constant, as each model computed it
+        probe = d0 * np.eye(2) if np.ndim(d0) == 0 else d0
+        lam = float(np.min(np.linalg.eigvalsh(0.5 * (probe + probe.T))))
+        nu = model(d0=d0).ellipticity_nu
+        assert type(nu) is float and nu == share * lam
+        assert model(d0=d0, ellipticity_nu=0.125).ellipticity_nu == 0.125
+
 
 class TestComputedOnce:
     """The energy checks det F once; the nutrient model takes det Y from

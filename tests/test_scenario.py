@@ -145,6 +145,18 @@ class TestLoadingErrors:
         with pytest.raises(ParseError, match="unknown key 't_start' in"):
             load_scenario(write_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("section,key,text", [
+        ("time", "adaptive",
+         MINIMAL.replace("dt = 0.05", "dt = 0.05\nadaptive = true")),
+        ("guards", "contraction_budget",
+         MINIMAL + "\n[guards]\ncontraction_budget = 0.5\n")])
+    def test_deleted_step_control_key(self, tmp_path, section, key, text):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_scenario(path)
+        assert str(info.value) == ("%s: unknown key %r in [%s]"
+                                   % (path, key, section))
+
     def test_unknown_section(self, tmp_path):
         text = MINIMAL + "\n[solvr]\nmethod = newton\n"
         with pytest.raises(ParseError, match="unknown section"):
