@@ -72,9 +72,8 @@ def identity_scenario(name, nx=16, dt=0.05, t_end=0.25):
         name=name, mesh=mesh, energy=PolarWellEnergy(),
         growth_law=ZeroGrowthLaw(),
         nutrient_model=DetRatioNutrientModel(d0=1.0, beta0=0.0),
-        f_nodes=ex.parse_vector("x, y", 2),
-        fn_node=ex.parse("1"),
-        g0_kind="identity",
+        f=ex.vector_evaluator(ex.parse_vector("x, y", 2)),
+        f_n=ex.scalar_evaluator(ex.parse("1")),
         time=TimeGrid(t_end=t_end, dt=dt))
 
 
@@ -105,9 +104,8 @@ def analytic_growth_scenario(nx=16, dt=1e-3, t_end=0.5):
         name="analytic_growth", mesh=mesh, energy=PolarWellEnergy(),
         growth_law=ProductGrowthLaw(),
         nutrient_model=DetRatioNutrientModel(d0=1.0, beta0=0.0),
-        f_nodes=ex.parse_vector("x / (1 - t), y / (1 - t)", 2),
-        fn_node=ex.parse("1"),
-        g0_kind="identity",
+        f=ex.vector_evaluator(ex.parse_vector("x/(1 - t), y/(1 - t)", 2)),
+        f_n=ex.scalar_evaluator(ex.parse("1")),
         time=TimeGrid(t_end=t_end, dt=dt),
         guards=GuardConfig(),
         substeps=True)

@@ -99,7 +99,7 @@ class _CoupledDriver:
         self.static_sampler = None
         if isinstance(self.law, ZeroGrowthLaw):
             # static growth: keep the analytic description for sharp sampling
-            self.static_sampler = scenario.growth_sampler()
+            self.static_sampler = scenario.g0
 
     def growth_for_solves(self, G_nodal):
         return self.static_sampler if self.static_sampler is not None else G_nodal
@@ -139,7 +139,7 @@ class _CoupledDriver:
         Y, N = self.law_inputs(sol, nut)
         return Y, N, self.law.evaluate(G, Y, N, self.mesh.vertices)
 
-    def make_rhs(self, t_step, Y_frozen, N_frozen):
+    def make_rhs(self, Y_frozen, N_frozen):
         sc = self.scenario
         law = self.law
         x = self.mesh.vertices
@@ -203,7 +203,7 @@ def run_coupled(scenario):
         try:
             Y_frozen, N_frozen, rate_now = driver.rate(G, sol, nut)
             G, report = growth_mod.rk4_step(
-                G, driver.make_rhs(t, Y_frozen, N_frozen), t, dt_k,
+                G, driver.make_rhs(Y_frozen, N_frozen), t, dt_k,
                 guards=guards, k1=rate_now, start_report=report)
         except GuardViolation as exc:
             return traj.halt("guard_violation", exc)

@@ -306,8 +306,9 @@ def _diag_line(opts, k, inc, rn, rho):
 
 
 def _initial_guess(ws, initial):
-    """Copy the start iterate and enforce u = 0 on the Dirichlet dofs (warm
-    starts hand over y_prev - f_tilde_new, which is nonzero there)."""
+    """Copy the start iterate and enforce u = 0 on the Dirichlet dofs, for
+    a start a caller supplies: the coupled loop's warm start, the last
+    displacement (u relative to its own lift), is already zero there."""
     if initial is None:
         return np.zeros((ws.mesh.num_vertices, 2))
     u = np.array(initial, dtype=float, copy=True).reshape(-1, 2)

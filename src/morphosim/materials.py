@@ -316,7 +316,7 @@ class DetRatioNutrientModel(NutrientModel):
             detG = np.linalg.det(np.asarray(G, dtype=float))
         if detY is None:
             detY = np.linalg.det(np.asarray(Y, dtype=float))
-        if np.any(detY <= 0.0) or np.any(detG <= 0.0):
+        if not (np.all(detY > 0.0) and np.all(detG > 0.0)):  # NaN fails
             raise SingularMatrix("det-ratio coefficients need positive determinants")
         r = detG / detY
         return (r[..., None, None] * _spatial_matrix(self.d0, x),

@@ -59,7 +59,7 @@ def nutrient_coefficient_fields(problem, Y=None):
     if Y is None:
         Y = fem.interpolate_gradient(mesh, problem.deformation)
     detY = np.linalg.det(Y)
-    if np.any(detY <= 0.0):
+    if not np.all(detY > 0.0):  # NaN fails
         raise SingularMatrix("deformation gradient with non-positive "
                              "determinant")
     nq = mesh.quad_points().shape[1]

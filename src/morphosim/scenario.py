@@ -10,8 +10,10 @@ grid, guards, solver options, and output settings.
 """
 
 import configparser
+import inspect
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,21 +43,29 @@ class OutputConfig:
             raise ValueError("output every must be >= 1")
 
 
+def _constant_growth(M):
+    M = np.asarray(M, dtype=float)
+    return lambda pts: np.broadcast_to(
+        M, np.asarray(pts).shape[:-1] + (2, 2)).copy()
+
+
 @dataclass
 class Scenario:
-    """Validated, executable description of one coupled simulation."""
+    """Validated, executable description of one coupled simulation: the
+    boundary data `f`, `g`, `f_n`, `g_n` are evaluators of ``(t, points)``
+    (`g` and `g_n` also of the normals) or None, and `g0` samples the
+    initial growth tensor at stacked points."""
 
     name: str
     mesh: object
     energy: object
     growth_law: object
     nutrient_model: object
-    f_nodes: list                      # 2 ASTs, prescribed boundary position
-    g_nodes: list = None               # 2 ASTs or None, boundary traction
-    fn_node: object = None             # AST or None, nutrient Dirichlet datum
-    gn_node: object = None             # AST or None, nutrient flux datum
-    g0_kind: str = "identity"          # identity | constant | gradient
-    g0_value: object = None            # matrix or list of 2 ASTs
+    f: object                          # prescribed boundary position
+    g: object = None                   # boundary traction
+    f_n: object = None                 # nutrient Dirichlet datum
+    g_n: object = None                 # nutrient flux datum
+    g0: object = _constant_growth(np.eye(2))
     time: TimeGrid = None
     guards: GuardConfig = field(default_factory=GuardConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -63,81 +73,49 @@ class Scenario:
 
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def __post_init__(self):
-        self._f_eval = ex.vector_evaluator(self.f_nodes)
-        self._g_eval = ex.vector_evaluator(self.g_nodes) if self.g_nodes else None
-        self._fn_eval = ex.scalar_evaluator(self.fn_node) if self.fn_node else None
-        self._gn_eval = ex.scalar_evaluator(self.gn_node) if self.gn_node else None
-        if self.g0_kind == "gradient":
-            self._g0_grad = ex.gradient_evaluator(self.g0_value)
-        else:
-            self._g0_grad = None
-
     # -- data bound at a fixed time ----------------------------------------
 
     def dirichlet_at(self, t):
-        return lambda pts: self._f_eval(t, pts)
+        return partial(self.f, t)
 
     def traction_at(self, t):
-        if self._g_eval is None:
-            return None
-        return lambda pts, normals: self._g_eval(t, pts, normals)
+        return None if self.g is None else partial(self.g, t)
 
     def nutrient_dirichlet_at(self, t):
-        if self._fn_eval is None:
-            return None
-        return lambda pts: self._fn_eval(t, pts)
+        return None if self.f_n is None else partial(self.f_n, t)
 
     def nutrient_flux_at(self, t):
-        if self._gn_eval is None:
-            return None
-        return lambda pts, normals: self._gn_eval(t, pts, normals)
-
-    # -- initial growth ------------------------------------------------------
-
-    def growth_sampler(self):
-        """Analytic sampler for the initial growth field, or None when the
-        field is given nodally (constant matrices count as analytic)."""
-        if self.g0_kind == "identity":
-            return lambda pts: np.broadcast_to(
-                np.eye(2), np.asarray(pts).shape[:-1] + (2, 2)).copy()
-        if self.g0_kind == "constant":
-            M = np.asarray(self.g0_value, dtype=float)
-            return lambda pts: np.broadcast_to(
-                M, np.asarray(pts).shape[:-1] + (2, 2)).copy()
-        if self.g0_kind == "gradient":
-            return lambda pts: self._g0_grad(0.0, pts)
-        raise ValueError("unknown growth specification %r" % (self.g0_kind,))
+        return None if self.g_n is None else partial(self.g_n, t)
 
     def initial_growth_nodal(self):
-        return self.growth_sampler()(self.mesh.vertices)
+        return self.g0(self.mesh.vertices)
 
 
 # ---------------------------------------------------------------------------
-# model registries
+# file loading
 
 
-def build_energy(model_id, params):
-    if model_id == "polar_well":
-        return PolarWellEnergy(
-            p=float(params.get("p", 2.0)),
-            admissible_radius=float(params.get("admissible_radius", 0.5)))
-    raise ParseError("unknown energy model %r" % (model_id,))
+_ENERGIES = {"polar_well": PolarWellEnergy}
+_LAWS = {"none": ZeroGrowthLaw, "product": ProductGrowthLaw,
+         "stress_modulated": StressModulatedGrowthLaw}
+_NUTRIENTS = {"det_ratio": DetRatioNutrientModel,
+              "constant": ConstantNutrientModel}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
-def build_growth_law(law_id, params, energy):
-    if law_id == "none":
-        return ZeroGrowthLaw()
-    if law_id == "product":
-        return ProductGrowthLaw()
-    if law_id == "stress_modulated":
-        return StressModulatedGrowthLaw(
-            energy,
-            gamma=float(params.get("gamma", 1.0)),
-            eta=params.get("eta", "linear"),
-            mu=params.get("mu", "identity"),
-            mu_coeff=float(params.get("mu_coeff", 0.0)))
-    raise ParseError("unknown growth law %r" % (law_id,))
+def _parse_bool(text):
+    if text.lower() not in _BOOLEANS:
+        raise ValueError("expected a boolean, got %r" % text)
+    return _BOOLEANS[text.lower()]
+
+
+def _one_of(names):
+    def read(text):
+        if text not in names:
+            raise ValueError("expected one of %s, got %r"
+                             % (", ".join(names), text))
+        return text
+    return read
 
 
 def _parse_matrix(text):
@@ -150,102 +128,105 @@ def _parse_matrix(text):
     return M
 
 
-def build_nutrient_model(model_id, params):
-    d0 = _parse_matrix(str(params.get("d0", "1.0")))
-    beta0 = float(params.get("beta0", 0.0))
-    nu = params.get("nu")
-    nu = float(nu) if nu is not None else None
-    models = {"det_ratio": DetRatioNutrientModel,
-              "constant": ConstantNutrientModel}
-    if model_id not in models:
-        raise ParseError("unknown nutrient model %r" % (model_id,))
-    return models[model_id](d0=d0, beta0=beta0, ellipticity_nu=nu)
+def _initial_growth(text):
+    """The sampler of points that an initial-growth text describes."""
+    kind, _, body = text.partition(":")
+    if text == "identity":
+        return _constant_growth(np.eye(2))
+    if kind == "constant":
+        return _constant_growth(_parse_matrix(body))
+    if kind == "gradient":
+        grad = ex.gradient_evaluator(ex.parse_vector(body, 2, ex.POINT))
+        return lambda pts: grad(0.0, pts)
+    raise ParseError("initial growth must be 'identity', 'constant: ...' or "
+                     "'gradient: ...', got %r" % text)
 
 
-# ---------------------------------------------------------------------------
-# file loading
-
-
-# every key a section may hold; any other key or section is a ParseError
+# the schema of scenario files: section -> key -> reader of its text; any
+# other key or section is a ParseError
 _KEYS = {
-    "mesh": {"source", "path", "nx", "ny", "x0", "y0", "x1", "y1", "mode",
-             "elastic_dirichlet", "nutrient_dirichlet"},
-    "energy": {"model", "p", "admissible_radius"},
-    "growth": {"law", "gamma", "eta", "mu", "mu_coeff"},
-    "nutrient": {"model", "d0", "beta0", "nu"},
-    "boundary": {"f", "g", "f_n", "g_n"},
-    "initial": {"g0"},
-    "time": {"t_end", "dt", "t0", "substeps"},
-    "guards": {"det_min", "norm_max"},
-    "solver": {"method", "max_iterations", "warm_start"},
-    "output": {"directory", "write_fields", "every"},
+    "mesh": {"source": lambda s: _one_of(("rectangle", "file"))(s.lower()),
+             "path": str, "nx": int, "ny": int,
+             "x0": float, "y0": float, "x1": float, "y1": float,
+             "mode": str, "elastic_dirichlet": str,
+             "nutrient_dirichlet": str},
+    "energy": {"model": _one_of(_ENERGIES), "p": float,
+               "admissible_radius": float},
+    "growth": {"law": _one_of(_LAWS), "gamma": float, "eta": str,
+               "mu": str, "mu_coeff": float},
+    "nutrient": {"model": _one_of(_NUTRIENTS), "d0": _parse_matrix,
+                 "beta0": float, "nu": float},
+    "boundary": {
+        "f": lambda s: ex.vector_evaluator(ex.parse_vector(s, 2, ex.POINT)),
+        "g": lambda s: ex.vector_evaluator(ex.parse_vector(s, 2)),
+        "f_n": lambda s: ex.scalar_evaluator(ex.parse(s, ex.POINT)),
+        "g_n": lambda s: ex.scalar_evaluator(ex.parse(s))},
+    "initial": {"g0": _initial_growth},
+    "time": {"t_end": float, "dt": float, "t0": float,
+             "substeps": _parse_bool},
+    "guards": {"det_min": float,
+               "norm_max": lambda s: None if s == "auto" else float(s)},
+    "solver": {"method": _one_of(METHODS), "max_iterations": int,
+               "warm_start": _parse_bool},
+    "output": {"directory": str, "write_fields": _parse_bool, "every": int},
 }
+# the keys of [mesh] that a rectangle reads; source = file reads `path`
+_RECTANGLE_KEYS = set(_KEYS["mesh"]) - {"source", "path"}
+_CORNERS = ("x0", "y0", "x1", "y1")
 
 
 def _section(cp, name, path, required=True):
+    """The keys the file sets in section `name`, each read by its reader."""
     if not cp.has_section(name):
         if required:
             raise ParseError("%s: missing [%s] section" % (path, name))
         return {}
-    params = dict(cp.items(name))
-    unknown = sorted(set(params) - _KEYS[name])
-    if unknown:
-        raise ParseError("%s: unknown key %r in [%s]"
-                         % (path, unknown[0], name))
+    params = {}
+    for key, text in cp.items(name):
+        if key not in _KEYS[name]:
+            raise ParseError("%s: unknown key %r in [%s]" % (path, key, name))
+        try:
+            params[key] = _KEYS[name][key](text)
+        except (ValueError, ParseError) as exc:
+            raise ParseError("%s: invalid value for %r in [%s] (%s)"
+                             % (path, key, name, exc))
     return params
 
 
-def _get_bool(params, key, default):
-    value = params.get(key)
-    if value is None:
-        return default
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ParseError("boolean field %r has value %r" % (key, value))
+def _unread(path, section, keys, choice):
+    """Reject `keys`, which the chosen law or mesh source never reads."""
+    if keys:
+        raise ParseError("%s: key %r in [%s] is not read with %s"
+                         % (path, sorted(keys)[0], section, choice))
 
 
-def _build_mesh(params, base_dir, path):
-    source = params.get("source", "rectangle").strip().lower()
+def _build_mesh(params, path):
+    source = params.pop("source", "rectangle")
+    reads = {"path"} if source == "file" else _RECTANGLE_KEYS
+    _unread(path, "mesh", set(params) - reads, "source = " + source)
     if source == "file":
         if "path" not in params:
             raise ParseError("%s: [mesh] source=file needs a 'path'" % path)
-        return read_mesh(os.path.join(base_dir, params["path"]))
-    if source != "rectangle":
-        raise ParseError("%s: unknown mesh source %r" % (path, source))
-    x0 = float(params.get("x0", 0.0))
-    y0 = float(params.get("y0", 0.0))
-    x1 = float(params.get("x1", 1.0))
-    y1 = float(params.get("y1", 1.0))
-    return rectangle_mesh(
-        int(params.get("nx", 16)), int(params.get("ny", 16)),
-        extent=((x0, y0), (x1, y1)),
-        mode=params.get("mode", "crossed"),
-        elastic_dirichlet=params.get("elastic_dirichlet", "all"),
-        nutrient_dirichlet=params.get("nutrient_dirichlet", "all"))
-
-
-def _parse_g0(text):
-    text = text.strip()
-    if text == "identity":
-        return "identity", None
-    if text.startswith("constant:"):
-        return "constant", _parse_matrix(text[len("constant:"):])
-    if text.startswith("gradient:"):
-        body = text[len("gradient:"):]
-        return "gradient", ex.parse_vector(body, 2, ex.POINT)
-    raise ParseError("initial growth must be 'identity', 'constant: ...' or "
-                     "'gradient: ...', got %r" % text)
+        return read_mesh(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                      params["path"]))
+    if set(params) & set(_CORNERS):
+        # a corner the file leaves out keeps its place in the default extent
+        extent = inspect.signature(rectangle_mesh).parameters["extent"]
+        corners = [params.pop(key, default) for key, default
+                   in zip(_CORNERS, sum(extent.default, ()))]
+        params["extent"] = (tuple(corners[:2]), tuple(corners[2:]))
+    return rectangle_mesh(params.pop("nx", 16), params.pop("ny", 16),
+                          **params)
 
 
 def load_scenario(path):
     """Parse and assemble a scenario file.
 
     Raises ParseError for unreadable or malformed input, including a value
-    that a model, the mesh generator or a config rejects (ValueError);
-    model-assumption checks live in `validate_scenario`.
+    that a model, the mesh generator or a config rejects (ValueError) and
+    a key that the chosen growth law or mesh source never reads; a key the
+    file leaves out takes the default of the constructor it sets.
+    Model-assumption checks live in `validate_scenario`.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -265,68 +246,47 @@ def load_scenario(path):
 
 
 def _build_scenario(cp, path):
-    base_dir = os.path.dirname(os.path.abspath(path))
-
-    mesh = _build_mesh(_section(cp, "mesh", path), base_dir, path)
+    mesh = _build_mesh(_section(cp, "mesh", path), path)
 
     epar = _section(cp, "energy", path, required=False)
-    energy = build_energy(epar.get("model", "polar_well"), epar)
+    energy = _ENERGIES[epar.pop("model", "polar_well")](**epar)
 
     gpar = _section(cp, "growth", path, required=False)
-    growth_law = build_growth_law(gpar.get("law", "none"), gpar, energy)
+    law = gpar.pop("law", "none")
+    if law == "stress_modulated":
+        growth_law = StressModulatedGrowthLaw(energy, **gpar)
+    else:
+        _unread(path, "growth", set(gpar), "law = %s" % law)
+        growth_law = _LAWS[law]()
 
     npar = _section(cp, "nutrient", path, required=False)
-    nutrient_model = build_nutrient_model(npar.get("model", "det_ratio"), npar)
+    if "nu" in npar:
+        npar["ellipticity_nu"] = npar.pop("nu")
+    nutrient_model = _NUTRIENTS[npar.pop("model", "det_ratio")](**npar)
 
-    bpar = _section(cp, "boundary", path)
-    if "f" not in bpar:
+    data = _section(cp, "boundary", path)
+    if "f" not in data:
         raise ParseError("%s: [boundary] needs the Dirichlet position 'f'"
                          % path)
-    f_nodes = ex.parse_vector(bpar["f"], 2, ex.POINT)
-    g_nodes = ex.parse_vector(bpar["g"], 2) if "g" in bpar else None
-    fn_node = ex.parse(bpar["f_n"], ex.POINT) if "f_n" in bpar else None
-    gn_node = ex.parse(bpar["g_n"]) if "g_n" in bpar else None
-
-    ipar = _section(cp, "initial", path, required=False)
-    g0_kind, g0_value = _parse_g0(ipar.get("g0", "identity"))
+    data.update(_section(cp, "initial", path, required=False))
 
     tpar = _section(cp, "time", path)
     for key in ("t_end", "dt"):
         if key not in tpar:
             raise ParseError("%s: [time] needs %r" % (path, key))
-    time_grid = TimeGrid(
-        t_end=float(tpar["t_end"]),
-        dt=float(tpar["dt"]),
-        t0=float(tpar.get("t0", 0.0)))
-    substeps = _get_bool(tpar, "substeps", False)
+    if "substeps" in tpar:
+        data["substeps"] = tpar.pop("substeps")
+    time_grid = TimeGrid(**tpar)
 
-    gdpar = _section(cp, "guards", path, required=False)
-    norm_max = gdpar.get("norm_max", "auto")
-    guards = GuardConfig(
-        det_min=float(gdpar.get("det_min", 0.1)),
-        norm_max=None if str(norm_max).strip() == "auto" else float(norm_max))
-
-    spar = _section(cp, "solver", path, required=False)
-    solver = SolverOptions(
-        method=spar.get("method", "fixed_point"),
-        max_iterations=int(spar.get("max_iterations", 50)),
-        warm_start=_get_bool(spar, "warm_start", True))
-    if solver.method not in METHODS:
-        raise ParseError("%s: unknown solver method %r" % (path, solver.method))
-
-    opar = _section(cp, "output", path, required=False)
-    output = OutputConfig(
-        directory=opar.get("directory", "out"),
-        write_fields=_get_bool(opar, "write_fields", True),
-        every=int(opar.get("every", 1)))
+    guards = GuardConfig(**_section(cp, "guards", path, required=False))
+    solver = SolverOptions(**_section(cp, "solver", path, required=False))
+    output = OutputConfig(**_section(cp, "output", path, required=False))
 
     name = os.path.splitext(os.path.basename(path))[0]
     return Scenario(name=name, mesh=mesh, energy=energy,
                     growth_law=growth_law, nutrient_model=nutrient_model,
-                    f_nodes=f_nodes, g_nodes=g_nodes, fn_node=fn_node,
-                    gn_node=gn_node, g0_kind=g0_kind, g0_value=g0_value,
                     time=time_grid, guards=guards, solver=solver,
-                    substeps=substeps, output=output)
+                    output=output, **data)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +325,7 @@ def validate_scenario(scenario, samples=500, seed=0):
         {"dirichlet_facets": int(np.sum(mesh.facet_nutrient_dirichlet)),
          "max_absorption": float(np.max(beta_ref))}))
 
-    if has_nutrient_d and scenario.fn_node is None:
+    if has_nutrient_d and scenario.f_n is None:
         reports.append(CheckReport("nutrient_dirichlet_data", False,
                                    {"reason": "facets tagged but f_n missing"}))
 

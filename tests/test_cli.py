@@ -327,8 +327,9 @@ class TestCheck:
         (tmp_path / "grid.mesh").write_text("\n".join(lines) + "\n")
         cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
                             "mesh", "source", "file")
-        text = cfg.read_text().replace("source = file",
-                                       "source = file\npath = grid.mesh")
+        # the mesh file replaces the rectangle keys, which it never reads
+        text = re.sub(r"\[mesh\]\n(.+\n)*", "[mesh]\nsource = file\n"
+                      "path = grid.mesh\n", cfg.read_text())
         cfg.write_text(text)
         for command in ("check", "run"):
             assert main([command, str(cfg)]) == 2
@@ -406,6 +407,25 @@ class TestCheck:
                             section, key, value)
         assert main(["check", str(cfg)]) == 2
         assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("growth", "gamma", "0.2", "is not read with law = none"),
+        ("time", "dt", "abc", "invalid value for"),
+        ("solver", "warm_start", "maybe", "invalid value for")],
+        ids=["unread", "dt", "warm_start"])
+    def test_unread_or_malformed_key_is_named(
+            self, tmp_path, scenario_dir, capsys, command, section, key,
+            value, message):
+        # stress_free.cfg has law = none, which reads no growth parameter
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_free.cfg",
+                            section, key, value)
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "%s: " % cfg in err
+        assert "%r in [%s]" % (key, section) in err
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["check", "run"])
     @pytest.mark.parametrize("section,key,value", [

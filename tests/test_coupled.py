@@ -181,7 +181,7 @@ def substeps_reference(sc):
         if remaining <= 1e-12 * max(1.0, abs(grid.t_end)):
             return states
         dt = min(grid.dt, remaining)
-        G, _ = rk4_step(G, driver.make_rhs(t, None, None), t, dt)
+        G, _ = rk4_step(G, driver.make_rhs(None, None), t, dt)
         t = grid.t_end if dt >= remaining - 1e-15 else t + dt
 
 

@@ -217,6 +217,23 @@ class TestCoefficientFields:
         with pytest.raises(SingularMatrix):
             nutrient_coefficient_fields(make_problem(mesh, model, y=y))
 
+    def test_nan_deformation_is_singular(self):
+        mesh = rectangle_mesh(4, 4)
+        model = DetRatioNutrientModel(d0=1.0, beta0=0.0)
+        y = mesh.vertices.copy()
+        y[7, 0] = np.nan
+        with pytest.raises(SingularMatrix):
+            solve_nutrient(make_problem(
+                mesh, model, dirichlet=lambda pts: np.ones(len(pts)), y=y))
+
+    def test_nan_determinant_is_singular(self):
+        model = DetRatioNutrientModel(d0=1.0, beta0=0.3)
+        G = np.broadcast_to(np.eye(2), (4, 2, 2))
+        Y = G.copy()
+        Y[1, 0, 0] = np.nan
+        with pytest.raises(SingularMatrix):
+            model.coefficients(G, Y, np.zeros((4, 2)))
+
 
 class TestDirichletSystemShared:
     """The lift and the nutrient solve are both scalar problems: they share

@@ -23,6 +23,52 @@ dt = 0.05
 """
 
 
+# MINIMAL with every optional key set to the default of the constructor
+# it configures (nu: a quarter of d0's smallest eigenvalue)
+EXPLICIT_DEFAULTS = MINIMAL.replace("ny = 4", """ny = 4
+source = rectangle
+x0 = 0
+y0 = 0
+x1 = 1
+y1 = 1
+mode = crossed
+elastic_dirichlet = all
+nutrient_dirichlet = all""").replace("dt = 0.05", """dt = 0.05
+t0 = 0
+substeps = false""") + """
+[energy]
+model = polar_well
+p = 2
+admissible_radius = 0.5
+
+[growth]
+law = none
+
+[nutrient]
+model = det_ratio
+d0 = 1
+beta0 = 0
+nu = 0.25
+
+[initial]
+g0 = identity
+
+[guards]
+det_min = 0.1
+norm_max = auto
+
+[solver]
+method = fixed_point
+max_iterations = 50
+warm_start = true
+
+[output]
+directory = out
+write_fields = true
+every = 1
+"""
+
+
 def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -70,7 +116,7 @@ class TestLoading:
         text = MINIMAL + ("\n[initial]\n"
                           "g0 = gradient: x + 0.1*x*y, y - 0.05*x^2\n")
         sc = load_scenario(write_cfg(tmp_path, text))
-        G = sc.growth_sampler()(np.array([[0.5, 0.25]]))
+        G = sc.g0(np.array([[0.5, 0.25]]))
         expected = np.array([[1.0 + 0.1 * 0.25, 0.1 * 0.5],
                              [-0.1 * 0.5, 1.0]])
         assert np.allclose(G[0], expected)
@@ -91,6 +137,32 @@ class TestLoading:
         assert sc.solver.method == "newton"
         assert sc.solver.max_iterations == 9
         assert not sc.solver.warm_start
+
+    def test_defaults_live_in_the_constructors(self, tmp_path):
+        implicit = load_scenario(write_cfg(tmp_path, MINIMAL, "implicit.cfg"))
+        explicit = load_scenario(write_cfg(tmp_path, EXPLICIT_DEFAULTS))
+        for name in ("vertices", "cells", "facets", "facet_elastic_dirichlet",
+                     "facet_nutrient_dirichlet"):
+            assert np.array_equal(getattr(implicit.mesh, name),
+                                  getattr(explicit.mesh, name))
+        for name in ("energy", "growth_law", "nutrient_model"):
+            a, b = getattr(implicit, name), getattr(explicit, name)
+            assert type(a) is type(b)
+            assert vars(a) == vars(b)
+        for name in ("time", "guards", "solver", "output", "substeps", "g",
+                     "g_n"):
+            assert getattr(implicit, name) == getattr(explicit, name)
+        assert np.array_equal(implicit.initial_growth_nodal(),
+                              explicit.initial_growth_nodal())
+
+    def test_growth_law_defaults_live_in_the_constructor(self, tmp_path):
+        law = "\n[growth]\nlaw = stress_modulated\n"
+        implicit = load_scenario(write_cfg(tmp_path, MINIMAL + law, "a.cfg"))
+        explicit = load_scenario(write_cfg(tmp_path, MINIMAL + law + (
+            "gamma = 1\neta = linear\nmu = identity\nmu_coeff = 0\n")))
+        a, b = vars(implicit.growth_law), vars(explicit.growth_law)
+        assert type(a.pop("energy")) is type(b.pop("energy"))
+        assert a == b
 
     def test_mesh_from_file(self, tmp_path):
         from morphosim.mesh import rectangle_mesh, write_mesh
@@ -156,6 +228,36 @@ class TestLoadingErrors:
             load_scenario(path)
         assert str(info.value) == ("%s: unknown key %r in [%s]"
                                    % (path, key, section))
+
+    @pytest.mark.parametrize("section,key,text", [
+        ("growth", "gamma", MINIMAL + "\n[growth]\nlaw = none\ngamma = 0.2\n"),
+        ("growth", "eta",
+         MINIMAL + "\n[growth]\nlaw = product\neta = bogus\n"),
+        ("mesh", "nx", MINIMAL.replace(
+            "[mesh]\n", "[mesh]\nsource = file\npath = grid.mesh\n")),
+        ("mesh", "path", MINIMAL.replace(
+            "[mesh]\n", "[mesh]\nsource = rectangle\npath = grid.mesh\n"))],
+        ids=["law_none", "law_product", "source_file", "source_rectangle"])
+    def test_key_the_chosen_part_never_reads(self, tmp_path, section, key,
+                                             text):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith("%s: key %r in [%s] is not read"
+                                          % (path, key, section))
+
+    @pytest.mark.parametrize("section,key,text", [
+        ("time", "dt", MINIMAL.replace("dt = 0.05", "dt = abc")),
+        ("solver", "warm_start",
+         MINIMAL + "\n[solver]\nwarm_start = maybe\n")],
+        ids=["dt", "warm_start"])
+    def test_malformed_value_names_its_key(self, tmp_path, section, key,
+                                           text):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith("%s: invalid value for %r in [%s]"
+                                          % (path, key, section))
 
     def test_unknown_section(self, tmp_path):
         text = MINIMAL + "\n[solvr]\nmethod = newton\n"
