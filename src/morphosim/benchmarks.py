@@ -39,7 +39,6 @@ class BenchResult:
     passed: bool
     metrics: list = field(default_factory=list)
     trajectory: object = None
-    mesh: object = None
     runtime: float = 0.0
 
     def table(self):
@@ -56,9 +55,9 @@ def _metric(metrics, label, value, requirement, ok):
     return ok
 
 
-def _finish(name, metrics, t0, trajectory=None, mesh=None):
+def _finish(name, metrics, t0, trajectory=None):
     passed = all(m.ok for m in metrics)
-    return BenchResult(name, passed, metrics, trajectory, mesh,
+    return BenchResult(name, passed, metrics, trajectory,
                        time.perf_counter() - t0)
 
 
@@ -85,15 +84,14 @@ def bench_stress_free_reference(scenario=None):
     metrics = []
     if traj.failed:
         _metric(metrics, "completed", 0.0, "trajectory completes", False)
-        return _finish("stress_free_reference", metrics, t0, traj,
-                       scenario.mesh)
+        return _finish("stress_free_reference", metrics, t0, traj)
     max_u = max(float(np.max(np.abs(s.displacement))) for s in traj.states)
     max_p = max(d.max_stress for d in traj.diagnostics)
     _metric(metrics, "max nodal |u|", max_u, "<= 1e-10", max_u <= 1e-10)
     _metric(metrics, "max cell |P|_F", max_p, "<= 1e-10", max_p <= 1e-10)
     runtime = time.perf_counter() - t0
     _metric(metrics, "runtime [s]", runtime, "< 5", runtime < 5.0)
-    return _finish("stress_free_reference", metrics, t0, traj, scenario.mesh)
+    return _finish("stress_free_reference", metrics, t0, traj)
 
 
 def analytic_growth_scenario(nx=16, dt=1e-3, t_end=0.5):
@@ -121,7 +119,7 @@ def bench_analytic_growth(scenario=None):
         last_t = traj.states[-1].t if traj.states else float("nan")
         _metric(metrics, "halted at t", last_t, "guard fired before blow-up",
                 False)
-        return _finish("analytic_growth", metrics, t0, traj, scenario.mesh)
+        return _finish("analytic_growth", metrics, t0, traj)
     mesh = scenario.mesh
     err_G = err_y = 0.0
     for state in traj.states:
@@ -136,7 +134,7 @@ def bench_analytic_growth(scenario=None):
     _metric(metrics, "max cell |P|_F", max_p, "<= 1e-8", max_p <= 1e-8)
     runtime = time.perf_counter() - t0
     _metric(metrics, "runtime [s]", runtime, "< 120", runtime < 120.0)
-    return _finish("analytic_growth", metrics, t0, traj, scenario.mesh)
+    return _finish("analytic_growth", metrics, t0, traj)
 
 
 def compatible_growth_problem(n, amplitude=0.05, method="newton"):

@@ -77,10 +77,6 @@ class Trajectory:
         self.error = error
         return self
 
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
-
 
 def _resolve_guards(scenario, G0):
     guards = scenario.guards
@@ -101,13 +97,12 @@ class _CoupledDriver:
             # static growth: keep the analytic description for sharp sampling
             self.static_sampler = scenario.g0
 
-    def growth_for_solves(self, G_nodal):
-        return self.static_sampler if self.static_sampler is not None else G_nodal
-
-    def solve_state(self, t, growth_repr, with_nutrient=True):
+    def solve_state(self, t, G, with_nutrient=True):
+        """Solves at t for G, or for the static law's analytic growth."""
         sc = self.scenario
+        growth = self.static_sampler if self.static_sampler is not None else G
         problem = EquilibriumProblem(
-            self.mesh, sc.energy, growth_repr,
+            self.mesh, sc.energy, growth,
             sc.dirichlet_at(t), sc.traction_at(t), options=sc.solver)
         initial = self.warm_u if sc.solver.warm_start else None
         sol = solve_equilibrium(problem, initial=initial)
@@ -176,8 +171,7 @@ def run_coupled(scenario):
 
     while True:
         try:
-            _, sol, nut = driver.solve_state(
-                t, driver.growth_for_solves(G))
+            _, sol, nut = driver.solve_state(t, G)
         except MorphosimError as exc:
             return traj.halt("solver_failure", exc)
         pnorm = tensor.frobenius_norm(sol.stress)
@@ -221,7 +215,7 @@ def check_first_step(scenario):
     G = scenario.initial_growth_nodal()
     t0 = scenario.time.t0
     try:
-        _, sol, nut = driver.solve_state(t0, driver.growth_for_solves(G))
+        _, sol, nut = driver.solve_state(t0, G)
         driver.rate(G, sol, nut)
     except MorphosimError as exc:
         return CheckReport("first_step", False, {

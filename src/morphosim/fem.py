@@ -93,27 +93,24 @@ class DirichletSystem:
     sorts each row with `sort_indices` and adds each run of duplicates
     with `sum_duplicates`.  The first `assemble` pushes term ids through
     the first two calls and keeps the permutation they apply, `order`,
-    and the sorted pattern, which a system built `like` another on the
-    same element dofs shares; `assemble` lays the terms out in that order
+    and the sorted pattern; `assemble` lays the terms out in that order
     and leaves every addition to `sum_duplicates`.  K_ff and K_fc are
     gathers from an operator's data, found at the first `ff` or `fc` by
     pushing entry positions through `eliminate`.  Every array is
     read-only.
     """
 
-    def __init__(self, n_dofs, edofs, fixed, like=None):
+    def __init__(self, n_dofs, edofs, fixed):
         mask = np.ones(n_dofs, dtype=bool)
         mask[fixed] = False
         self.n_dofs, self.edofs, self.fixed = n_dofs, edofs, fixed
-        self.free, self._like = np.nonzero(mask)[0], like
+        self.free = np.nonzero(mask)[0]
         for shared in (edofs, fixed, self.free):
             shared.flags.writeable = False
 
     @functools.cached_property
     def _sort(self):
         """(order, sorted terms (indices, indptr, shape), indptr, indices)"""
-        if self._like is not None:
-            return self._like._sort
         coo = _coo(self.n_dofs, self.edofs, np.arange(
             self.edofs.size * self.edofs.shape[1], dtype=float))
         coo.has_canonical_format = True    # convert without summing
@@ -198,7 +195,7 @@ class DirichletSystem:
 def dirichlet_system(mesh, components, nodes):
     """The mesh's `DirichletSystem` for `components` interleaved dofs per
     vertex and the Dirichlet vertices `nodes`, built on first use and
-    cached with the mesh; the systems of one layout share one sort."""
+    cached with the mesh; each system records its own sort."""
     systems = mesh._cache.setdefault(("dirichlet_systems", components), {})
     key = np.asarray(nodes).tobytes()
     if key not in systems:
@@ -206,7 +203,7 @@ def dirichlet_system(mesh, components, nodes):
         fixed = components * np.asarray(nodes)[:, None] + np.arange(components)
         systems[key] = DirichletSystem(
             components * mesh.num_vertices, edofs.reshape(mesh.num_cells, -1),
-            fixed.ravel(), like=next(iter(systems.values()), None))
+            fixed.ravel())
     return systems[key]
 
 
@@ -301,16 +298,15 @@ def assemble_vector_operator(mesh, coeff):
                             ).assemble(Ke)
 
 
-def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
+def assemble_scalar_operator(mesh, diffusion, reaction=0.0,
                              ellipticity_nu=None):
-    """Unconstrained operator (CSR) and load vector ``(K, rhs)`` of the
-    reaction-diffusion form
+    """Unconstrained operator (CSR) of the reaction-diffusion form
 
         (v, u)  ->  int_Omega grad v . D grad u + r u v dx
 
-    with weak flux data on the nutrient-Neumann part, summed by the
-    nutrient `dirichlet_system`, whose `solve` imposes the values on the
-    nutrient-Dirichlet part.
+    summed by the nutrient `dirichlet_system`, whose `solve` imposes the
+    values on the nutrient-Dirichlet part; flux loads come from
+    `boundary_load_vector`.
 
     Raises EllipticityViolation when a sampled diffusion matrix has an
     eigenvalue below `ellipticity_nu`, and AssemblyError on non-finite or
@@ -334,14 +330,8 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0, neumann_flux=None,
                    optimize=_DIFFUSION_PATH)
     Ke += np.einsum("cq,cq,qA,qB->cAB", w, r, TRI_POINTS, TRI_POINTS,
                     optimize=_REACTION_PATH)
-    K = dirichlet_system(mesh, 1, mesh.nutrient_dirichlet_nodes()
-                         ).assemble(Ke)
-
-    rhs = np.zeros(mesh.num_vertices)
-    if neumann_flux is not None:
-        rhs += boundary_load_vector(mesh, ~mesh.facet_nutrient_dirichlet,
-                                    neumann_flux, 1)
-    return K, rhs
+    return dirichlet_system(mesh, 1, mesh.nutrient_dirichlet_nodes()
+                            ).assemble(Ke)
 
 
 # ---------------------------------------------------------------------------

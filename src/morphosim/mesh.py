@@ -208,13 +208,12 @@ class Mesh:
 def _side_rule(spec, extent):
     """Turn a side specification into a midpoint classifier.
 
-    `spec` is 'all', 'none', a comma list of sides ('left,top'), or a
-    callable mapping facet midpoints (k, 2) to a boolean array.
+    `spec` is 'all', 'none' or a comma list of sides ('left,top');
+    anything else raises InvalidTagRule.  A mesh with other tags is built
+    with `Mesh` from its tag arrays.
     """
-    if callable(spec):
-        return spec
     if not isinstance(spec, str):
-        raise InvalidTagRule("tag rule must be a string or callable")
+        raise InvalidTagRule("tag rule must be a string")
     text = spec.strip().lower()
     if text == "all":
         return lambda mid: np.ones(len(mid), dtype=bool)
@@ -247,9 +246,10 @@ def rectangle_mesh(nx, ny, extent=((0.0, 0.0), (1.0, 1.0)), mode="crossed",
     """Structured triangulation of an axis-aligned box.
 
     `mode='crossed'` splits each of the nx*ny quads into four triangles
-    around its center (4 nx ny cells); `mode='diagonal'` into two.  Both
-    variants consist of right triangles, so the mesh is Delaunay-type and
-    the scalar solver's discrete maximum principle applies.
+    around its center (4 nx ny cells); `mode='diagonal'` into two right
+    triangles, a Delaunay-type mesh on which the scalar solver's discrete
+    maximum principle applies.  A crossed w x h quad has apex angles
+    2 atan(w/h) and 2 atan(h/w), so it is Delaunay-type only if w = h.
 
     Boundary tags come from the two classifiers (see `_side_rule`); the
     elastic Dirichlet part must be non-empty.
@@ -257,7 +257,7 @@ def rectangle_mesh(nx, ny, extent=((0.0, 0.0), (1.0, 1.0)), mode="crossed",
     Raises
     ------
     InvalidTagRule
-        Unknown side names, malformed classifier output, or an empty
+        A rule that is not a string, unknown side names, or an empty
         elastic Dirichlet set.
     """
     if nx < 1 or ny < 1:
@@ -310,16 +310,15 @@ def rectangle_mesh(nx, ny, extent=((0.0, 0.0), (1.0, 1.0)), mode="crossed",
     facets = np.array(facets, dtype=int)
 
     mid = 0.5 * (vertices[facets[:, 0]] + vertices[facets[:, 1]])
-    e_rule = _side_rule(elastic_dirichlet, extent)
-    n_rule = _side_rule(nutrient_dirichlet, extent)
-    e_tags = np.asarray(e_rule(mid), dtype=bool)
-    n_tags = np.asarray(n_rule(mid), dtype=bool)
-    if e_tags.shape != (len(facets),) or n_tags.shape != (len(facets),):
-        raise InvalidTagRule("tag rule returned the wrong number of tags")
+    e_tags = _side_rule(elastic_dirichlet, extent)(mid)
+    n_tags = _side_rule(nutrient_dirichlet, extent)(mid)
     if not np.any(e_tags):
         raise InvalidTagRule("elastic Dirichlet boundary part must be non-empty")
+    w, h = (x1 - x0) / nx, (y1 - y0) / ny
+    square = abs(w - h) <= 1e-12 * max(w, h)
     return Mesh(np.asarray(vertices, dtype=float), np.array(cells, dtype=int),
-                facets, e_tags, n_tags, delaunay_like=True)
+                facets, e_tags, n_tags,
+                delaunay_like=mode == "diagonal" or square)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def write_mesh(mesh, path):
         raise IoError("cannot write mesh file %s: %s" % (path, exc))
 
 
-def read_mesh(path, delaunay_like=False):
+def read_mesh(path):
     """Read the ASCII mesh format written by `write_mesh`."""
     try:
         with open(path) as fh:
@@ -402,5 +401,4 @@ def read_mesh(path, delaunay_like=False):
     except (ValueError, IndexError) as exc:
         raise ParseError("%s: malformed mesh file (%s)" % (path, exc))
     return Mesh(vertices, cells, np.array(facets, dtype=int),
-                np.array(etags, dtype=bool), np.array(ntags, dtype=bool),
-                delaunay_like=delaunay_like)
+                np.array(etags, dtype=bool), np.array(ntags, dtype=bool))

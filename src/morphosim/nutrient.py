@@ -75,7 +75,8 @@ def nutrient_coefficient_fields(problem, Y=None):
 def solve_nutrient(problem):
     """First-order FEM solution of the nutrient equation.
 
-    Dirichlet data is imposed strongly, the flux datum weakly.  The
+    Dirichlet data is imposed strongly, the flux datum weakly as the
+    `fem.boundary_load_vector` of the nutrient-Neumann facets.  The
     diffusion matrices must pass the model's ellipticity constant at every
     quadrature point (EllipticityViolation otherwise); a singular reduced
     operator (no Dirichlet part and vanishing absorption) raises
@@ -97,18 +98,18 @@ def solve_nutrient(problem):
         if np.any(values < 0.0):
             raise ValidationError("nutrient Dirichlet data must be >= 0")
 
-    flux = None
-    if problem.neumann_flux is not None and np.any(~mesh.facet_nutrient_dirichlet):
+    K = fem.assemble_scalar_operator(
+        mesh, D, reaction=beta, ellipticity_nu=problem.model.ellipticity_nu)
+    rhs = np.zeros(mesh.num_vertices)
+    if problem.neumann_flux is not None:
         def flux(points, normals):
             vals = np.asarray(problem.neumann_flux(points, normals),
                               dtype=float)
             if np.any(vals < 0.0):
                 raise ValidationError("nutrient flux datum must be >= 0")
             return vals
-
-    K, rhs = fem.assemble_scalar_operator(
-        mesh, D, reaction=beta, neumann_flux=flux,
-        ellipticity_nu=problem.model.ellipticity_nu)
+        rhs = fem.boundary_load_vector(mesh, ~mesh.facet_nutrient_dirichlet,
+                                       flux, 1)
     N, resid = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs, values)
     min_value = float(np.min(N))
     scale = max(1.0, float(np.max(np.abs(N))))

@@ -24,7 +24,7 @@ from .growth import GuardConfig, TimeGrid
 from .materials import (CheckReport, ConstantNutrientModel,
                         DetRatioNutrientModel, PolarWellEnergy,
                         ProductGrowthLaw, StressModulatedGrowthLaw,
-                        ZeroGrowthLaw, check_coercivity,
+                        ZeroGrowthLaw, _spatial_matrix, check_coercivity,
                         check_frame_indifference,
                         check_nutrient_assumptions,
                         check_nutrient_frame_indifference)
@@ -43,12 +43,6 @@ class OutputConfig:
             raise ValueError("output every must be >= 1")
 
 
-def _constant_growth(M):
-    M = np.asarray(M, dtype=float)
-    return lambda pts: np.broadcast_to(
-        M, np.asarray(pts).shape[:-1] + (2, 2)).copy()
-
-
 @dataclass
 class Scenario:
     """Validated, executable description of one coupled simulation: the
@@ -65,7 +59,7 @@ class Scenario:
     g: object = None                   # boundary traction
     f_n: object = None                 # nutrient Dirichlet datum
     g_n: object = None                 # nutrient flux datum
-    g0: object = _constant_growth(np.eye(2))
+    g0: object = partial(_spatial_matrix, np.eye(2))
     time: TimeGrid = None
     guards: GuardConfig = field(default_factory=GuardConfig)
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -132,9 +126,9 @@ def _initial_growth(text):
     """The sampler of points that an initial-growth text describes."""
     kind, _, body = text.partition(":")
     if text == "identity":
-        return _constant_growth(np.eye(2))
-    if kind == "constant":
-        return _constant_growth(_parse_matrix(body))
+        return partial(_spatial_matrix, np.eye(2))
+    if kind == "constant":  # a 2x2 matrix, or s meaning s I
+        return partial(_spatial_matrix, _parse_matrix(body))
     if kind == "gradient":
         grad = ex.gradient_evaluator(ex.parse_vector(body, 2, ex.POINT))
         return lambda pts: grad(0.0, pts)
@@ -200,6 +194,15 @@ def _unread(path, section, keys, choice):
                          % (path, sorted(keys)[0], section, choice))
 
 
+def _build(path, section, make, *args, **params):
+    """``make(*args, **params)``, a value it rejects named by section."""
+    try:
+        return make(*args, **params)
+    except ValueError as exc:
+        raise ParseError("%s: invalid value in [%s] (%s)"
+                         % (path, section, exc))
+
+
 def _build_mesh(params, path):
     source = params.pop("source", "rectangle")
     reads = {"path"} if source == "file" else _RECTANGLE_KEYS
@@ -223,9 +226,10 @@ def load_scenario(path):
     """Parse and assemble a scenario file.
 
     Raises ParseError for unreadable or malformed input, including a value
-    that a model, the mesh generator or a config rejects (ValueError) and
-    a key that the chosen growth law or mesh source never reads; a key the
-    file leaves out takes the default of the constructor it sets.
+    that a model, the mesh generator or a config rejects (named by file
+    and section) and a key that the chosen growth law or mesh source never
+    reads; a key the file leaves out takes the default of the constructor
+    it sets.
     Model-assumption checks live in `validate_scenario`.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -239,22 +243,21 @@ def load_scenario(path):
     for name in cp.sections():
         if name not in _KEYS:
             raise ParseError("%s: unknown section [%s]" % (path, name))
-    try:
-        return _build_scenario(cp, path)
-    except ValueError as exc:
-        raise ParseError("%s: invalid value (%s)" % (path, exc))
+    return _build_scenario(cp, path)
 
 
 def _build_scenario(cp, path):
-    mesh = _build_mesh(_section(cp, "mesh", path), path)
+    mesh = _build(path, "mesh", _build_mesh, _section(cp, "mesh", path), path)
 
     epar = _section(cp, "energy", path, required=False)
-    energy = _ENERGIES[epar.pop("model", "polar_well")](**epar)
+    energy = _build(path, "energy", _ENERGIES[epar.pop("model", "polar_well")],
+                    **epar)
 
     gpar = _section(cp, "growth", path, required=False)
     law = gpar.pop("law", "none")
     if law == "stress_modulated":
-        growth_law = StressModulatedGrowthLaw(energy, **gpar)
+        growth_law = _build(path, "growth", StressModulatedGrowthLaw,
+                            energy, **gpar)
     else:
         _unread(path, "growth", set(gpar), "law = %s" % law)
         growth_law = _LAWS[law]()
@@ -262,7 +265,8 @@ def _build_scenario(cp, path):
     npar = _section(cp, "nutrient", path, required=False)
     if "nu" in npar:
         npar["ellipticity_nu"] = npar.pop("nu")
-    nutrient_model = _NUTRIENTS[npar.pop("model", "det_ratio")](**npar)
+    nutrient_model = _build(path, "nutrient",
+                            _NUTRIENTS[npar.pop("model", "det_ratio")], **npar)
 
     data = _section(cp, "boundary", path)
     if "f" not in data:
@@ -276,11 +280,12 @@ def _build_scenario(cp, path):
             raise ParseError("%s: [time] needs %r" % (path, key))
     if "substeps" in tpar:
         data["substeps"] = tpar.pop("substeps")
-    time_grid = TimeGrid(**tpar)
+    time_grid = _build(path, "time", TimeGrid, **tpar)
 
-    guards = GuardConfig(**_section(cp, "guards", path, required=False))
-    solver = SolverOptions(**_section(cp, "solver", path, required=False))
-    output = OutputConfig(**_section(cp, "output", path, required=False))
+    guards, solver, output = (
+        _build(path, name, make, **_section(cp, name, path, required=False))
+        for name, make in (("guards", GuardConfig), ("solver", SolverOptions),
+                           ("output", OutputConfig)))
 
     name = os.path.splitext(os.path.basename(path))[0]
     return Scenario(name=name, mesh=mesh, energy=energy,

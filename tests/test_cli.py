@@ -279,6 +279,14 @@ class TestCheck:
         assert main(["check", str(scenario_dir / demo)]) == 0
         assert "PASS first_step: t=0" in capsys.readouterr().out
 
+    def test_scalar_constant_initial_growth_passes(self, tmp_path,
+                                                    scenario_dir, capsys):
+        # g0 = constant: 1.2 is 1.2 I, inside the admissible ball
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_free.cfg",
+                            "initial", "g0", "constant: 1.2")
+        assert main(["check", str(cfg)]) == 0
+        assert "PASS initial_growth: min_det=1.44" in capsys.readouterr().out
+
     def test_failing_first_step(self, tmp_path, scenario_dir, capsys):
         # strong absorption drives the t0 nutrient below zero, which the
         # growth law refuses: the run would halt at its first step

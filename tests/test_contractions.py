@@ -185,7 +185,7 @@ class TestAssemblyPaths:
         Ke += np.einsum("cq,cq,qA,qB->cAB", w, r, TRI_POINTS, TRI_POINTS,
                         optimize=True)
         expected = fem._scatter(mesh.num_vertices, mesh.cells, Ke)
-        K, _ = fem.assemble_scalar_operator(mesh, D, r)
+        K = fem.assemble_scalar_operator(mesh, D, r)
         assert_same_bytes(K.indptr, expected.indptr)
         assert_same_bytes(K.indices, expected.indices)
         assert_same_bytes(K.data, expected.data)
@@ -282,8 +282,9 @@ class TestSparsityPlan:
         assert fem.dirichlet_system(plan_mesh, 2, elastic) is not scalar
         other = fem.dirichlet_system(plan_mesh, 1, nutrient)
         assert (other is scalar) == np.array_equal(elastic, nutrient)
-        # one recorded sort per dof layout
-        assert other.order is scalar.order
+        # each system records its own sort, equal across one dof layout
+        assert np.array_equal(other.order, scalar.order)
+        assert (other.order is scalar.order) == (other is scalar)
 
     def test_arrays_are_read_only(self, plan_mesh):
         for components in (1, 2):

@@ -43,10 +43,11 @@ def solve_scalar(mesh, data, **coefficients):
     """Identity-diffusion solution with the values of `data` at the
     nutrient Dirichlet nodes."""
     eye = np.broadcast_to(np.eye(2), (mesh.num_cells, NQ, 2, 2))
-    K, rhs = fem.assemble_scalar_operator(mesh, eye, **coefficients)
+    K = fem.assemble_scalar_operator(mesh, eye, **coefficients)
     nodes = mesh.nutrient_dirichlet_nodes()
     values = np.asarray(data(mesh.vertices[nodes]), dtype=float)
-    N, _ = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs, values)
+    N, _ = fem.dirichlet_system(mesh, 1, nodes).solve(
+        K, np.zeros(mesh.num_vertices), values)
     return N
 
 
@@ -363,7 +364,8 @@ class TestComputedOnce:
 
     def test_solve_reduced_reports_verified_residual(self):
         mesh = rectangle_mesh(4, 4)
-        K, rhs = fem.assemble_scalar_operator(mesh, np.eye(2), reaction=1.0)
+        K = fem.assemble_scalar_operator(mesh, np.eye(2), reaction=1.0)
+        rhs = np.zeros(mesh.num_vertices)
         nodes = mesh.nutrient_dirichlet_nodes()
         values = np.full(len(nodes), 2.0)
         x, resid = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs,

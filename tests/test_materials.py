@@ -224,11 +224,6 @@ class TestCheckers:
         report = check_frame_indifference(_NotFrameIndifferent(), samples=200)
         assert not report.passed
 
-    def test_identity_rotation_trivially_passes(self):
-        report = check_frame_indifference(_NotFrameIndifferent(), samples=100,
-                                          rotations=[np.eye(2)])
-        assert report.passed
-
     def test_coercivity_passes_with_unit_constant(self):
         report = check_coercivity(PolarWellEnergy(), samples=1000)
         assert report.passed

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morphosim import fem
 from morphosim.errors import InvalidTagRule, IoError, ParseError
 from morphosim.mesh import Mesh, read_mesh, rectangle_mesh, write_mesh
 
@@ -43,10 +44,21 @@ class TestRectangleMesh:
                               on_left | on_right)
 
     def test_callable_rule(self):
-        mesh = rectangle_mesh(
-            4, 4, elastic_dirichlet=lambda mid: mid[:, 1] < 0.25)
-        assert np.any(mesh.facet_elastic_dirichlet)
-        assert not np.all(mesh.facet_elastic_dirichlet)
+        # a rule is a string; other tags are given to `Mesh` as arrays
+        with pytest.raises(InvalidTagRule, match="must be a string"):
+            rectangle_mesh(4, 4, elastic_dirichlet=lambda mid: mid[:, 1] < 0.25)
+
+    @pytest.mark.parametrize("mode,corner", [
+        ("crossed", (1.0, 1.0)), ("crossed", (2.0, 1.0)),
+        ("crossed", (1.1, 1.0)), ("diagonal", (2.0, 1.0))],
+        ids=["crossed_square", "crossed_2x1", "crossed_1.1x1", "diagonal"])
+    def test_delaunay_flag_matches_the_laplacian(self, mode, corner):
+        # Delaunay-type: no positive off-diagonal entry in the P1 Laplacian
+        mesh = rectangle_mesh(8, 8, extent=((0.0, 0.0), corner), mode=mode)
+        K = fem.assemble_scalar_operator(mesh, np.eye(2)).toarray()
+        scale = np.max(np.abs(K))
+        np.fill_diagonal(K, 0.0)
+        assert mesh.delaunay_like == bool(np.max(K) <= 1e-12 * scale)
 
     def test_unknown_side(self):
         with pytest.raises(InvalidTagRule):

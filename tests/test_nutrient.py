@@ -258,6 +258,7 @@ class TestDirichletSystemShared:
         lift, nutrient = (fem.dirichlet_system(mesh, 1, nodes) for nodes in (
             mesh.elastic_dirichlet_nodes(), mesh.nutrient_dirichlet_nodes()))
         assert (lift is nutrient) == (count == 1)
-        assert lift.order is nutrient.order
+        assert np.array_equal(lift.order, nutrient.order)
+        assert (lift.order is nutrient.order) == (count == 1)
         assert np.array_equal(sol.concentration[nutrient.fixed],
                               np.ones(len(nutrient.fixed)))

@@ -89,7 +89,7 @@ class TestLoading:
     def test_shipped_scenarios_load_and_validate(self, scenario_dir):
         for name in ("stress_free.cfg", "analytic_growth.cfg",
                      "stress_modulated.cfg", "zero_nutrient.cfg",
-                     "compatible_sine.cfg"):
+                     "compatible_sine.cfg", "stress_feedback.cfg"):
             sc = load_scenario(scenario_dir / name)
             reports = validate_scenario(sc, samples=200)
             assert all(r.passed for r in reports), \
@@ -126,6 +126,17 @@ class TestLoading:
         sc = load_scenario(write_cfg(tmp_path, text))
         G = sc.initial_growth_nodal()
         assert np.allclose(G, np.diag([1.1, 0.95]))
+
+    @pytest.mark.parametrize("value,expected", [
+        ("1.2", 1.2 * np.eye(2)),
+        ("1.1 0.05; 0 0.95", np.array([[1.1, 0.05], [0.0, 0.95]]))],
+        ids=["scalar", "matrix"])
+    def test_constant_initial_growth_value(self, tmp_path, value, expected):
+        # a scalar s means s I, as it does for d0
+        text = MINIMAL + "\n[initial]\ng0 = constant: %s\n" % value
+        G = load_scenario(write_cfg(tmp_path, text)).initial_growth_nodal()
+        assert G.shape == (25 + 16, 2, 2)
+        assert np.array_equal(G, np.broadcast_to(expected, G.shape))
 
     def test_guard_and_solver_sections(self, tmp_path):
         text = MINIMAL + ("\n[guards]\ndet_min = 0.2\nnorm_max = 7\n"
@@ -258,6 +269,23 @@ class TestLoadingErrors:
             load_scenario(path)
         assert str(info.value).startswith("%s: invalid value for %r in [%s]"
                                           % (path, key, section))
+
+    @pytest.mark.parametrize("section,text", [
+        ("mesh", MINIMAL.replace("nx = 4", "nx = 0")),
+        ("energy", MINIMAL + "\n[energy]\np = 0.5\n"),
+        ("growth",
+         MINIMAL + "\n[growth]\nlaw = stress_modulated\neta = bogus\n"),
+        ("time", MINIMAL.replace("dt = 0.05", "dt = -0.05")),
+        ("guards", MINIMAL + "\n[guards]\ndet_min = -1\n"),
+        ("output", MINIMAL + "\n[output]\nevery = 0\n")],
+        ids=["mesh", "energy", "growth", "time", "guards", "output"])
+    def test_rejected_value_names_its_section(self, tmp_path, section,
+                                              text):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith("%s: invalid value in [%s] ("
+                                          % (path, section))
 
     def test_unknown_section(self, tmp_path):
         text = MINIMAL + "\n[solvr]\nmethod = newton\n"
