@@ -232,23 +232,27 @@ class _Workspace:
         r -= self.traction_load
         return r, float(np.linalg.norm(r[self.system.free])), P
 
-    def coefficient_tensor(self, state):
-        """Fourth-order stiffness coefficients at the quadrature points:
+    def coefficient_tensor(self, state, cells=slice(None)):
+        """Fourth-order stiffness coefficients at the quadrature points of
+        `cells` (all by default):
 
         A[i, j, a, b] = det(G) * sum_{p, q} H[i, p, j, q] Ginv[a, p] Ginv[b, q]
 
         with H the energy Hessian at the current elastic state.
         """
-        H = self.energy.second_derivative(self.qpoints, state.Fel,
-                                          det=state.det)
-        A = np.einsum("cqipjr,cqap,cqbr->cqijab", H, self.Ginvq, self.Ginvq,
+        Ginv = self.Ginvq[cells]
+        H = self.energy.second_derivative(self.qpoints[cells],
+                                          state.Fel[cells],
+                                          det=state.det[cells])
+        A = np.einsum("cqipjr,cqap,cqbr->cqijab", H, Ginv, Ginv,
                       optimize=_PULLBACK_PATH)
-        return self.detGq[:, :, None, None, None, None] * A
+        return self.detGq[cells][:, :, None, None, None, None] * A
 
     def stiffness(self, state):
-        """Unconstrained tangent stiffness (CSR) at the iterate."""
-        return fem.assemble_vector_operator(self.mesh,
-                                            self.coefficient_tensor(state))
+        """Unconstrained tangent stiffness (CSR) at the iterate, its
+        coefficients built one block of cells at a time."""
+        return fem.assemble_vector_operator(
+            self.mesh, functools.partial(self.coefficient_tensor, state))
 
     def energy_value(self, state):
         W = self.energy.evaluate(self.qpoints, state.Fel, det=state.det)

@@ -39,18 +39,15 @@ class Mesh:
         Boundary edges; must cover the topological boundary exactly once.
     elastic_dirichlet, nutrient_dirichlet : (k,) bool arrays
         Tag per facet (False means the corresponding Neumann part).
-    delaunay_like : bool
-        Whether the discrete maximum principle may be asserted.
     """
 
     def __init__(self, vertices, cells, facets, elastic_dirichlet,
-                 nutrient_dirichlet, delaunay_like=False):
+                 nutrient_dirichlet):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=int)
         self.facets = np.asarray(facets, dtype=int).reshape(-1, 2)
         self.facet_elastic_dirichlet = np.asarray(elastic_dirichlet, dtype=bool)
         self.facet_nutrient_dirichlet = np.asarray(nutrient_dirichlet, dtype=bool)
-        self.delaunay_like = bool(delaunay_like)
         self._cache = {}
         self._validate()
 
@@ -139,6 +136,25 @@ class Mesh:
             g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
             self._cache["gradients"] = g
         return self._cache["gradients"]
+
+    @property
+    def delaunay_like(self):
+        """Whether the discrete maximum principle may be asserted: the P1
+        Laplacian has no off-diagonal entry above 1e-12 of its largest
+        entry.  Computed on first read."""
+        if "delaunay_like" not in self._cache:
+            g = self.cell_gradients()
+            Ke = self.cell_volumes()[:, None, None] * np.einsum(
+                "cAa,cBa->cAB", g, g)
+            corner = [0, 1, 2]
+            diagonal = np.bincount(self.cells.ravel(),
+                                   weights=Ke[:, corner, corner].ravel())
+            # the cell edges 0-1, 1-2, 2-0, each summed over its cells
+            _, edge = np.unique(self._cell_edge_keys(), return_inverse=True)
+            off = np.bincount(edge, weights=Ke[:, corner, [1, 2, 0]].ravel())
+            scale = max(np.max(np.abs(diagonal)), np.max(np.abs(off)))
+            self._cache["delaunay_like"] = bool(np.max(off) <= 1e-12 * scale)
+        return self._cache["delaunay_like"]
 
     def quad_points(self):
         """Volume quadrature points, (m, nq, 2)."""
@@ -247,9 +263,9 @@ def rectangle_mesh(nx, ny, extent=((0.0, 0.0), (1.0, 1.0)), mode="crossed",
 
     `mode='crossed'` splits each of the nx*ny quads into four triangles
     around its center (4 nx ny cells); `mode='diagonal'` into two right
-    triangles, a Delaunay-type mesh on which the scalar solver's discrete
-    maximum principle applies.  A crossed w x h quad has apex angles
-    2 atan(w/h) and 2 atan(h/w), so it is Delaunay-type only if w = h.
+    triangles.  A diagonal mesh is Delaunay-type (`Mesh.delaunay_like`); a
+    crossed w x h quad has apex angles 2 atan(w/h) and 2 atan(h/w), so a
+    crossed mesh is Delaunay-type only if w = h.
 
     Boundary tags come from the two classifiers (see `_side_rule`); the
     elastic Dirichlet part must be non-empty.
@@ -314,11 +330,8 @@ def rectangle_mesh(nx, ny, extent=((0.0, 0.0), (1.0, 1.0)), mode="crossed",
     n_tags = _side_rule(nutrient_dirichlet, extent)(mid)
     if not np.any(e_tags):
         raise InvalidTagRule("elastic Dirichlet boundary part must be non-empty")
-    w, h = (x1 - x0) / nx, (y1 - y0) / ny
-    square = abs(w - h) <= 1e-12 * max(w, h)
     return Mesh(np.asarray(vertices, dtype=float), np.array(cells, dtype=int),
-                facets, e_tags, n_tags,
-                delaunay_like=mode == "diagonal" or square)
+                facets, e_tags, n_tags)
 
 
 # ---------------------------------------------------------------------------

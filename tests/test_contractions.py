@@ -191,6 +191,37 @@ class TestAssemblyPaths:
         assert_same_bytes(K.data, expected.data)
 
 
+# crossed meshes with cell counts below, at and above the assembly block
+# (`fem._BLOCK_CELLS`, 1,024 cells), the last two not a multiple of it
+BLOCK_MESHES = {"12x12": (12, 12), "16x16": (16, 16), "17x16": (17, 16),
+                "64x64": (64, 64)}
+
+
+@pytest.fixture(scope="module", params=sorted(BLOCK_MESHES))
+def block_mesh(request):
+    return rectangle_mesh(*BLOCK_MESHES[request.param])
+
+
+class TestBlockedStiffness:
+    def test_tangent_equals_the_one_shot_einsum(self, block_mesh, case):
+        # the tangent built block by block equals the pull-back and the
+        # element contraction over the whole mesh at once, byte for byte
+        ws, u = workspace_and_state(block_mesh, case)
+        state = ws.elastic_state(u)
+        H = ws.energy.second_derivative(ws.qpoints, state.Fel, det=state.det)
+        A = ws.detGq[:, :, None, None, None, None] * np.einsum(
+            "cqipjr,cqap,cqbr->cqijab", H, ws.Ginvq, ws.Ginvq, optimize=True)
+        Ke = np.einsum("cq,cqijab,cAa,cBb->cAiBj", ws.weights, A, ws.grads,
+                       ws.grads, optimize=True)
+        expected = fem._scatter(2 * block_mesh.num_vertices,
+                                vector_edofs(block_mesh),
+                                Ke.reshape(-1, 6, 6))
+        K = ws.stiffness(state)
+        assert_same_bytes(K.indptr, expected.indptr)
+        assert_same_bytes(K.indices, expected.indices)
+        assert_same_bytes(K.data, expected.data)
+
+
 def shuffled(mesh, seed=5):
     """The same triangulation with its vertices renumbered and its cells,
     their corners and its facets listed in another order."""

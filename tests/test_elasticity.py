@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import io
+import tracemalloc
 import types
 import weakref
 
@@ -784,6 +785,23 @@ class TestWorkingSet:
         sol = solve_equilibrium(make_problem(
             mesh, dirichlet=lambda pts: pts + 0.05 * pts ** 2))
         assert sol.iterations > 0 and sorted_dofs == [n, 2 * n]
+
+    def test_tangent_temporaries_stay_below_the_mesh_size(self):
+        # one 64^2 tangent: 27.6 MB of numpy temporaries when the Hessian
+        # and the coefficient tensor are built for the whole mesh at once,
+        # 13.2 MB in blocks of cells (the element matrices, their sorted
+        # copy and the operator)
+        problem = benchmarks.contraction_problem(64, method="newton")
+        ws = problem.workspace
+        state = ws.elastic_state(np.zeros((ws.mesh.num_vertices, 2)))
+        ws.stiffness(state)  # the recorded sort stays with the mesh
+        tracemalloc.start()
+        try:
+            ws.stiffness(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_newton_holds_one_factor_and_one_operator(self, monkeypatch):
         problem = benchmarks.contraction_problem(8, method="newton")

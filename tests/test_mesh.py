@@ -164,6 +164,12 @@ class TestMeshFile:
         assert np.array_equal(again.facet_nutrient_dirichlet,
                               mesh.facet_nutrient_dirichlet)
 
+    def test_read_mesh_keeps_the_delaunay_flag(self, tmp_path):
+        # the flag comes from the geometry, so a file carries it too
+        path = tmp_path / "grid.mesh"
+        write_mesh(rectangle_mesh(4, 4), path)
+        assert read_mesh(path).delaunay_like is True
+
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.mesh"
         p.write_text("dim 3\n0\n")
