@@ -242,18 +242,20 @@ def trajectory_csv(trajectory):
     return "\n".join(lines) + "\n"
 
 
+def _rows(template, values):
+    """`template` filled once per row of the array `values`, by a single
+    `%` over the repeated template."""
+    return (template * len(values)) % tuple(np.ravel(values).tolist())
+
+
 def _vtk_mesh_block(mesh):
     """POINTS, CELLS and CELL_TYPES sections, the part of every snapshot
     file that depends only on the mesh."""
-    lines = ["POINTS %d double" % mesh.num_vertices]
-    for v in mesh.vertices:
-        lines.append("%.17g %.17g 0" % (v[0], v[1]))
-    lines.append("CELLS %d %d" % (mesh.num_cells, 4 * mesh.num_cells))
-    for c in mesh.cells:
-        lines.append("3 %d %d %d" % (c[0], c[1], c[2]))
-    lines.append("CELL_TYPES %d" % mesh.num_cells)
-    lines.extend(["5"] * mesh.num_cells)
-    return "\n".join(lines)
+    return ("POINTS %d double\n" % mesh.num_vertices
+            + _rows("%.17g %.17g 0\n", mesh.vertices)
+            + "CELLS %d %d\n" % (mesh.num_cells, 4 * mesh.num_cells)
+            + _rows("3 %d %d %d\n", mesh.cells)
+            + "CELL_TYPES %d\n" % mesh.num_cells + "5\n" * mesh.num_cells)
 
 
 def _vtk_text(mesh, state, mesh_block=None):
@@ -261,25 +263,17 @@ def _vtk_text(mesh, state, mesh_block=None):
     `_vtk_mesh_block`) to reuse the mesh part across snapshots."""
     if mesh_block is None:
         mesh_block = _vtk_mesh_block(mesh)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "morphosim fields at t=%.17g" % state.t,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        mesh_block,
-    ]
-    lines.append("POINT_DATA %d" % mesh.num_vertices)
-    lines.append("VECTORS displacement double")
-    for u in state.displacement:
-        lines.append("%.17g %.17g 0" % (u[0], u[1]))
+    text = ["# vtk DataFile Version 3.0\n"
+            "morphosim fields at t=%.17g\n" % state.t,
+            "ASCII\nDATASET UNSTRUCTURED_GRID\n", mesh_block,
+            "POINT_DATA %d\nVECTORS displacement double\n" % mesh.num_vertices,
+            _rows("%.17g %.17g 0\n", state.displacement)]
     for name, values in (("nutrient", state.nutrient),
                          ("growth_det", np.linalg.det(state.growth)),
                          ("stress_frobenius", state.stress_nodes)):
-        lines.append("SCALARS %s double 1" % name)
-        lines.append("LOOKUP_TABLE default")
-        for value in values:
-            lines.append("%.17g" % value)
-    return "\n".join(lines) + "\n"
+        text += ["SCALARS %s double 1\nLOOKUP_TABLE default\n" % name,
+                 _rows("%.17g\n", values)]
+    return "".join(text)
 
 
 def write_outputs(trajectory, mesh, config):

@@ -107,10 +107,11 @@ def lift_dirichlet(mesh, dirichlet_data):
     Neumann part).  Returns ``(f_tilde, grad f_tilde)``, the nodal lift and
     the per-cell gradient its orientation check computed.
 
-    Affine data on a full Dirichlet boundary is reproduced exactly.  The
-    extension must stay locally orientation preserving; otherwise
-    LiftDegenerate is raised.  Non-finite boundary positions raise
-    AssemblyError before any solve.
+    Affine data on a full Dirichlet boundary is reproduced exactly, and
+    data that move no Dirichlet vertex give the vertices without building
+    the lift factor (the zero extension is zero).  The extension must stay
+    locally orientation preserving; otherwise LiftDegenerate is raised.
+    Non-finite boundary positions raise AssemblyError before any solve.
 
     The lift is a function of the mesh and the evaluated boundary
     positions alone, so the mesh tier keeps the last one beside the lift
@@ -130,7 +131,7 @@ def lift_dirichlet(mesh, dirichlet_data):
     if last is None or not np.array_equal(last[0], bc):
         shift = np.zeros((mesh.num_vertices, 2))
         shift[nodes] = bc - mesh.vertices[nodes]
-        if len(free):
+        if len(free) and shift.any():
             lu, Kfc = _lift_factor(mesh, system)
             rhs = -(Kfc @ shift[nodes])
             shift[free, 0] = lu.solve(rhs[:, 0])
@@ -349,7 +350,8 @@ def _iterate(problem, initial, method):
     r, rn, P = ws.residual(state)
     done = rn <= 1e-10
     if not done:
-        K = (ws.stiffness(state) if newton
+        # a cold start is the u = 0 state the chord operator is built at
+        K = (ws.stiffness(state) if newton or initial is None
              else assemble_linearized_at_zero(problem))
         tol_inc, tol_res = _tolerances(ws, K)
         done = rn <= tol_res

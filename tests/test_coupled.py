@@ -554,3 +554,41 @@ class TestVtkMeshBlockReuse:
         with open(snap[0]) as fh:
             assert fh.read() == vtk_text_reference(sc.mesh,
                                                    traj.states[-1])
+
+    def test_extreme_values_keep_their_text(self):
+        # one `%` per block formats each value as `"%.17g" % value` does:
+        # signed zeros, subnormals, the largest doubles and non-finite values
+        mesh = rectangle_mesh(1, 1)
+        growth = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+        growth[1] *= 1e154
+        growth[2, 0, 0] = -1.0
+        state = coupled.SystemState(
+            t=0.1, growth=growth,
+            displacement=np.array([[-0.0, 5e-324],
+                                   [1e308, -1.7976931348623157e308],
+                                   [0.1, -2.2250738585072014e-308],
+                                   [1 / 3, 0.0], [np.nan, -np.inf]]),
+            lifted=np.zeros((5, 2)),
+            nutrient=np.array([-0.0, 1e-310, 1.0, 2.5e300, np.inf]),
+            stress_nodes=np.array([0.0, 1e-320, 3e307, 0.7, np.nan]))
+        expected = (
+            "# vtk DataFile Version 3.0\n"
+            "morphosim fields at t=0.10000000000000001\n"
+            "ASCII\nDATASET UNSTRUCTURED_GRID\n"
+            "POINTS 5 double\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n0.5 0.5 0\n"
+            "CELLS 4 16\n3 0 1 4\n3 1 3 4\n3 3 2 4\n3 2 0 4\n"
+            "CELL_TYPES 4\n5\n5\n5\n5\n"
+            "POINT_DATA 5\nVECTORS displacement double\n"
+            "-0 4.9406564584124654e-324 0\n"
+            "1e+308 -1.7976931348623157e+308 0\n"
+            "0.10000000000000001 -2.2250738585072014e-308 0\n"
+            "0.33333333333333331 0 0\nnan -inf 0\n"
+            "SCALARS nutrient double 1\nLOOKUP_TABLE default\n"
+            "-0\n9.9999999999999694e-311\n1\n2.5000000000000001e+300\ninf\n"
+            "SCALARS growth_det double 1\nLOOKUP_TABLE default\n"
+            "1\n1.0000000000000136e+308\n-1\n1\n1\n"
+            "SCALARS stress_frobenius double 1\nLOOKUP_TABLE default\n"
+            "0\n9.9998886718268301e-321\n2.9999999999999998e+307\n"
+            "0.69999999999999996\nnan\n")
+        assert coupled._vtk_text(mesh, state) == expected
+        assert vtk_text_reference(mesh, state) == expected

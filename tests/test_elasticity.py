@@ -77,8 +77,9 @@ class TestLift:
 
 
 def _sine_data(amplitude):
-    fmap, _ = sine_map_nodes(amplitude)
-    return lambda pts: fmap(0.0, pts)
+    """Data that move boundary vertices: ``x + a sin(pi y), y + a sin(pi x)``
+    (`sine_map_nodes` is the identity on the unit square's boundary)."""
+    return lambda pts: pts + amplitude * np.sin(np.pi * pts[:, ::-1])
 
 
 class _CountingFactor:
@@ -161,21 +162,42 @@ class TestLastLift:
     @pytest.mark.parametrize("steps", [1, 3])
     def test_substeps_run_lifts_each_datum_once(self, scenario_dir, steps):
         # RK4's stages 2 and 3 solve at t + dt/2 and stage 4 at the next
-        # snapshot's time: 2k + 1 distinct data over k steps
+        # snapshot's time: 2k + 1 distinct data over k steps, of which the
+        # t = 0 datum (the identity) moves no vertex and needs no solve
         sc = load_scenario(scenario_dir / "analytic_growth.cfg")
         sc.time = TimeGrid(t_end=steps * sc.time.dt, dt=sc.time.dt)
         counter = count_lift_solves(sc.mesh)
         traj = run_coupled(sc)
         assert traj.status == "completed" and len(traj.states) == steps + 1
-        assert counter.calls == 2 * (2 * steps + 1)
+        assert counter.calls == 2 * (2 * steps)
 
     def test_time_independent_data_lift_once(self, scenario_dir):
+        # the identity data are lifted once, by no solve
         sc = load_scenario(scenario_dir / "stress_modulated.cfg")
         sc.time.t_end = 0.03
         counter = count_lift_solves(sc.mesh)
         traj = run_coupled(sc)
         assert traj.status == "completed" and len(traj.states) == 4
-        assert counter.calls == 2
+        assert counter.calls == 0
+
+    def test_zero_shift_builds_no_lift_factor(self, monkeypatch):
+        mesh = rectangle_mesh(6, 6, elastic_dirichlet="left")
+        ft, jac = lift_dirichlet(mesh, identity_map)
+        assert "lift_factor" not in mesh._cache
+        assert ft.tobytes() == mesh.vertices.tobytes()
+        assert jac.tobytes() == fem.interpolate_gradient(
+            mesh, mesh.vertices).tobytes()
+        built = []
+        lift_factor = elasticity._lift_factor
+
+        def counting(*args):
+            if "lift_factor" not in mesh._cache:
+                built.append(1)
+            return lift_factor(*args)
+        monkeypatch.setattr(elasticity, "_lift_factor", counting)
+        for data in (_sine_data(0.05), identity_map, _sine_data(0.03)):
+            lift_dirichlet(mesh, data)
+        assert built == [1]
 
 
 class TestResidual:
@@ -701,6 +723,21 @@ class TestComputedOnce:
         assert len(iterates) == len(set(iterates)) == len(potentials)
         assert len(state_dets) == len(iterates)
 
+    def test_cold_chord_computes_one_state_per_iterate(self):
+        # a cold start is the u = 0 state the chord operator is built at
+        problem = benchmarks.contraction_problem(16)
+        ws = problem.workspace
+        inner = ws.elastic_state
+        states = []
+
+        def counting(u):
+            states.append(1)
+            return inner(u)
+        ws.elastic_state = counting
+        sol = solve_fixed_point(problem)
+        assert sol.iterations > 1
+        assert len(states) == sol.iterations + 1
+
     def test_bincount_residual_matches_scatter_add(self):
         problem = self.contraction("fixed_point")
         ws = problem.workspace
@@ -759,15 +796,17 @@ class TestWorkingSet:
         assert chord.mesh is newton.mesh
         solve_fixed_point(chord)
         sol = solve_newton(newton)
-        # one vector system and one scalar for the lift; one lift factor,
-        # the chord's operator and one tangent per Newton sweep
+        # one vector system and one scalar for the lift's dof split; the
+        # identity data build no lift factor, so the chord's operator and
+        # one tangent per Newton sweep
         n = chord.mesh.num_vertices
         assert sorted(systems) == [n, 2 * n]
-        assert len(factors) == 2 + sol.iterations
+        assert len(factors) == 1 + sol.iterations
 
     def test_zero_sweep_solve_builds_no_vector_sort(self, monkeypatch):
         # a solve that returns at iterate 0 reads the vector system's dof
-        # layout only; its recorded sort is built at the first assembly
+        # layout only; its recorded sort is built at the first assembly,
+        # and the scalar system's at the first lift that moves a vertex
         sorted_dofs = []
         coo = fem._coo
 
@@ -780,7 +819,7 @@ class TestWorkingSet:
         for method in ("fixed_point", "newton"):
             sol = solve_equilibrium(make_problem(mesh, method=method))
             assert sol.iterations == 0
-        assert sorted_dofs == [n]  # the lift's scalar system
+        assert sorted_dofs == []
         assert sol.deformation.tobytes() == mesh.vertices.tobytes()
         sol = solve_equilibrium(make_problem(
             mesh, dirichlet=lambda pts: pts + 0.05 * pts ** 2))

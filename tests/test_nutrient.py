@@ -222,7 +222,8 @@ class TestCoefficientFields:
         model = DetRatioNutrientModel(d0=1.0, beta0=0.0)
         y = mesh.vertices.copy()
         y[7, 0] = np.nan
-        with pytest.raises(SingularMatrix):
+        with pytest.warns(RuntimeWarning, match="invalid value"), \
+                pytest.raises(SingularMatrix):
             solve_nutrient(make_problem(
                 mesh, model, dirichlet=lambda pts: np.ones(len(pts)), y=y))
 
@@ -231,7 +232,8 @@ class TestCoefficientFields:
         G = np.broadcast_to(np.eye(2), (4, 2, 2))
         Y = G.copy()
         Y[1, 0, 0] = np.nan
-        with pytest.raises(SingularMatrix):
+        with pytest.warns(RuntimeWarning, match="invalid value"), \
+                pytest.raises(SingularMatrix):
             model.coefficients(G, Y, np.zeros((4, 2)))
 
 
