@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, materials
+from . import fem, materials, tensor
 from .errors import (AssemblyError, ContractionLost, LiftDegenerate,
                      NoConvergence, OutsideAdmissibleBall, SingularJacobian,
                      SingularMatrix, SingularSystem, ValidationError)
@@ -189,7 +189,7 @@ class _Workspace:
         if Gn is not None and not np.all(np.linalg.det(Gn) > 0.0):
             raise ValidationError("growth tensor with non-positive nodal "
                                   "determinant")
-        self.Ginvq = np.linalg.inv(self.Gq)
+        self.Ginvq = tensor.inv(self.Gq)
         self.f_tilde, self.grad_ft = lift_dirichlet(mesh,
                                                     problem.dirichlet_data)
         if problem.neumann_traction is not None:

@@ -142,7 +142,7 @@ def piola_kirchhoff(energy, x, G, Y):
     """
     G = np.asarray(G, dtype=float)
     detG = tensor.positive_det(G)
-    Ginv = np.linalg.inv(G)
+    Ginv = tensor.inv(G)
     Fel, det = elastic_factor(energy, np.asarray(Y, dtype=float), Ginv)
     return grown_stress(energy, x, Fel, det, Ginv, detG)
 

@@ -10,6 +10,7 @@ imposition wins the tie).
 
 import numpy as np
 
+from . import tensor
 from .errors import InvalidTagRule, IoError, ParseError
 
 # interior 3-point rule, exact for quadratics; barycentric coordinates
@@ -129,7 +130,7 @@ class Mesh:
             b = self.vertices[self.cells[:, 1]]
             c = self.vertices[self.cells[:, 2]]
             J = np.stack([b - a, c - a], axis=-1)  # columns are edge vectors
-            Jinv = np.linalg.inv(J)
+            Jinv = tensor.inv(J)
             g = np.empty((self.num_cells, 3, 2))
             g[:, 1, :] = Jinv[:, 0, :]
             g[:, 2, :] = Jinv[:, 1, :]

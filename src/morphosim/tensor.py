@@ -63,6 +63,87 @@ def positive_det(F):
     return d
 
 
+def inv(F):
+    """Inverse over the trailing two axes, by the operations OpenBLAS's
+    ``dgesv`` performs for `np.linalg.inv` on a 2x2 matrix.
+
+    LU with partial pivoting (a tie keeps row 0) and reciprocal pivots,
+    then one solve per column of the permuted identity; the one fused
+    multiply-add of the back substitution, ``round(1 - p1 x1)``, is
+    computed exactly by `_one_minus_product` (within its range).
+    Unchecked, like `_polar_rotation_2d`: the caller has required
+    det F > 0.
+    """
+    F = np.asarray(F, dtype=float)
+    a, b = F[..., 0, 0], F[..., 0, 1]
+    c, d = F[..., 1, 0], F[..., 1, 1]
+    swap = np.abs(c) > np.abs(a)
+    # the pivot row is (p0, p1) and the other row (q0, q1)
+    p1 = np.where(swap, d, b)
+    r0 = 1.0 / np.where(swap, c, a)
+    l = np.where(swap, a, c) * r0
+    r22 = 1.0 / (np.where(swap, b, d) - l * p1)
+    # x solves for the permuted right-hand side (1, 0) and y for (0, 1),
+    # y1 = r22; y0's fused update from a zero start is the negated
+    # product, zero signs included
+    x1 = (0.0 - l) * r22
+    x0 = _one_minus_product(p1, x1) * r0
+    y0 = (0.0 - p1 * r22) * r0
+    X = np.empty_like(F)
+    X[..., 0, 0] = np.where(swap, y0, x0)
+    X[..., 1, 0] = np.where(swap, r22, x1)
+    X[..., 0, 1] = np.where(swap, x0, y0)
+    X[..., 1, 1] = np.where(swap, x1, r22)
+    return X
+
+
+#: Veltkamp's splitting constant 2^27 + 1.
+_SPLIT = 134217729.0
+
+
+def _split(a):
+    """``a = hi + lo`` exactly, each half of at most 26 significant bits,
+    so that a product of two halves is exact (Dekker 1971)."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """``(h, t)`` with ``h = round(a b)`` and ``h + t = a b`` exactly."""
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    h = a * b
+    return h, ((ah * bh - h) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a, b):
+    """``(s, e)`` with ``s = round(a + b)`` and ``s + e = a + b`` exactly."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _one_minus_product(p, x):
+    """``round(1 - p x)`` with one rounding, as a fused multiply-add.
+
+    With ``p x = h + t`` and ``1 - h = s + e`` exactly, ``e - t`` rounded
+    to odd and then added to s rounds ``1 - h - t`` correctly (Boldo &
+    Melquiond, IEEE Trans. Comput. 57(4), 2008).  Exact when p and x are
+    zero or of magnitude in [2^-450, 2^450]: no step then overflows, and
+    every product of halves is exact.
+    """
+    h, t = _two_product(p, x)
+    s, e = _two_sum(1.0, -h)
+    v, err = _two_sum(e, -t)
+    # round to odd: truncate toward zero, then set the last bit, where
+    # v is inexact
+    inexact = err != 0.0
+    toward_zero = inexact & (np.signbit(v) != np.signbit(err))
+    odd = (v.view(np.int64) - toward_zero) | inexact
+    return s + odd.view(np.float64)
+
+
 def cofactor(F):
     """Cofactor matrix, ``cof(F)[i, j] = d det(F) / d F[i, j]``.
 

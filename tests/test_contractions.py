@@ -1,8 +1,9 @@
 """The explicit 2x2 contractions equal the `np.einsum` calls they replace,
 byte for byte, the fixed contraction paths equal `optimize=True`, the
 Dirichlet system's sums and gathers equal the COO scatter and sparse
-slicing they replace, and the cached transfer operators equal the einsum
-and bincount forms they replace.
+slicing they replace, the cached transfer operators equal the einsum
+and bincount forms they replace, and each caller of `tensor.inv` equals
+its value with `np.linalg.inv`.
 
 Each case runs on the cell counts the benchmark workloads use, with random
 data and with two rest states (F_el = I, zero stress): the reference
@@ -18,7 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from morphosim import (EquilibriumProblem, PolarWellEnergy, fem,
+from morphosim import (EquilibriumProblem, PolarWellEnergy, fem, materials,
                        rectangle_mesh, solve_equilibrium, tensor)
 from morphosim.mesh import TRI_POINTS, Mesh, read_mesh, write_mesh
 
@@ -153,6 +154,50 @@ class TestWorkspace:
                       optimize=True)
         assert_same_bytes(ws.coefficient_tensor(state),
                           ws.detGq[:, :, None, None, None, None] * A)
+
+
+def moved_mesh(mesh, case):
+    """The mesh as built, turned by half a turn (every zero coordinate then
+    -0.0), or with each vertex moved at random by up to 1/20 of a square."""
+    if case == "rest":
+        return mesh
+    if case == "half_turn":
+        vertices = -mesh.vertices
+    else:
+        rng = np.random.default_rng(mesh.num_cells + 3)
+        h = 1.0 / SIZES[mesh.num_cells]
+        vertices = mesh.vertices + 0.05 * h * rng.uniform(
+            -1.0, 1.0, mesh.vertices.shape)
+    return Mesh(vertices, mesh.cells, mesh.facets,
+                mesh.facet_elastic_dirichlet, mesh.facet_nutrient_dirichlet)
+
+
+class TestInverseCallers:
+    """Every 2x2 inverse of `src` goes through `tensor.inv`; each caller
+    equals the same value recomputed with `np.linalg.inv`."""
+
+    def test_workspace_growth_inverse(self, mesh, case):
+        ws, _ = workspace_and_state(mesh, case)
+        assert_same_bytes(ws.Ginvq, np.linalg.inv(ws.Gq))
+
+    def test_piola_kirchhoff(self, mesh, case):
+        ws, u = workspace_and_state(mesh, case)
+        F = np.einsum("cAi,cAa->cia", u[mesh.cells], ws.grads) + ws.grad_ft
+        Y = np.broadcast_to(F[:, None], ws.Gq.shape)
+        Ginv = np.linalg.inv(ws.Gq)
+        Fel, det = materials.elastic_factor(ws.energy, Y, Ginv)
+        expected = materials.grown_stress(ws.energy, ws.qpoints, Fel, det,
+                                          Ginv, tensor.positive_det(ws.Gq))
+        assert_same_bytes(materials.piola_kirchhoff(ws.energy, ws.qpoints,
+                                                    ws.Gq, Y), expected)
+
+    def test_cell_gradients(self, mesh, case):
+        moved = moved_mesh(mesh, case)
+        a, b, c = (moved.vertices[moved.cells[:, k]] for k in range(3))
+        Jinv = np.linalg.inv(np.stack([b - a, c - a], axis=-1))
+        expected = np.stack([-Jinv[:, 0] - Jinv[:, 1], Jinv[:, 0],
+                             Jinv[:, 1]], axis=1)
+        assert_same_bytes(moved.cell_gradients(), expected)
 
 
 class TestAssemblyPaths:

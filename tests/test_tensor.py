@@ -1,5 +1,10 @@
+import hashlib
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from morphosim import tensor
 from morphosim.errors import SingularMatrix
@@ -175,6 +180,130 @@ class TestPositiveDet:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             tensor.positive_det(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def inverse_families(rng, n=20000):
+    """Named stacks of nonsingular 2x2 matrices: near the identity, scaled
+    over six decades, signed zeros in every slot, pivot ties |a| = |c| of
+    both signs, diagonal, rotations and small integers."""
+    families = {
+        "near_identity": np.eye(2) + 1e-3 * rng.standard_normal((n, 2, 2)),
+        "scaled": rng.standard_normal((n, 2, 2))
+        * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1, 1)),
+        "diagonal": np.eye(2) * rng.uniform(-4.0, 4.0, (n, 1, 2)),
+        "rotations": tensor.rotation(rng.uniform(-4.0, 4.0, n)),
+        "small_integers": rng.integers(-5, 6, (n, 2, 2)).astype(float),
+    }
+    zeros = rng.standard_normal((n, 2, 2))
+    picked = rng.random(zeros.shape) < 0.3
+    zeros[picked] = np.copysign(0.0, rng.standard_normal(picked.sum()))
+    families["signed_zeros"] = zeros
+    ties = rng.standard_normal((n, 2, 2))
+    ties[:, 1, 0] = ties[:, 0, 0] * rng.choice([-1.0, 1.0], n)
+    families["pivot_ties"] = ties
+    return {name: F[np.linalg.det(F) != 0.0] for name, F in families.items()}
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert (hashlib.sha256(actual.tobytes()).hexdigest()
+            == hashlib.sha256(expected.tobytes()).hexdigest())
+
+
+def exact_one_minus_product(p, x):
+    """round(1 - p x), once, from exact rational arithmetic."""
+    return float(1 - Fraction(p) * Fraction(x))
+
+
+def near_midpoint_inputs(rng, n):
+    """(p, x) with 1 - p x within 2^-108 of a midpoint between two doubles
+    next to 1, but not on it: a product h + t whose head h sits on a
+    midpoint, 1 - h = s +- 2^-54, and whose tail t is k 2^-112 with
+    0 < |k| <= 16.  Rounding e - t to nearest would land on +-2^-54 and
+    leave a tie to s + e; only the rounding to odd keeps t's sign.
+
+    With p = P 2^-52 and x = X 2^-60 for 53-bit integers P, X, that asks
+    for P X = H 2^58 + k with H odd: X is k / P modulo 2^58, drawn until it
+    has 53 bits.  Both signs are flipped at random and p, x are scaled by
+    2^j and 2^-j, which leaves the product unchanged."""
+    pairs = []
+    while len(pairs) < n:
+        draws = zip(rng.integers(2 ** 52, 2 ** 53, 1000).tolist(),
+                    rng.integers(1, 17, 1000).tolist(),
+                    rng.choice([-1, 1], 1000).tolist())
+        for P, k, sign in draws:
+            P, k = P | 1, sign * k
+            X = k * pow(P, -1, 2 ** 58) % 2 ** 58
+            if 2 ** 52 <= X < 2 ** 53 and (P * X - k) >> 58 & 1:
+                pairs.append((P, X))
+    signs = rng.choice([-1.0, 1.0], n)
+    j = rng.integers(-20, 21, n)
+    p = signs * np.ldexp([P for P, _ in pairs[:n]], j - 52)
+    x = signs * np.ldexp([X for _, X in pairs[:n]], -j - 60)
+    return p, x
+
+
+class TestInv:
+    @pytest.mark.parametrize("name", [
+        "near_identity", "scaled", "signed_zeros", "pivot_ties", "diagonal",
+        "rotations", "small_integers"])
+    def test_matches_linalg_inv_bytes(self, name):
+        F = inverse_families(np.random.default_rng(7))[name]
+        assert len(F) > 1000
+        assert_same_bytes(tensor.inv(F), np.linalg.inv(F))
+
+    def test_pivot_ties_keep_row_zero(self):
+        F = np.array([[[2.0, 1.0], [2.0, 3.0]], [[2.0, 1.0], [-2.0, 3.0]],
+                      [[-2.0, 1.0], [2.0, 3.0]], [[-0.0, 1.0], [3.0, 0.0]]])
+        assert_same_bytes(tensor.inv(F), np.linalg.inv(F))
+
+    @pytest.mark.parametrize("shape", [(), (50,), (40, 3)])
+    def test_stack_shapes(self, shape):
+        rng = np.random.default_rng(11)
+        F = random_gl2(rng, int(np.prod(shape, dtype=int))).reshape(
+            shape + (2, 2))
+        X = tensor.inv(F)
+        assert_same_bytes(X, np.linalg.inv(F))
+        # a transposed (non-contiguous) view of the same matrices
+        assert_same_bytes(tensor.inv(tensor.transpose(F)),
+                          np.linalg.inv(tensor.transpose(F)))
+
+    def test_fused_update_random(self):
+        rng = np.random.default_rng(13)
+        p = rng.standard_normal(3000) * 10.0 ** rng.uniform(-3, 3, 3000)
+        x = rng.standard_normal(3000) * 10.0 ** rng.uniform(-3, 3, 3000)
+        got = tensor._one_minus_product(p, x)
+        assert got.tolist() == [exact_one_minus_product(*px)
+                                for px in zip(p, x)]
+
+    def test_fused_update_near_midpoints(self):
+        p, x = near_midpoint_inputs(np.random.default_rng(17), 1000)
+        got = tensor._one_minus_product(p, x)
+        assert got.tolist() == [exact_one_minus_product(*px)
+                                for px in zip(p, x)]
+
+    def test_fused_update_on_midpoints_ties_to_even(self):
+        # 1 - (2i + 1) 2^-54 lies halfway between two doubles below 1
+        x = np.array([(2 * i + 1) * 2.0 ** -54 for i in range(64)])
+        for p in (1.0, 2.0 ** 10, 2.0 ** -10):
+            got = tensor._one_minus_product(np.full_like(x, p), x / p)
+            assert got.tolist() == [exact_one_minus_product(p, xi / p)
+                                    for xi in x]
+            assert np.all(got.view(np.int64) % 2 == 0)
+
+    # entries zero or of magnitude in [1e-6, 1e6], so that every step of
+    # the fused update stays inside its exact range
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0])
+                    | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+                    min_size=4, max_size=4))
+    def test_inverse_property(self, entries):
+        F = np.array(entries).reshape(2, 2)
+        norm = float(tensor.frobenius_norm(F))
+        assume(abs(F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]) > 1e-8 * norm ** 2)
+        X = tensor.inv(F)
+        tol = 8.0 * np.finfo(float).eps * norm * float(tensor.frobenius_norm(X))
+        assert np.max(np.abs(F @ X - np.eye(2))) <= tol
 
 
 class TestPolarDerivative:
