@@ -269,7 +269,7 @@ def _vtk_text(mesh, state, mesh_block=None):
             "POINT_DATA %d\nVECTORS displacement double\n" % mesh.num_vertices,
             _rows("%.17g %.17g 0\n", state.displacement)]
     for name, values in (("nutrient", state.nutrient),
-                         ("growth_det", np.linalg.det(state.growth)),
+                         ("growth_det", tensor.det(state.growth)),
                          ("stress_frobenius", state.stress_nodes)):
         text += ["SCALARS %s double 1\nLOOKUP_TABLE default\n" % name,
                  _rows("%.17g\n", values)]

@@ -139,7 +139,7 @@ def lift_dirichlet(mesh, dirichlet_data):
         f_tilde = mesh.vertices + shift
         jac = fem.interpolate_gradient(mesh, f_tilde)
         # tested as not all > 0, so that a NaN determinant fails it too
-        if not np.all(np.linalg.det(jac) > 0.0):
+        if not np.all(tensor.det(jac) > 0.0):
             raise LiftDegenerate("lifted Dirichlet data folds some cell "
                                  "(det grad f_tilde <= 0)")
         last = (bc.copy(), f_tilde, jac)
@@ -181,12 +181,12 @@ class _Workspace:
         self.grads = mesh.cell_gradients()
         self.qpoints = mesh.quad_points()
         self.Gq = fem.growth_at_quadrature(mesh, problem.growth)
-        self.detGq = np.linalg.det(self.Gq)
+        self.detGq = tensor.det(self.Gq)
         # tested as not all > 0, so that a NaN determinant fails it too
         if not np.all(self.detGq > 0.0):
             raise ValidationError("growth tensor with non-positive determinant")
         Gn = fem.growth_at_nodes(mesh, problem.growth)
-        if Gn is not None and not np.all(np.linalg.det(Gn) > 0.0):
+        if Gn is not None and not np.all(tensor.det(Gn) > 0.0):
             raise ValidationError("growth tensor with non-positive nodal "
                                   "determinant")
         self.Ginvq = tensor.inv(self.Gq)

@@ -60,7 +60,7 @@ class GuardReport:
 def det_guard(G, config):
     """Report the nodal determinant/norm extremes against the guards."""
     G = np.asarray(G, dtype=float)
-    min_det = float(np.min(np.linalg.det(G)))
+    min_det = float(np.min(tensor.det(G)))
     max_norm = float(np.max(tensor.max_abs(G)))
     message = ""
     # shortest round-trip digits, so a value just past its guard reads so;

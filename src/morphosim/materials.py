@@ -312,9 +312,9 @@ class DetRatioNutrientModel(NutrientModel):
 
     def coefficients(self, G, Y, x, detY=None, detG=None):
         if detG is None:
-            detG = np.linalg.det(np.asarray(G, dtype=float))
+            detG = tensor.det(G)
         if detY is None:
-            detY = np.linalg.det(np.asarray(Y, dtype=float))
+            detY = tensor.det(Y)
         if not (np.all(detY > 0.0) and np.all(detG > 0.0)):  # NaN fails
             raise SingularMatrix("det-ratio coefficients need positive determinants")
         r = detG / detY
@@ -360,7 +360,7 @@ def _sample_admissible(rng, n, radius, min_det=0.15):
     k = 0
     while k < n:
         batch = np.eye(2) + rng.uniform(-radius, radius, size=(2 * (n - k), 2, 2))
-        good = np.linalg.det(batch) > min_det
+        good = tensor.det(batch) > min_det
         take = batch[good][: n - k]
         out[k:k + len(take)] = take
         k += len(take)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem
+from . import fem, tensor
 from .errors import NegativeSolutionWarning, SingularMatrix, ValidationError
 
 
@@ -58,7 +58,7 @@ def nutrient_coefficient_fields(problem, Y=None):
     mesh = problem.mesh
     if Y is None:
         Y = fem.interpolate_gradient(mesh, problem.deformation)
-    detY = np.linalg.det(Y)
+    detY = tensor.det(Y)
     if not np.all(detY > 0.0):  # NaN fails
         raise SingularMatrix("deformation gradient with non-positive "
                              "determinant")

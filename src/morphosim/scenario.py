@@ -364,7 +364,7 @@ def validate_scenario(scenario, samples=500, seed=0):
 
     # initial growth admissibility
     G0 = scenario.initial_growth_nodal()
-    min_det = float(np.min(np.linalg.det(G0)))
+    min_det = float(np.min(tensor.det(G0)))
     dev = float(np.max(tensor.max_abs(G0 - np.eye(2))))
     radius = scenario.energy.admissible_radius
     reports.append(CheckReport(

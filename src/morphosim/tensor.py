@@ -17,6 +17,9 @@ from .errors import SingularMatrix
 #: det F <= SINGULARITY_REL * ||F||_F^2 fails `positive_det`.
 SINGULARITY_REL = 1e-12
 
+#: Smallest normal double: OpenBLAS divides by a pivot below it.
+_TINY = np.finfo(float).tiny
+
 
 def transpose(F):
     """Transpose of the trailing two axes."""
@@ -57,44 +60,101 @@ def positive_det(F):
     F = np.asarray(F, dtype=float)
     if not np.all(np.isfinite(F)):
         raise ValueError("matrix contains non-finite entries")
-    d = np.linalg.det(F)
+    d = det(F)
     if np.any(d <= SINGULARITY_REL * frobenius_norm(F) ** 2):
         raise SingularMatrix("determinant not positive to working precision")
     return d
+
+
+def _lu(G):
+    """LU factors of a flat stack G of shape (n, 2, 2), by the operations
+    of OpenBLAS's 2x2 ``getrf``, which `np.linalg.det` and
+    `np.linalg.inv` call.
+
+    Partial pivoting (a tie keeps row 0) with a reciprocal pivot: for the
+    pivot row (p0, p1) and the other row (q0, q1), returns ``swap`` (row 1
+    is the pivot row), p0, ``l = q0 (1 / p0)`` and ``u22 = q1 - l p1``.
+    Holds at most three float temporaries of the stack's length.
+    """
+    a, b = G[:, 0, 0], G[:, 0, 1]
+    c, d = G[:, 1, 0], G[:, 1, 1]
+    swap = np.abs(c) > np.abs(a)
+    p0 = np.where(swap, c, a)
+    l = np.where(swap, a, c)
+    l *= 1.0 / p0
+    # l p1 in place, then subtracted from q1 row by row, so that no
+    # fourth buffer holds q1
+    u22 = np.where(swap, d, b)
+    u22 *= l
+    np.subtract(d, u22, out=u22, where=~swap)
+    np.subtract(b, u22, out=u22, where=swap)
+    return swap, p0, l, u22
+
+
+def det(F):
+    """Determinant over the trailing two axes, byte for byte
+    `np.linalg.det`, without one LAPACK call per matrix.
+
+    numpy takes sign * exp(log|u11| + log|u22|) from the LU factors of
+    `_lu`, through libm's `log` and `exp`; numpy runs its own `np.log` and
+    `np.exp` in a scalar loop over libm, not in SIMD, when input and output
+    strides have opposite signs, so each of the three calls writes into a
+    reversed view.  A zero u22 gives +0.0, as LAPACK's singular exit does
+    in numpy.  Rows with a subnormal or zero pivot, or with a non-finite
+    result (a non-finite entry, or an overflow), are recomputed by
+    `np.linalg.det`, with its warnings; the closed form itself warns of
+    nothing.
+    """
+    F = np.asarray(F, dtype=float)
+    G = F.reshape(-1, 2, 2)
+    with np.errstate(all="ignore"):
+        swap, p0, l, u22 = _lu(G)
+        negative = swap ^ (p0 < 0.0)
+        negative ^= u22 < 0.0
+        negative &= u22 != 0.0
+        np.abs(p0, out=p0)
+        small = p0 < _TINY
+        # l and p0 take the logs, reversed; their sum is exponentiated
+        # back into natural order in u22
+        np.log(p0, out=l[::-1])
+        np.log(np.abs(u22, out=u22), out=p0[::-1])
+        np.add(l, p0, out=l)
+        np.exp(l, out=u22[::-1])
+        np.negative(u22, out=u22, where=negative)
+    small |= ~np.isfinite(u22)
+    if small.any():
+        u22[small] = np.linalg.det(G[small])
+    return u22.reshape(F.shape[:-2])[()]
 
 
 def inv(F):
     """Inverse over the trailing two axes, by the operations OpenBLAS's
     ``dgesv`` performs for `np.linalg.inv` on a 2x2 matrix.
 
-    LU with partial pivoting (a tie keeps row 0) and reciprocal pivots,
-    then one solve per column of the permuted identity; the one fused
-    multiply-add of the back substitution, ``round(1 - p1 x1)``, is
-    computed exactly by `_one_minus_product` (within its range).
-    Unchecked, like `_polar_rotation_2d`: the caller has required
-    det F > 0.
+    The LU factors of `_lu`, then one solve per column of the permuted
+    identity with reciprocal pivots; the one fused multiply-add of the
+    back substitution, ``round(1 - p1 x1)``, is computed exactly by
+    `_one_minus_product` (within its range).  Unchecked, like
+    `_polar_rotation_2d`: the caller has required det F > 0.
     """
     F = np.asarray(F, dtype=float)
-    a, b = F[..., 0, 0], F[..., 0, 1]
-    c, d = F[..., 1, 0], F[..., 1, 1]
-    swap = np.abs(c) > np.abs(a)
-    # the pivot row is (p0, p1) and the other row (q0, q1)
-    p1 = np.where(swap, d, b)
-    r0 = 1.0 / np.where(swap, c, a)
-    l = np.where(swap, a, c) * r0
-    r22 = 1.0 / (np.where(swap, b, d) - l * p1)
+    G = F.reshape(-1, 2, 2)
+    swap, p0, l, u22 = _lu(G)
+    p1 = np.where(swap, G[:, 1, 1], G[:, 0, 1])
+    r0 = 1.0 / p0
+    r22 = 1.0 / u22
     # x solves for the permuted right-hand side (1, 0) and y for (0, 1),
     # y1 = r22; y0's fused update from a zero start is the negated
     # product, zero signs included
     x1 = (0.0 - l) * r22
     x0 = _one_minus_product(p1, x1) * r0
     y0 = (0.0 - p1 * r22) * r0
-    X = np.empty_like(F)
-    X[..., 0, 0] = np.where(swap, y0, x0)
-    X[..., 1, 0] = np.where(swap, r22, x1)
-    X[..., 0, 1] = np.where(swap, x0, y0)
-    X[..., 1, 1] = np.where(swap, x1, r22)
-    return X
+    X = np.empty(G.shape)
+    X[:, 0, 0] = np.where(swap, y0, x0)
+    X[:, 1, 0] = np.where(swap, r22, x1)
+    X[:, 0, 1] = np.where(swap, x0, y0)
+    X[:, 1, 1] = np.where(swap, x1, r22)
+    return X.reshape(F.shape)
 
 
 #: Veltkamp's splitting constant 2^27 + 1.

@@ -2,8 +2,8 @@
 byte for byte, the fixed contraction paths equal `optimize=True`, the
 Dirichlet system's sums and gathers equal the COO scatter and sparse
 slicing they replace, the cached transfer operators equal the einsum
-and bincount forms they replace, and each caller of `tensor.inv` equals
-its value with `np.linalg.inv`.
+and bincount forms they replace, and each caller of `tensor.inv` and
+`tensor.det` equals its value with `np.linalg.inv` and `np.linalg.det`.
 
 Each case runs on the cell counts the benchmark workloads use, with random
 data and with two rest states (F_el = I, zero stress): the reference
@@ -19,8 +19,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from morphosim import (EquilibriumProblem, PolarWellEnergy, fem, materials,
-                       rectangle_mesh, solve_equilibrium, tensor)
+from morphosim import (EquilibriumProblem, GuardConfig, NutrientProblem,
+                       PolarWellEnergy, det_guard, fem, materials,
+                       nutrient_coefficient_fields, rectangle_mesh,
+                       solve_equilibrium, tensor)
 from morphosim.mesh import TRI_POINTS, Mesh, read_mesh, write_mesh
 
 # cell count -> crossed-mesh size (stress_modulated 12², inflation and
@@ -198,6 +200,42 @@ class TestInverseCallers:
         expected = np.stack([-Jinv[:, 0] - Jinv[:, 1], Jinv[:, 0],
                              Jinv[:, 1]], axis=1)
         assert_same_bytes(moved.cell_gradients(), expected)
+
+
+class TestDeterminantCallers:
+    """Every 2x2 determinant of `src` goes through `tensor.det`; each
+    caller equals the same value recomputed with `np.linalg.det`."""
+
+    def test_workspace_growth_det(self, mesh, case):
+        ws, _ = workspace_and_state(mesh, case)
+        assert_same_bytes(ws.detGq, np.linalg.det(ws.Gq))
+
+    def test_elastic_factor(self, mesh, case):
+        ws, u = workspace_and_state(mesh, case)
+        state = ws.elastic_state(u)
+        assert_same_bytes(state.det, np.linalg.det(state.Fel))
+
+    def test_nutrient_det_y(self, mesh, case):
+        model = materials.DetRatioNutrientModel(d0=1.0, beta0=0.5)
+        scale = {"random": 1.02, "rest": 1.0, "half_turn": -1.0}[case]
+        y = scale * mesh.vertices + 1e-3 * nodal_field(mesh, case, (2,))
+        G = nodal_growth(mesh, case)
+        D, beta = nutrient_coefficient_fields(
+            NutrientProblem(mesh, model, G, y))
+        Y = fem.interpolate_gradient(mesh, y)
+        Yq = np.broadcast_to(Y[:, None], (mesh.num_cells, 3, 2, 2))
+        Gq = fem.growth_at_quadrature(mesh, G)
+        D_ref, beta_ref = model.coefficients(
+            Gq, Yq, mesh.quad_points(), detY=np.linalg.det(Yq),
+            detG=np.linalg.det(Gq))
+        assert_same_bytes(D, D_ref)
+        assert_same_bytes(beta, beta_ref)
+
+    def test_det_guard_minimum(self, mesh, case):
+        G = nodal_growth(mesh, case)
+        report = det_guard(G, GuardConfig())
+        assert (np.float64(report.min_det).tobytes()
+                == np.min(np.linalg.det(G)).tobytes())
 
 
 class TestAssemblyPaths:

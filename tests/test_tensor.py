@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -304,6 +306,130 @@ class TestInv:
         X = tensor.inv(F)
         tol = 8.0 * np.finfo(float).eps * norm * float(tensor.frobenius_norm(X))
         assert np.max(np.abs(F @ X - np.eye(2))) <= tol
+
+
+def det_families(rng, n=20000):
+    """Named stacks of 2x2 matrices: near the identity, entries scaled by
+    e^U(-300, 300), signed zeros in every slot and zero columns, pivot
+    ties |c| = |a| of both signs, singular rows, small integers, and NaN,
+    inf, subnormal and overflowing entries."""
+    families = {
+        "near_identity": np.eye(2) + 0.3 * rng.standard_normal((n, 2, 2)),
+        "scaled": rng.standard_normal((n, 2, 2))
+        * np.exp(rng.uniform(-300.0, 300.0, (n, 2, 2))),
+        "small_integers": rng.integers(-5, 6, (n, 2, 2)).astype(float),
+    }
+    zeros = rng.standard_normal((n, 2, 2))
+    picked = rng.random(zeros.shape) < 0.3
+    zeros[picked] = np.copysign(0.0, rng.standard_normal(picked.sum()))
+    column = rng.integers(0, 2, n)
+    rows = rng.random(n) < 0.2
+    zeros[rows, :, column[rows]] = np.copysign(
+        0.0, rng.standard_normal((rows.sum(), 2)))
+    families["signed_zeros"] = zeros
+    ties = rng.standard_normal((n, 2, 2))
+    ties[:, 1, 0] = ties[:, 0, 0] * rng.choice([-1.0, 1.0], n)
+    families["pivot_ties"] = ties
+    # the second row a multiple of the first: by a small integer u22 is
+    # often exactly zero, by a normal sample a rounding residue
+    singular = rng.standard_normal((n, 2, 2))
+    factor = np.where(rng.random(n) < 0.5, rng.integers(-3, 4, n),
+                      rng.standard_normal(n))
+    singular[:, 1] = factor[:, None] * singular[:, 0]
+    families["singular"] = singular
+    odd = rng.standard_normal((n, 2, 2))
+    specials = np.array([np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+                         1e-308, 1e300, -1e300])
+    picked = rng.random(odd.shape) < 0.1
+    odd[picked] = rng.choice(specials, picked.sum())
+    families["non_finite_and_subnormal"] = odd
+    return families
+
+
+def recorded_det(det, F):
+    """`det(F)` and the (category, message) of every warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = det(F)
+    return d, [(w.category, str(w.message)) for w in caught]
+
+
+class TestDet:
+    @pytest.mark.parametrize("name", [
+        "near_identity", "scaled", "signed_zeros", "pivot_ties", "singular",
+        "small_integers", "non_finite_and_subnormal"])
+    def test_matches_linalg_det_bytes(self, name):
+        F = det_families(np.random.default_rng(19))[name]
+        d, caught = recorded_det(tensor.det, F)
+        expected, expected_caught = recorded_det(np.linalg.det, F)
+        assert_same_bytes(d, expected)
+        # the NaN and overflow rows warn as numpy's own det does, once
+        assert caught == expected_caught
+        assert bool(caught) == (name == "non_finite_and_subnormal")
+
+    def test_edge_rows_take_numpy_exits(self):
+        # +0.0 for an exactly singular u22 of either sign; LAPACK's
+        # singular exit, a subnormal pivot and an overflow go to numpy
+        F = np.array([[[1.0, 2.0], [2.0, 4.0]], [[-1.0, 2.0], [2.0, -4.0]],
+                      [[0.0, 1.0], [-0.0, 1.0]], [[5e-324, 1.0], [0.0, 1.0]],
+                      [[1e300, 0.0], [0.0, 1e300]], [[2.0, 1.0], [-2.0, 3.0]]])
+        d, caught = recorded_det(tensor.det, F)
+        expected, expected_caught = recorded_det(np.linalg.det, F)
+        assert_same_bytes(d, expected)
+        assert not np.signbit(d[:3]).any()
+        assert caught == expected_caught == [
+            (RuntimeWarning, "overflow encountered in det")]
+
+    @pytest.mark.parametrize("shape", [(), (3,), (5, 3), (2, 3, 4), (0,)])
+    @pytest.mark.parametrize("name", ["near_identity", "small_integers"])
+    def test_stack_shapes(self, shape, name):
+        n = int(np.prod(shape, dtype=int))
+        F = det_families(np.random.default_rng(29), n)[name].reshape(
+            shape + (2, 2))
+        assert_same_bytes(np.asarray(tensor.det(F)), np.asarray(
+            np.linalg.det(F)))
+        assert type(tensor.det(F)) is type(np.linalg.det(F))
+        # a transposed (non-contiguous) view of the same matrices
+        assert_same_bytes(np.asarray(tensor.det(tensor.transpose(F))),
+                          np.asarray(np.linalg.det(tensor.transpose(F))))
+
+    def test_temporaries_stay_below_four_stacks(self):
+        # one 16384 x 3 stack: the result and at most two more float
+        # buffers of its length are live at once, 1.43 MB (np.linalg.det
+        # holds its result alone, 0.39 MB)
+        F = np.eye(2) + 0.3 * np.random.default_rng(3).standard_normal(
+            (16384, 3, 2, 2))
+        tensor.det(F)
+        tracemalloc.start()
+        try:
+            tensor.det(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
+    def test_opposite_strides_run_libm(self):
+        # tensor.det's bytes rest on this numpy property: float64 np.log
+        # and np.exp run libm's log and exp, as math.log and math.exp do,
+        # when input and output strides have opposite signs
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+        rng = np.random.default_rng(37)
+        n = 100_000
+        cases = [(np.log, math.log, np.exp(rng.uniform(-1.0, 1.0, n))),
+                 (np.exp, math.exp, rng.uniform(-1.0, 1.0, n))]
+        targets = opt_func_info(func_name="^(log|exp)$", signature="float64")
+        for ufunc, libm, x in cases:
+            expected = np.array([libm(v) for v in x])
+            out = np.empty(n)
+            ufunc(x, out=out[::-1])
+            assert_same_bytes(out[::-1], expected)
+            assert_same_bytes(ufunc(x[::-1])[::-1], expected)
+            # numpy's AVX-512 loops differ from libm in the last bit on
+            # some inputs, so these inputs do reach the loop the reversed
+            # calls avoid; its AVX2 and baseline loops are libm's
+            current = targets[ufunc.__name__]["dd"]["current"]
+            if "X86_V4" in current or "AVX512" in current:
+                assert not np.array_equal(ufunc(x), expected)
 
 
 class TestPolarDerivative:
