@@ -92,13 +92,13 @@ class EquilibriumSolution:
 
 
 def _lift_factor(mesh, system):
-    """The lift's cached factor of the Laplacian's K_ff, and its K_fc."""
-    if "lift_factor" not in mesh._cache:
+    """The mesh's lift factor of the Laplacian's K_ff, and its K_fc."""
+    def build():
         w = mesh.quad_weights()
         g = mesh.cell_gradients()
         K = system.assemble(np.einsum("cq,cAa,cBa->cAB", w, g, g))
-        mesh._cache["lift_factor"] = (system.factor(K), system.fc(K))
-    return mesh._cache["lift_factor"]
+        return system.factor(K), system.fc(K)
+    return mesh.cached("lift_factor", build)
 
 
 def lift_dirichlet(mesh, dirichlet_data):
@@ -114,10 +114,10 @@ def lift_dirichlet(mesh, dirichlet_data):
     Non-finite boundary positions raise AssemblyError before any solve.
 
     The lift is a function of the mesh and the evaluated boundary
-    positions alone, so the mesh tier keeps the last one beside the lift
-    factor: a call whose positions equal the last call's exactly returns
-    the same arrays without a solve.  Both arrays are read-only; a lift
-    that raised is never kept.
+    positions alone, so the mesh keeps the last one beside the lift factor,
+    the one value it replaces: a call whose positions equal the last
+    call's exactly returns the same arrays without a solve.  Both arrays
+    are read-only; a lift that raised is never kept.
     """
     system = fem.dirichlet_system(mesh, 1, mesh.elastic_dirichlet_nodes())
     nodes, free = system.fixed, system.free
@@ -127,8 +127,7 @@ def lift_dirichlet(mesh, dirichlet_data):
                         dtype=float).reshape(len(nodes), 2)
         if not np.all(np.isfinite(bc)):
             raise AssemblyError("non-finite Dirichlet data")
-    last = mesh._cache.get("last_lift")
-    if last is None or not np.array_equal(last[0], bc):
+    def build():
         shift = np.zeros((mesh.num_vertices, 2))
         shift[nodes] = bc - mesh.vertices[nodes]
         if len(free) and shift.any():
@@ -142,11 +141,9 @@ def lift_dirichlet(mesh, dirichlet_data):
         if not np.all(tensor.det(jac) > 0.0):
             raise LiftDegenerate("lifted Dirichlet data folds some cell "
                                  "(det grad f_tilde <= 0)")
-        last = (bc.copy(), f_tilde, jac)
-        for kept in last:
-            kept.flags.writeable = False
-        mesh._cache["last_lift"] = last
-    return last[1:]
+        return bc.copy(), f_tilde, jac
+    return mesh.cached("last_lift", build,
+                       valid=lambda last: np.array_equal(last[0], bc))[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ class DirichletSystem:
     and leaves every addition to `sum_duplicates`.  K_ff and K_fc are
     gathers from an operator's data, found at the first `ff` or `fc` by
     pushing entry positions through `eliminate`.  Every array is
-    read-only.
+    read-only once the mesh keeps the system (`dirichlet_system`).
     """
 
     def __init__(self, n_dofs, edofs, fixed):
@@ -105,8 +105,6 @@ class DirichletSystem:
         mask[fixed] = False
         self.n_dofs, self.edofs, self.fixed = n_dofs, edofs, fixed
         self.free = np.nonzero(mask)[0]
-        for shared in (edofs, fixed, self.free):
-            shared.flags.writeable = False
 
     @functools.cached_property
     def _sort(self):
@@ -194,17 +192,16 @@ class DirichletSystem:
 
 def dirichlet_system(mesh, components, nodes):
     """The mesh's `DirichletSystem` for `components` interleaved dofs per
-    vertex and the Dirichlet vertices `nodes`, built on first use and
-    cached with the mesh; each system records its own sort."""
-    systems = mesh._cache.setdefault(("dirichlet_systems", components), {})
-    key = np.asarray(nodes).tobytes()
-    if key not in systems:
+    vertex and the Dirichlet vertices `nodes`, built on first use and kept
+    by the mesh; each system records its own sort."""
+    def build():
         edofs = components * mesh.cells[:, :, None] + np.arange(components)
         fixed = components * np.asarray(nodes)[:, None] + np.arange(components)
-        systems[key] = DirichletSystem(
+        return DirichletSystem(
             components * mesh.num_vertices, edofs.reshape(mesh.num_cells, -1),
             fixed.ravel())
-    return systems[key]
+    key = ("dirichlet_system", components, np.asarray(nodes).tobytes())
+    return mesh.cached(key, build)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +352,9 @@ def assemble_scalar_operator(mesh, diffusion, reaction=0.0,
 
 
 def _transfer(mesh, kind):
-    """The mesh's transfer operator of `kind`, built on first use, each
-    row listing its terms in the order the sum it replaces adds them:
+    """The mesh's transfer operator of `kind`, built on first use and kept
+    by the mesh, each row listing its terms in the order the sum it
+    replaces adds them:
 
     * ``"gradient"``: B, rows (c, a), entries g[c, A, a] in corner order;
     * ``"sampling"``: S, rows (c, q), entries TRI_POINTS[q, A] likewise;
@@ -367,35 +365,28 @@ def _transfer(mesh, kind):
     each row from a zero start in stored order (scipy's `csr_matvec` and
     `csr_matvecs`), as einsum and bincount do.
     """
-    key = ("transfer", kind)
-    if key in mesh._cache:
-        return mesh._cache[key]
-    if kind == "averaging":
-        corners = mesh.cells.T.ravel()
-        columns = np.argsort(corners, kind="stable") % mesh.num_cells
-        data = mesh.cell_volumes()[columns]
-        indptr = np.concatenate(([0], np.cumsum(
-            np.bincount(corners, minlength=mesh.num_vertices))))
-        n_cols = mesh.num_cells
-    else:
-        weights = (np.swapaxes(mesh.cell_gradients(), 1, 2)
-                   if kind == "gradient" else
-                   np.broadcast_to(TRI_POINTS,
-                                   (mesh.num_cells,) + TRI_POINTS.shape))
-        data = weights.ravel()
-        columns = np.broadcast_to(mesh.cells[:, None], weights.shape).ravel()
-        indptr = np.arange(0, data.size + 1, 3)
-        n_cols = mesh.num_vertices
-    op = sp.csr_matrix((data, columns, indptr),
-                       shape=(len(indptr) - 1, n_cols))
-    for shared in (op.data, op.indices, op.indptr):
-        shared.flags.writeable = False
-    if kind == "averaging":
-        den = op @ np.ones(n_cols)
-        den.flags.writeable = False
-        op = (op, den)
-    mesh._cache[key] = op
-    return op
+    def build():
+        if kind == "averaging":
+            corners = mesh.cells.T.ravel()
+            columns = np.argsort(corners, kind="stable") % mesh.num_cells
+            data = mesh.cell_volumes()[columns]
+            indptr = np.concatenate(([0], np.cumsum(
+                np.bincount(corners, minlength=mesh.num_vertices))))
+            n_cols = mesh.num_cells
+        else:
+            weights = (np.swapaxes(mesh.cell_gradients(), 1, 2)
+                       if kind == "gradient" else
+                       np.broadcast_to(TRI_POINTS,
+                                       (mesh.num_cells,) + TRI_POINTS.shape))
+            data = weights.ravel()
+            columns = np.broadcast_to(mesh.cells[:, None],
+                                      weights.shape).ravel()
+            indptr = np.arange(0, data.size + 1, 3)
+            n_cols = mesh.num_vertices
+        op = sp.csr_matrix((data, columns, indptr),
+                           shape=(len(indptr) - 1, n_cols))
+        return (op, op @ np.ones(n_cols)) if kind == "averaging" else op
+    return mesh.cached(("transfer", kind), build)
 
 
 def interpolate_gradient(mesh, values):

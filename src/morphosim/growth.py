@@ -26,10 +26,11 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.t0 < self.t_end):
-            raise ValueError("need 0 <= t0 < t_end")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        # tested as not in range, so that NaN fails too
+        if not 0.0 <= self.t0 < self.t_end < np.inf:
+            raise ValueError("need 0 <= t0 < t_end < inf")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass
@@ -45,8 +46,10 @@ class GuardConfig:
     norm_max: float = None
 
     def __post_init__(self):
-        if self.det_min <= 0.0:
-            raise ValueError("det_min must be positive")
+        if not 0.0 < self.det_min < np.inf:
+            raise ValueError("det_min must be positive and finite")
+        if self.norm_max is not None and not 0.0 < self.norm_max < np.inf:
+            raise ValueError("norm_max must be positive and finite")
 
 
 @dataclass

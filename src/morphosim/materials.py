@@ -66,10 +66,13 @@ class PolarWellEnergy(EnergyModel):
     """
 
     def __init__(self, p=2, admissible_radius=0.5):
-        if p < 1:
-            raise ValueError("volume exponent p must be >= 1")
         self.p = float(p)
         self.admissible_radius = float(admissible_radius)
+        # tested as not in range, so that NaN fails too
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError("volume exponent p must be finite and >= 1")
+        if not 0.0 < self.admissible_radius < np.inf:
+            raise ValueError("admissible_radius must be positive and finite")
 
     # The unchecked polar kernels below run after `tensor.positive_det`,
     # here or in the caller that passes `det`, which is the check
@@ -217,6 +220,8 @@ class StressModulatedGrowthLaw(GrowthLaw):
 
     def __init__(self, energy, gamma=1.0, eta="linear", mu="identity",
                  mu_coeff=0.0):
+        if not (callable(gamma) or np.isfinite(gamma)):
+            raise ValueError("gamma must be finite or callable")
         self.energy = energy
         self.gamma = gamma
         if eta not in ETA_RESPONSES:
@@ -226,6 +231,8 @@ class StressModulatedGrowthLaw(GrowthLaw):
             raise ValueError("unknown mu response %r" % (mu,))
         self.mu_name = mu
         self.mu_coeff = float(mu_coeff)
+        if not np.isfinite(self.mu_coeff):
+            raise ValueError("mu_coeff must be finite")
 
     @property
     def needs_deformation(self):

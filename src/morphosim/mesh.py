@@ -8,6 +8,8 @@ Dirichlet facet meets a Neumann facet count as Dirichlet (strong
 imposition wins the tie).
 """
 
+import functools
+
 import numpy as np
 
 from . import tensor
@@ -28,8 +30,27 @@ EDGE_WEIGHTS = np.array([0.5, 0.5])
 SIDES = ("left", "right", "bottom", "top")
 
 
+def _read_only(value):
+    """`value`, every array in it made read-only: itself or the items of a
+    tuple, and their array attributes (a sparse matrix's, say)."""
+    for part in value if isinstance(value, tuple) else (value,):
+        for array in [part] + list(getattr(part, "__dict__", {}).values()):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+    return value
+
+
+def _kept(method):
+    """A zero-argument method whose value the mesh keeps (`Mesh.cached`)."""
+    return functools.wraps(method)(lambda self: self.cached(
+        method.__name__, functools.partial(method, self)))
+
+
 class Mesh:
     """Triangle mesh with per-facet boundary tags.
+
+    A mesh is immutable: its arrays are read-only copies, and `cached`
+    keeps every value that depends on the mesh alone.
 
     Parameters
     ----------
@@ -44,13 +65,26 @@ class Mesh:
 
     def __init__(self, vertices, cells, facets, elastic_dirichlet,
                  nutrient_dirichlet):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.cells = np.asarray(cells, dtype=int)
-        self.facets = np.asarray(facets, dtype=int).reshape(-1, 2)
-        self.facet_elastic_dirichlet = np.asarray(elastic_dirichlet, dtype=bool)
-        self.facet_nutrient_dirichlet = np.asarray(nutrient_dirichlet, dtype=bool)
+        cells = np.asarray(cells)
+        if (cells.ndim != 2 or cells.shape[1] != 3
+                or cells.dtype.kind not in "iu"):
+            raise ValueError("cells must be an (m, 3) integer array")
+        self.vertices = np.array(vertices, dtype=float)
+        self.cells = cells.astype(int)
+        self.facets = np.array(np.reshape(facets, (-1, 2)), dtype=int)
+        self.facet_elastic_dirichlet = np.array(elastic_dirichlet, dtype=bool)
+        self.facet_nutrient_dirichlet = np.array(nutrient_dirichlet, dtype=bool)
+        _read_only(self)
         self._cache = {}
         self._validate()
+
+    def cached(self, key, build, valid=None):
+        """The value under `key`: ``build()``'s on first use, every array in
+        it read-only, kept while the mesh lives; one that `valid` rejects is
+        rebuilt.  A build that raises keeps and replaces nothing."""
+        if key not in self._cache or (valid and not valid(self._cache[key])):
+            self._cache[key] = _read_only(build())
+        return self._cache[key]
 
     # -- validation --------------------------------------------------------
 
@@ -101,7 +135,7 @@ class Mesh:
         keys, counts = np.unique(self._cell_edge_keys(), return_counts=True)
         return keys[counts == 1]
 
-    # -- geometry (cached; the mesh is immutable after construction) --------
+    # -- geometry (built on first use and kept) -----------------------------
 
     @property
     def num_vertices(self):
@@ -111,111 +145,94 @@ class Mesh:
     def num_cells(self):
         return len(self.cells)
 
+    @_kept
     def cell_volumes(self):
         """Signed areas (positive for valid meshes)."""
-        if "volumes" not in self._cache:
-            a = self.vertices[self.cells[:, 0]]
-            b = self.vertices[self.cells[:, 1]]
-            c = self.vertices[self.cells[:, 2]]
-            e1 = b - a
-            e2 = c - a
-            self._cache["volumes"] = 0.5 * (e1[:, 0] * e2[:, 1]
-                                            - e1[:, 1] * e2[:, 0])
-        return self._cache["volumes"]
+        a = self.vertices[self.cells[:, 0]]
+        b = self.vertices[self.cells[:, 1]]
+        c = self.vertices[self.cells[:, 2]]
+        e1 = b - a
+        e2 = c - a
+        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
+    @_kept
     def cell_gradients(self):
         """Gradients of the three nodal hat functions per cell, (m, 3, 2)."""
-        if "gradients" not in self._cache:
-            a = self.vertices[self.cells[:, 0]]
-            b = self.vertices[self.cells[:, 1]]
-            c = self.vertices[self.cells[:, 2]]
-            J = np.stack([b - a, c - a], axis=-1)  # columns are edge vectors
-            Jinv = tensor.inv(J)
-            g = np.empty((self.num_cells, 3, 2))
-            g[:, 1, :] = Jinv[:, 0, :]
-            g[:, 2, :] = Jinv[:, 1, :]
-            g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
-            self._cache["gradients"] = g
-        return self._cache["gradients"]
+        a = self.vertices[self.cells[:, 0]]
+        b = self.vertices[self.cells[:, 1]]
+        c = self.vertices[self.cells[:, 2]]
+        J = np.stack([b - a, c - a], axis=-1)  # columns are edge vectors
+        Jinv = tensor.inv(J)
+        g = np.empty((self.num_cells, 3, 2))
+        g[:, 1, :] = Jinv[:, 0, :]
+        g[:, 2, :] = Jinv[:, 1, :]
+        g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
+        return g
 
     @property
+    @_kept
     def delaunay_like(self):
         """Whether the discrete maximum principle may be asserted: the P1
         Laplacian has no off-diagonal entry above 1e-12 of its largest
         entry.  Computed on first read."""
-        if "delaunay_like" not in self._cache:
-            g = self.cell_gradients()
-            Ke = self.cell_volumes()[:, None, None] * np.einsum(
-                "cAa,cBa->cAB", g, g)
-            corner = [0, 1, 2]
-            diagonal = np.bincount(self.cells.ravel(),
-                                   weights=Ke[:, corner, corner].ravel())
-            # the cell edges 0-1, 1-2, 2-0, each summed over its cells
-            _, edge = np.unique(self._cell_edge_keys(), return_inverse=True)
-            off = np.bincount(edge, weights=Ke[:, corner, [1, 2, 0]].ravel())
-            scale = max(np.max(np.abs(diagonal)), np.max(np.abs(off)))
-            self._cache["delaunay_like"] = bool(np.max(off) <= 1e-12 * scale)
-        return self._cache["delaunay_like"]
+        g = self.cell_gradients()
+        Ke = self.cell_volumes()[:, None, None] * np.einsum(
+            "cAa,cBa->cAB", g, g)
+        corner = [0, 1, 2]
+        diagonal = np.bincount(self.cells.ravel(),
+                               weights=Ke[:, corner, corner].ravel())
+        # the cell edges 0-1, 1-2, 2-0, each summed over its cells
+        _, edge = np.unique(self._cell_edge_keys(), return_inverse=True)
+        off = np.bincount(edge, weights=Ke[:, corner, [1, 2, 0]].ravel())
+        scale = max(np.max(np.abs(diagonal)), np.max(np.abs(off)))
+        return bool(np.max(off) <= 1e-12 * scale)
 
+    @_kept
     def quad_points(self):
         """Volume quadrature points, (m, nq, 2)."""
-        if "qpoints" not in self._cache:
-            coords = self.vertices[self.cells]  # (m, 3, 2)
-            self._cache["qpoints"] = np.einsum("qA,cAx->cqx", TRI_POINTS, coords)
-        return self._cache["qpoints"]
+        coords = self.vertices[self.cells]  # (m, 3, 2)
+        return np.einsum("qA,cAx->cqx", TRI_POINTS, coords)
 
+    @_kept
     def quad_weights(self):
         """Volume quadrature weights, (m, nq)."""
-        if "qweights" not in self._cache:
-            self._cache["qweights"] = np.outer(self.cell_volumes(), TRI_WEIGHTS)
-        return self._cache["qweights"]
+        return np.outer(self.cell_volumes(), TRI_WEIGHTS)
 
+    @_kept
     def facet_cells(self):
         """Index of the unique cell adjacent to each boundary facet."""
-        if "facet_cells" not in self._cache:
-            # validation made every facet a boundary edge, which has
-            # exactly one owner; edge k of the cell edges lies on cell k // 3
-            edge_keys = self._cell_edge_keys()
-            order = np.argsort(edge_keys)
-            pos = np.searchsorted(edge_keys[order], self._edge_keys(self.facets))
-            self._cache["facet_cells"] = order[pos] // 3
-        return self._cache["facet_cells"]
+        # validation made every facet a boundary edge, which has exactly
+        # one owner; edge k of the cell edges lies on cell k // 3
+        edge_keys = self._cell_edge_keys()
+        order = np.argsort(edge_keys)
+        pos = np.searchsorted(edge_keys[order], self._edge_keys(self.facets))
+        return order[pos] // 3
 
+    @_kept
     def facet_normals(self):
         """Outward unit normals per boundary facet, (k, 2)."""
-        if "normals" not in self._cache:
-            p0 = self.vertices[self.facets[:, 0]]
-            p1 = self.vertices[self.facets[:, 1]]
-            edge = p1 - p0
-            n = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
-            n /= np.linalg.norm(n, axis=1)[:, None]
-            # orient away from the opposite vertex of the adjacent cell
-            cells = self.cells[self.facet_cells()]
-            off_facet = ((cells != self.facets[:, :1])
-                         & (cells != self.facets[:, 1:]))
-            opposite = cells[np.arange(len(cells)), np.argmax(off_facet, axis=1)]
-            inward = self.vertices[opposite] - p0
-            flip = n[:, 0] * inward[:, 0] + n[:, 1] * inward[:, 1] > 0.0
-            n[flip] = -n[flip]
-            self._cache["normals"] = n
-        return self._cache["normals"]
+        p0 = self.vertices[self.facets[:, 0]]
+        p1 = self.vertices[self.facets[:, 1]]
+        edge = p1 - p0
+        n = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        # orient away from the opposite vertex of the adjacent cell
+        cells = self.cells[self.facet_cells()]
+        off_facet = ((cells != self.facets[:, :1])
+                     & (cells != self.facets[:, 1:]))
+        opposite = cells[np.arange(len(cells)), np.argmax(off_facet, axis=1)]
+        inward = self.vertices[opposite] - p0
+        flip = n[:, 0] * inward[:, 0] + n[:, 1] * inward[:, 1] > 0.0
+        n[flip] = -n[flip]
+        return n
 
-    def _nodes_of(self, key, facet_mask):
-        """Sorted vertices of the masked facets, cached read-only."""
-        if key not in self._cache:
-            if np.any(facet_mask):
-                nodes = np.unique(self.facets[facet_mask].ravel())
-            else:
-                nodes = np.array([], dtype=int)
-            nodes.flags.writeable = False
-            self._cache[key] = nodes
-        return self._cache[key]
-
+    @_kept
     def elastic_dirichlet_nodes(self):
-        return self._nodes_of("elastic_nodes", self.facet_elastic_dirichlet)
+        return np.unique(self.facets[self.facet_elastic_dirichlet])
 
+    @_kept
     def nutrient_dirichlet_nodes(self):
-        return self._nodes_of("nutrient_nodes", self.facet_nutrient_dirichlet)
+        return np.unique(self.facets[self.facet_nutrient_dirichlet])
 
 
 # ---------------------------------------------------------------------------
@@ -286,53 +303,37 @@ def rectangle_mesh(nx, ny, extent=((0.0, 0.0), (1.0, 1.0)), mode="crossed",
     ys = np.linspace(y0, y1, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)  # row-major in y
+    ids = np.arange(len(grid)).reshape(ny + 1, nx + 1)
+    # the quads row by row, each's corners counterclockwise from lower left
+    quads = np.stack([ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]],
+                     axis=-1).reshape(-1, 4)
 
-    def gid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
     if mode == "crossed":
         cx = 0.5 * (xs[:-1] + xs[1:])
         cy = 0.5 * (ys[:-1] + ys[1:])
         ccx, ccy = np.meshgrid(cx, cy, indexing="xy")
         centers = np.stack([ccx.ravel(), ccy.ravel()], axis=1)
         vertices = np.vstack([grid, centers])
-        off = len(grid)
-        for j in range(ny):
-            for i in range(nx):
-                c = off + j * nx + i
-                v00, v10 = gid(i, j), gid(i + 1, j)
-                v11, v01 = gid(i + 1, j + 1), gid(i, j + 1)
-                cells += [(v00, v10, c), (v10, v11, c),
-                          (v11, v01, c), (v01, v00, c)]
+        # four triangles per quad: each side with the quad's center
+        center = len(grid) + np.arange(nx * ny).repeat(4).reshape(-1, 4)
+        cells = np.stack([quads, np.roll(quads, -1, axis=1), center], axis=-1)
     elif mode == "diagonal":
         vertices = grid
-        for j in range(ny):
-            for i in range(nx):
-                v00, v10 = gid(i, j), gid(i + 1, j)
-                v11, v01 = gid(i + 1, j + 1), gid(i, j + 1)
-                cells += [(v00, v10, v11), (v00, v11, v01)]
+        cells = quads[:, [[0, 1, 2], [0, 2, 3]]]
     else:
         raise ValueError("mode must be 'crossed' or 'diagonal'")
 
-    facets = []
-    for i in range(nx):
-        facets.append((gid(i, 0), gid(i + 1, 0)))          # bottom
-    for j in range(ny):
-        facets.append((gid(nx, j), gid(nx, j + 1)))        # right
-    for i in range(nx, 0, -1):
-        facets.append((gid(i, ny), gid(i - 1, ny)))        # top
-    for j in range(ny, 0, -1):
-        facets.append((gid(0, j), gid(0, j - 1)))          # left
-    facets = np.array(facets, dtype=int)
+    # the boundary counterclockwise from the lower left: each side but its end
+    ring = np.concatenate([ids[0, :-1], ids[:-1, -1], ids[-1, :0:-1],
+                           ids[:0:-1, 0]])
+    facets = np.stack([ring, np.roll(ring, -1)], axis=1)
 
     mid = 0.5 * (vertices[facets[:, 0]] + vertices[facets[:, 1]])
     e_tags = _side_rule(elastic_dirichlet, extent)(mid)
     n_tags = _side_rule(nutrient_dirichlet, extent)(mid)
     if not np.any(e_tags):
         raise InvalidTagRule("elastic Dirichlet boundary part must be non-empty")
-    return Mesh(np.asarray(vertices, dtype=float), np.array(cells, dtype=int),
-                facets, e_tags, n_tags)
+    return Mesh(vertices, cells.reshape(-1, 3), facets, e_tags, n_tags)
 
 
 # ---------------------------------------------------------------------------

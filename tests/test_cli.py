@@ -248,6 +248,8 @@ directory = {outdir}
 REJECTED = [
     (["run", "{cfg}", "--dt", "-1"], "dt must be positive"),
     (["run", "{cfg}", "--t-end", "0"], "need 0 <= t0 < t_end"),
+    (["run", "{cfg}", "--dt", "nan"], "dt must be positive and finite"),
+    (["run", "{cfg}", "--t-end", "inf"], "need 0 <= t0 < t_end < inf"),
     (["bench", "stress_free_reference", "--dt", "0"], "dt must be positive"),
     (["mesh", "gen", "--nx", "0", "--ny", "2", "--out", "{mesh}"],
      "nx and ny must be >= 1"),
@@ -256,7 +258,8 @@ REJECTED = [
 
 
 @pytest.mark.parametrize("argv,message", REJECTED,
-                         ids=["run_dt", "run_t_end", "bench_dt", "mesh_nx",
+                         ids=["run_dt", "run_t_end", "run_dt_nan",
+                              "run_t_end_inf", "bench_dt", "mesh_nx",
                               "mesh_extent"])
 def test_rejected_value_is_usage_error(tmp_path, capsys, argv, message):
     cfg, _ = write_cfg(tmp_path, TRIVIAL)
@@ -345,6 +348,25 @@ class TestCheck:
             assert "vertex %d belongs to no cell" % n in err
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_cell_lines_of_four_indices_are_usage_error(self, tmp_path,
+                                                        scenario_dir, capsys):
+        write_mesh(rectangle_mesh(4, 4), tmp_path / "grid.mesh")
+        lines = (tmp_path / "grid.mesh").read_text().splitlines()
+        start = 2 + int(lines[1])
+        for k in range(start + 1, start + 1 + int(lines[start])):
+            lines[k] += " 0"
+        (tmp_path / "grid.mesh").write_text("\n".join(lines) + "\n")
+        cfg = scenario_copy(tmp_path, scenario_dir, "stress_modulated.cfg",
+                            "mesh", "source", "file")
+        text = re.sub(r"\[mesh\]\n(.+\n)*", "[mesh]\nsource = file\n"
+                      "path = grid.mesh\n", cfg.read_text())
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid value in [mesh]" in err
+        assert "cells must be an (m, 3) integer array" in err
+        assert "Traceback" not in err
 
     def test_valid_scenario(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, TRIVIAL)

@@ -1,9 +1,14 @@
+import collections
+
 import numpy as np
 import pytest
 
-from morphosim import fem
+from morphosim import elasticity, fem, mesh as mesh_module
+from morphosim.elasticity import EquilibriumProblem, SolverOptions
 from morphosim.errors import InvalidTagRule, IoError, ParseError
+from morphosim.materials import DetRatioNutrientModel, PolarWellEnergy
 from morphosim.mesh import Mesh, read_mesh, rectangle_mesh, write_mesh
+from morphosim.nutrient import NutrientProblem, solve_nutrient
 
 
 class TestRectangleMesh:
@@ -90,6 +95,80 @@ class TestRectangleMesh:
             rectangle_mesh(0, 2)
 
 
+def rectangle_mesh_by_loops(nx, ny, extent, mode, elastic_dirichlet,
+                            nutrient_dirichlet):
+    """The generator's arrays built quad by quad and side by side, as
+    `rectangle_mesh` did before its index arithmetic (reference)."""
+    (x0, y0), (x1, y1) = extent
+    xs = np.linspace(x0, x1, nx + 1)
+    ys = np.linspace(y0, y1, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+    def gid(i, j):
+        return j * (nx + 1) + i
+
+    cells = []
+    if mode == "crossed":
+        cx = 0.5 * (xs[:-1] + xs[1:])
+        cy = 0.5 * (ys[:-1] + ys[1:])
+        ccx, ccy = np.meshgrid(cx, cy, indexing="xy")
+        centers = np.stack([ccx.ravel(), ccy.ravel()], axis=1)
+        vertices = np.vstack([grid, centers])
+        off = len(grid)
+        for j in range(ny):
+            for i in range(nx):
+                c = off + j * nx + i
+                v00, v10 = gid(i, j), gid(i + 1, j)
+                v11, v01 = gid(i + 1, j + 1), gid(i, j + 1)
+                cells += [(v00, v10, c), (v10, v11, c),
+                          (v11, v01, c), (v01, v00, c)]
+    else:
+        vertices = grid
+        for j in range(ny):
+            for i in range(nx):
+                v00, v10 = gid(i, j), gid(i + 1, j)
+                v11, v01 = gid(i + 1, j + 1), gid(i, j + 1)
+                cells += [(v00, v10, v11), (v00, v11, v01)]
+
+    facets = []
+    for i in range(nx):
+        facets.append((gid(i, 0), gid(i + 1, 0)))          # bottom
+    for j in range(ny):
+        facets.append((gid(nx, j), gid(nx, j + 1)))        # right
+    for i in range(nx, 0, -1):
+        facets.append((gid(i, ny), gid(i - 1, ny)))        # top
+    for j in range(ny, 0, -1):
+        facets.append((gid(0, j), gid(0, j - 1)))          # left
+    facets = np.array(facets, dtype=int)
+
+    mid = 0.5 * (vertices[facets[:, 0]] + vertices[facets[:, 1]])
+    return {"vertices": np.asarray(vertices, dtype=float),
+            "cells": np.array(cells, dtype=int), "facets": facets,
+            "facet_elastic_dirichlet":
+                mesh_module._side_rule(elastic_dirichlet, extent)(mid),
+            "facet_nutrient_dirichlet":
+                mesh_module._side_rule(nutrient_dirichlet, extent)(mid)}
+
+
+class TestRectangleMeshByIndexArithmetic:
+    @pytest.mark.parametrize("extent", [((0.0, 0.0), (1.0, 1.0)),
+                                        ((-0.3, 2.0), (1.7, 2.5))],
+                             ids=["unit", "shifted"])
+    @pytest.mark.parametrize("mode", ["crossed", "diagonal"])
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (5, 1), (7, 10),
+                                       (16, 16), (64, 64)])
+    def test_same_bytes_as_the_loops(self, nx, ny, mode, extent):
+        mesh = rectangle_mesh(nx, ny, extent, mode, "left,top", "bottom")
+        expected = rectangle_mesh_by_loops(nx, ny, extent, mode, "left,top",
+                                           "bottom")
+        for name, array in expected.items():
+            actual = getattr(mesh, name)
+            assert actual.dtype == array.dtype, name
+            assert actual.shape == array.shape, name
+            assert actual.tobytes() == array.tobytes(), name
+
+
 class TestMeshValidation:
     def test_negative_orientation_rejected(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -134,6 +213,14 @@ class TestMeshValidation:
         with pytest.raises(InvalidTagRule,
                            match=r"\(5 tagged, 4 boundary edges\)"):
             self.square(self.SQUARE_FACETS + [[0, 2]])
+
+    @pytest.mark.parametrize("cells", [
+        np.array([[0, 1, 2, 3]]), np.array([0, 1, 2, 0, 2, 3]),
+        np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 3.0]])],
+        ids=["four_indices", "flat", "float"])
+    def test_malformed_cell_array_rejected(self, cells):
+        with pytest.raises(ValueError, match=r"\(m, 3\) integer array"):
+            self.square(self.SQUARE_FACETS, cells=cells)
 
     def test_out_of_range_indices_rejected(self):
         # with 4 vertices, facet (0, 5) and edge (1, 1) would share a key
@@ -180,6 +267,17 @@ class TestMeshFile:
         p = tmp_path / "bad.mesh"
         p.write_text("dim 2\n2\n0 0\n")
         with pytest.raises(ParseError):
+            read_mesh(p)
+
+    def test_cell_lines_of_four_indices_rejected(self, tmp_path):
+        p = tmp_path / "quads.mesh"
+        write_mesh(rectangle_mesh(2, 2, mode="diagonal"), p)
+        lines = p.read_text().splitlines()
+        start = 2 + int(lines[1])
+        for k in range(start + 1, start + 1 + int(lines[start])):
+            lines[k] += " 0"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"\(m, 3\) integer array"):
             read_mesh(p)
 
     def test_unknown_tag(self, tmp_path):
@@ -275,3 +373,131 @@ class TestVectorizedFacets:
             nodes, np.unique(mesh.facets[mesh.facet_elastic_dirichlet]))
         with pytest.raises(ValueError):
             nodes[0] = 0
+
+
+def _moving_data(pts):
+    """Positions that move the vertices of the left and bottom sides."""
+    return pts + 0.02 * np.sin(np.pi * pts[:, ::-1])
+
+
+GEOMETRY = ("cell_volumes", "cell_gradients", "quad_points", "quad_weights",
+            "facet_cells", "facet_normals", "elastic_dirichlet_nodes",
+            "nutrient_dirichlet_nodes")
+OWN_ARRAYS = ("vertices", "cells", "facets", "facet_elastic_dirichlet",
+              "facet_nutrient_dirichlet")
+SYSTEM_ARRAYS = ("edofs", "fixed", "free", "order", "indptr", "indices")
+
+
+def run_mesh_tier(mesh):
+    """A lift with moving data, a Newton solve on it and a nutrient solve
+    on the result, each touching the mesh tier."""
+    elasticity.lift_dirichlet(mesh, _moving_data)
+    growth = np.broadcast_to(np.eye(2), (mesh.num_vertices, 2, 2))
+    solution = elasticity.solve_newton(EquilibriumProblem(
+        mesh, PolarWellEnergy(), growth, _moving_data,
+        options=SolverOptions(method="newton")))
+    solve_nutrient(NutrientProblem(
+        mesh, DetRatioNutrientModel(d0=1.0, beta0=0.5), growth,
+        solution.deformation, dirichlet_data=lambda pts: np.ones(len(pts))))
+    fem.nodal_from_cells(mesh, np.ones(mesh.num_cells))
+
+
+def mesh_tier_arrays(mesh):
+    """Every array of the mesh and of each value its tier keeps, by name."""
+    arrays = {name: getattr(mesh, name) for name in OWN_ARRAYS}
+    arrays.update((name, getattr(mesh, name)()) for name in GEOMETRY)
+    N, arrays["N 1"] = fem._transfer(mesh, "averaging")
+    operators = {"B": fem._transfer(mesh, "gradient"),
+                 "S": fem._transfer(mesh, "sampling"), "N": N}
+    elastic = mesh.elastic_dirichlet_nodes()
+    for components, nodes, label in ((1, elastic, "lift"),
+                                     (2, elastic, "elastic"),
+                                     (1, mesh.nutrient_dirichlet_nodes(),
+                                      "nutrient")):
+        system = fem.dirichlet_system(mesh, components, nodes)
+        arrays.update(("%s system %s" % (label, name), getattr(system, name))
+                      for name in SYSTEM_ARRAYS)
+    _, operators["K_fc"] = elasticity._lift_factor(
+        mesh, fem.dirichlet_system(mesh, 1, elastic))
+    for label, op in operators.items():
+        arrays.update(("%s.%s" % (label, name), getattr(op, name))
+                      for name in ("data", "indices", "indptr"))
+    arrays["f_tilde"], arrays["grad f_tilde"] = elasticity.lift_dirichlet(
+        mesh, _moving_data)
+    return arrays
+
+
+class TestMeshTier:
+    """`Mesh.cached` builds every value that depends on the mesh alone
+    once, and makes it read-only."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the builds `Mesh.cached` runs, per key."""
+        counts = collections.Counter()
+        cached = Mesh.cached
+
+        def counting(mesh, key, build, valid=None):
+            def counted():
+                counts[key] += 1
+                return build()
+            return cached(mesh, key, counted, valid)
+        monkeypatch.setattr(Mesh, "cached", counting)
+        return counts
+
+    def test_every_value_is_built_once(self, builds):
+        mesh = rectangle_mesh(4, 4, elastic_dirichlet="left,bottom",
+                              nutrient_dirichlet="right")
+        for _ in range(2):
+            run_mesh_tier(mesh)
+            mesh_tier_arrays(mesh)
+            assert mesh.delaunay_like in (True, False)
+        assert set(GEOMETRY) | {("transfer", kind) for kind in (
+            "gradient", "sampling", "averaging")} | {
+            "delaunay_like", "lift_factor", "last_lift"} < set(builds)
+        assert sum(isinstance(key, tuple) and key[0] == "dirichlet_system"
+                   for key in builds) == 3
+        assert set(builds.values()) == {1}
+
+    def test_every_value_is_read_only(self):
+        mesh = rectangle_mesh(4, 4, elastic_dirichlet="left,bottom",
+                              nutrient_dirichlet="right")
+        run_mesh_tier(mesh)
+        for name, array in mesh_tier_arrays(mesh).items():
+            assert array.size and not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+
+    def test_moving_a_vertex_in_place_is_refused(self):
+        mesh = rectangle_mesh(3, 3)
+        gradients = mesh.cell_gradients().copy()
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[4] += 0.1
+        assert mesh.cell_gradients().tobytes() == gradients.tobytes()
+
+    def test_inputs_stay_writable(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        cells = np.array([[0, 1, 2], [0, 2, 3]])
+        facets = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+        elastic = np.ones(4, dtype=bool)
+        nutrient = np.ones(4, dtype=bool)
+        mesh = Mesh(vertices, cells, facets, elastic, nutrient)
+        for array in (vertices, cells, facets, elastic, nutrient):
+            assert array.flags.writeable
+        vertices[2] = 2.0
+        assert mesh.vertices[2].tolist() == [1.0, 1.0]
+
+    def test_build_that_raises_keeps_and_replaces_nothing(self):
+        mesh = rectangle_mesh(2, 2)
+
+        def failing():
+            raise RuntimeError("build failed")
+        with pytest.raises(RuntimeError):
+            mesh.cached("probe", failing)
+        value = mesh.cached("probe", lambda: np.zeros(3))
+        with pytest.raises(RuntimeError):
+            mesh.cached("probe", failing, valid=lambda kept: False)
+        assert mesh.cached("probe", failing) is value
+        replaced = mesh.cached("probe", lambda: np.ones(3),
+                               valid=lambda kept: False)
+        assert replaced is not value and not replaced.flags.writeable

@@ -277,8 +277,20 @@ class TestLoadingErrors:
          MINIMAL + "\n[growth]\nlaw = stress_modulated\neta = bogus\n"),
         ("time", MINIMAL.replace("dt = 0.05", "dt = -0.05")),
         ("guards", MINIMAL + "\n[guards]\ndet_min = -1\n"),
-        ("output", MINIMAL + "\n[output]\nevery = 0\n")],
-        ids=["mesh", "energy", "growth", "time", "guards", "output"])
+        ("output", MINIMAL + "\n[output]\nevery = 0\n"),
+        ("energy", MINIMAL + "\n[energy]\nadmissible_radius = nan\n"),
+        ("energy", MINIMAL + "\n[energy]\np = inf\n"),
+        ("growth",
+         MINIMAL + "\n[growth]\nlaw = stress_modulated\ngamma = nan\n"),
+        ("growth",
+         MINIMAL + "\n[growth]\nlaw = stress_modulated\nmu_coeff = inf\n"),
+        ("time", MINIMAL.replace("t_end = 0.1", "t_end = inf")),
+        ("time", MINIMAL.replace("dt = 0.05", "dt = nan")),
+        ("guards", MINIMAL + "\n[guards]\ndet_min = nan\n"),
+        ("guards", MINIMAL + "\n[guards]\nnorm_max = -1\n")],
+        ids=["mesh", "energy", "growth", "time", "guards", "output",
+             "admissible_radius_nan", "p_inf", "gamma_nan", "mu_coeff_inf",
+             "t_end_inf", "dt_nan", "det_min_nan", "norm_max_negative"])
     def test_rejected_value_names_its_section(self, tmp_path, section,
                                               text):
         path = write_cfg(tmp_path, text)
