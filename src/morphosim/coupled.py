@@ -248,21 +248,15 @@ def _rows(template, values):
     return (template * len(values)) % tuple(np.ravel(values).tolist())
 
 
-def _vtk_mesh_block(mesh):
-    """POINTS, CELLS and CELL_TYPES sections, the part of every snapshot
-    file that depends only on the mesh."""
-    return ("POINTS %d double\n" % mesh.num_vertices
-            + _rows("%.17g %.17g 0\n", mesh.vertices)
-            + "CELLS %d %d\n" % (mesh.num_cells, 4 * mesh.num_cells)
-            + _rows("3 %d %d %d\n", mesh.cells)
-            + "CELL_TYPES %d\n" % mesh.num_cells + "5\n" * mesh.num_cells)
-
-
-def _vtk_text(mesh, state, mesh_block=None):
-    """Legacy VTK text of one snapshot; pass `mesh_block` (from
-    `_vtk_mesh_block`) to reuse the mesh part across snapshots."""
-    if mesh_block is None:
-        mesh_block = _vtk_mesh_block(mesh)
+def _vtk_text(mesh, state):
+    """Legacy VTK text of one snapshot.  The POINTS, CELLS and CELL_TYPES
+    sections depend only on the mesh, which keeps them."""
+    mesh_block = mesh.cached("vtk_mesh_block", lambda: (
+        "POINTS %d double\n" % mesh.num_vertices
+        + _rows("%.17g %.17g 0\n", mesh.vertices)
+        + "CELLS %d %d\n" % (mesh.num_cells, 4 * mesh.num_cells)
+        + _rows("3 %d %d %d\n", mesh.cells)
+        + "CELL_TYPES %d\n" % mesh.num_cells + "5\n" * mesh.num_cells))
     text = ["# vtk DataFile Version 3.0\n"
             "morphosim fields at t=%.17g\n" % state.t,
             "ASCII\nDATASET UNSTRUCTURED_GRID\n", mesh_block,
@@ -281,7 +275,6 @@ def write_outputs(trajectory, mesh, config):
     diagnostic snapshot of the final state, as the `OutputConfig` `config`
     says.  Returns the list of paths."""
     paths = []
-    mesh_block = None
     try:
         os.makedirs(config.directory, exist_ok=True)
         csv_path = os.path.join(config.directory, "run.csv")
@@ -289,14 +282,13 @@ def write_outputs(trajectory, mesh, config):
             fh.write(trajectory_csv(trajectory))
         paths.append(csv_path)
         if config.write_fields and trajectory.states:
-            mesh_block = _vtk_mesh_block(mesh)
             last = len(trajectory.states) - 1
             for k, state in enumerate(trajectory.states):
                 if k % config.every and k != last:
                     continue
                 path = os.path.join(config.directory, "fields_%06d.vtk" % k)
                 with open(path, "w") as fh:
-                    fh.write(_vtk_text(mesh, state, mesh_block))
+                    fh.write(_vtk_text(mesh, state))
                 paths.append(path)
         if trajectory.failed:
             halted = "halted after %d snapshots" % len(trajectory.states)
@@ -305,7 +297,7 @@ def write_outputs(trajectory, mesh, config):
                 halted += " at t=%.17g" % final.t
                 snap = os.path.join(config.directory, "failure_snapshot.vtk")
                 with open(snap, "w") as fh:
-                    fh.write(_vtk_text(mesh, final, mesh_block))
+                    fh.write(_vtk_text(mesh, final))
                 paths.append(snap)
             note = os.path.join(config.directory, "failure.txt")
             with open(note, "w") as fh:

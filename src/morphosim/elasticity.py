@@ -170,9 +170,11 @@ class ElasticState:
 class _Workspace:
     def __init__(self, problem):
         mesh = problem.mesh
-        if len(mesh.elastic_dirichlet_nodes()) == 0:
+        nodes = mesh.elastic_dirichlet_nodes()
+        if len(nodes) == 0:
             raise ValidationError("elastic Dirichlet part must be non-empty")
         self.mesh = mesh
+        self.system = fem.dirichlet_system(mesh, 2, nodes)
         self.energy = problem.energy
         self.weights = mesh.quad_weights()
         self.grads = mesh.cell_gradients()
@@ -195,11 +197,6 @@ class _Workspace:
                 problem.neumann_traction, 2)
         else:
             self.traction_load = np.zeros(2 * mesh.num_vertices)
-
-    @functools.cached_property
-    def system(self):
-        return fem.dirichlet_system(self.mesh, 2,
-                                    self.mesh.elastic_dirichlet_nodes())
 
     def elastic_state(self, u):
         """The `ElasticState` of u: `materials.elastic_factor` of

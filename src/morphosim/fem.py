@@ -97,7 +97,8 @@ class DirichletSystem:
     and leaves every addition to `sum_duplicates`.  K_ff and K_fc are
     gathers from an operator's data, found at the first `ff` or `fc` by
     pushing entry positions through `eliminate`.  Every array is
-    read-only once the mesh keeps the system (`dirichlet_system`).
+    read-only once the mesh keeps the system (`dirichlet_system`), the
+    sort and the gathers, built later, included.
     """
 
     def __init__(self, n_dofs, edofs, fixed):
@@ -132,8 +133,12 @@ class DirichletSystem:
             (np.arange(len(self.indices), dtype=float), self.indices,
              self.indptr), shape=self._sort[1][2])
         Kff, Kf, _ = eliminate(positions, self.fixed)
-        return [(type(b), b.data.astype(np.intp), b.indices, b.indptr, b.shape)
-                for b in (Kff, Kf[:, self.fixed])]
+        blocks = [(type(b), b.data.astype(np.intp), b.indices, b.indptr,
+                   b.shape) for b in (Kff, Kf[:, self.fixed])]
+        for block in blocks:
+            for shared in block[1:4]:
+                shared.flags.writeable = False
+        return blocks
 
     def assemble(self, Ke):
         """CSR operator of the element matrices Ke (cells, nloc, nloc),
@@ -387,6 +392,19 @@ def _transfer(mesh, kind):
                            shape=(len(indptr) - 1, n_cols))
         return (op, op @ np.ones(n_cols)) if kind == "averaging" else op
     return mesh.cached(("transfer", kind), build)
+
+
+def delaunay_like(mesh):
+    """Whether the discrete maximum principle may be asserted: the P1
+    Laplacian Bᵀ diag(|T|) B, with each cell's volume once per derivative
+    row of B, has no off-diagonal entry above 1e-12 of its largest entry.
+    Kept by the mesh."""
+    def build():
+        B = _transfer(mesh, "gradient")
+        K = (B.T @ sp.diags(np.repeat(mesh.cell_volumes(), 2)) @ B).tocoo()
+        off = K.data[K.row != K.col]
+        return bool(np.max(off) <= 1e-12 * np.max(np.abs(K.data)))
+    return mesh.cached("delaunay_like", build)
 
 
 def interpolate_gradient(mesh, values):

@@ -46,6 +46,10 @@ class EnergyModel:
         raise NotImplementedError
 
 
+# The largest admissible radius: each entry of a matrix in the ball is at
+# most 1 + radius in size, so |det F| <= 2 (1 + radius)^2 stays finite.
+MAX_ADMISSIBLE_RADIUS = np.sqrt(np.finfo(float).max) / 2.0
+
 # d F[i, j] / d F[k, l]
 _IDENTITY4 = np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2))
 
@@ -71,8 +75,11 @@ class PolarWellEnergy(EnergyModel):
         # tested as not in range, so that NaN fails too
         if not 1.0 <= self.p < np.inf:
             raise ValueError("volume exponent p must be finite and >= 1")
-        if not 0.0 < self.admissible_radius < np.inf:
-            raise ValueError("admissible_radius must be positive and finite")
+        if not 0.0 < self.admissible_radius <= MAX_ADMISSIBLE_RADIUS:
+            raise ValueError(
+                "admissible_radius must be positive and at most %.6g, the "
+                "largest radius whose ball has finite determinants"
+                % MAX_ADMISSIBLE_RADIUS)
 
     # The unchecked polar kernels below run after `tensor.positive_det`,
     # here or in the caller that passes `det`, which is the check

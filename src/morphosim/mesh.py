@@ -107,7 +107,8 @@ class Mesh:
             raise ValueError("one elastic and one nutrient tag per facet required")
         if not self._in_range(self.facets):
             raise InvalidTagRule("facet vertex index out of range")
-        boundary = self._boundary_edge_keys()
+        keys, _, counts = self.edge_table()
+        boundary = keys[counts == 1]
         tagged = np.unique(self._edge_keys(self.facets))
         if not np.array_equal(tagged, boundary):
             raise InvalidTagRule(
@@ -129,11 +130,6 @@ class Mesh:
     def _cell_edge_keys(self):
         """Keys of the cell edges in cell order (0-1, 1-2, 2-0 per cell)."""
         return self._edge_keys(self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
-
-    def _boundary_edge_keys(self):
-        """Sorted keys of the edges that belong to exactly one cell."""
-        keys, counts = np.unique(self._cell_edge_keys(), return_counts=True)
-        return keys[counts == 1]
 
     # -- geometry (built on first use and kept) -----------------------------
 
@@ -169,23 +165,12 @@ class Mesh:
         g[:, 0, :] = -g[:, 1, :] - g[:, 2, :]
         return g
 
-    @property
     @_kept
-    def delaunay_like(self):
-        """Whether the discrete maximum principle may be asserted: the P1
-        Laplacian has no off-diagonal entry above 1e-12 of its largest
-        entry.  Computed on first read."""
-        g = self.cell_gradients()
-        Ke = self.cell_volumes()[:, None, None] * np.einsum(
-            "cAa,cBa->cAB", g, g)
-        corner = [0, 1, 2]
-        diagonal = np.bincount(self.cells.ravel(),
-                               weights=Ke[:, corner, corner].ravel())
-        # the cell edges 0-1, 1-2, 2-0, each summed over its cells
-        _, edge = np.unique(self._cell_edge_keys(), return_inverse=True)
-        off = np.bincount(edge, weights=Ke[:, corner, [1, 2, 0]].ravel())
-        scale = max(np.max(np.abs(diagonal)), np.max(np.abs(off)))
-        return bool(np.max(off) <= 1e-12 * scale)
+    def edge_table(self):
+        """The cell edges sorted once: ``np.unique`` of their keys with
+        each key's first index among the cell edges and its count."""
+        return np.unique(self._cell_edge_keys(), return_index=True,
+                         return_counts=True)
 
     @_kept
     def quad_points(self):
@@ -201,12 +186,10 @@ class Mesh:
     @_kept
     def facet_cells(self):
         """Index of the unique cell adjacent to each boundary facet."""
-        # validation made every facet a boundary edge, which has exactly
-        # one owner; edge k of the cell edges lies on cell k // 3
-        edge_keys = self._cell_edge_keys()
-        order = np.argsort(edge_keys)
-        pos = np.searchsorted(edge_keys[order], self._edge_keys(self.facets))
-        return order[pos] // 3
+        # validation made every facet a boundary edge, which occurs once
+        # among the cell edges; edge k of the cell edges lies on cell k // 3
+        keys, first, _ = self.edge_table()
+        return first[np.searchsorted(keys, self._edge_keys(self.facets))] // 3
 
     @_kept
     def facet_normals(self):
@@ -281,7 +264,7 @@ def rectangle_mesh(nx, ny, extent=((0.0, 0.0), (1.0, 1.0)), mode="crossed",
 
     `mode='crossed'` splits each of the nx*ny quads into four triangles
     around its center (4 nx ny cells); `mode='diagonal'` into two right
-    triangles.  A diagonal mesh is Delaunay-type (`Mesh.delaunay_like`); a
+    triangles.  A diagonal mesh is Delaunay-type (`fem.delaunay_like`); a
     crossed w x h quad has apex angles 2 atan(w/h) and 2 atan(h/w), so a
     crossed mesh is Delaunay-type only if w = h.
 

@@ -80,8 +80,9 @@ def solve_nutrient(problem):
     diffusion matrices must pass the model's ellipticity constant at every
     quadrature point (EllipticityViolation otherwise); a singular reduced
     operator (no Dirichlet part and vanishing absorption) raises
-    SingularSystem.  On meshes flagged Delaunay-like, a solution dipping
-    below ``-1e-10 * scale`` emits NegativeSolutionWarning.
+    SingularSystem.  A solution dipping below ``-1e-10 * scale`` emits
+    NegativeSolutionWarning when the mesh is Delaunay-like
+    (`fem.delaunay_like`), a verdict built only for such a dip.
     """
     mesh = problem.mesh
     Y = fem.interpolate_gradient(mesh, problem.deformation)
@@ -113,7 +114,7 @@ def solve_nutrient(problem):
     N, resid = fem.dirichlet_system(mesh, 1, nodes).solve(K, rhs, values)
     min_value = float(np.min(N))
     scale = max(1.0, float(np.max(np.abs(N))))
-    if mesh.delaunay_like and min_value < -1e-10 * scale:
+    if min_value < -1e-10 * scale and fem.delaunay_like(mesh):
         warnings.warn("nutrient solution dips to %.3e on a Delaunay-type "
                       "mesh" % min_value, NegativeSolutionWarning)
     return NutrientSolution(N, min_value, resid, Y)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import io
 import tracemalloc
@@ -346,6 +347,17 @@ class TestLinearizedOperator:
         with pytest.raises(ValidationError):
             make_problem(mesh, growth=growth).workspace
 
+    def test_non_positive_nodal_determinant(self):
+        # the quadrature points see det G >= 0.267 around vertex 7, so only
+        # the nodal check fires
+        mesh = rectangle_mesh(4, 4)
+        growth = identity_growth(mesh.vertices)
+        growth[7] = np.diag([-0.1, 1.0])
+        assert np.min(tensor.det(fem.growth_at_quadrature(mesh, growth))) > 0.0
+        with pytest.raises(ValidationError,
+                           match="non-positive nodal determinant"):
+            make_problem(mesh, growth=growth).workspace
+
     def test_empty_elastic_dirichlet_part(self):
         # checked before the lift, whose Laplacian is singular without it
         base = rectangle_mesh(4, 4)
@@ -520,6 +532,17 @@ class TestFrozenProblem:
         assert np.array_equal(sol.displacement, fresh.displacement)
         assert np.array_equal(sol.stress, fresh.stress)
         assert sol.increment_history == fresh.increment_history
+
+    def test_workspace_is_the_one_cached_property(self):
+        # the workspace reads the Dirichlet system straight from the mesh
+        # memo, with no memo of its own in front
+        kept = [(cls.__name__, name)
+                for cls in vars(elasticity).values()
+                if isinstance(cls, type)
+                and cls.__module__ == elasticity.__name__
+                for name, value in vars(cls).items()
+                if isinstance(value, functools.cached_property)]
+        assert kept == [("EquilibriumProblem", "workspace")]
 
 
 class TestNewton:

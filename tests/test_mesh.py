@@ -1,14 +1,17 @@
 import collections
+import inspect
+import pathlib
 
 import numpy as np
 import pytest
 
-from morphosim import elasticity, fem, mesh as mesh_module
+from morphosim import coupled, elasticity, fem, mesh as mesh_module
 from morphosim.elasticity import EquilibriumProblem, SolverOptions
 from morphosim.errors import InvalidTagRule, IoError, ParseError
 from morphosim.materials import DetRatioNutrientModel, PolarWellEnergy
 from morphosim.mesh import Mesh, read_mesh, rectangle_mesh, write_mesh
 from morphosim.nutrient import NutrientProblem, solve_nutrient
+from morphosim.scenario import OutputConfig
 
 
 class TestRectangleMesh:
@@ -63,7 +66,7 @@ class TestRectangleMesh:
         K = fem.assemble_scalar_operator(mesh, np.eye(2)).toarray()
         scale = np.max(np.abs(K))
         np.fill_diagonal(K, 0.0)
-        assert mesh.delaunay_like == bool(np.max(K) <= 1e-12 * scale)
+        assert fem.delaunay_like(mesh) == bool(np.max(K) <= 1e-12 * scale)
 
     def test_unknown_side(self):
         with pytest.raises(InvalidTagRule):
@@ -255,7 +258,7 @@ class TestMeshFile:
         # the flag comes from the geometry, so a file carries it too
         path = tmp_path / "grid.mesh"
         write_mesh(rectangle_mesh(4, 4), path)
-        assert read_mesh(path).delaunay_like is True
+        assert fem.delaunay_like(read_mesh(path)) is True
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.mesh"
@@ -294,6 +297,69 @@ class TestMeshFile:
             read_mesh("/nonexistent/path.mesh")
 
 
+def delaunay_like_by_edges(mesh):
+    """Whether no P1 Laplacian off-diagonal exceeds 1e-12 of the largest
+    entry, from element matrices summed per vertex and per cell edge
+    (reference)."""
+    g = mesh.cell_gradients()
+    Ke = mesh.cell_volumes()[:, None, None] * np.einsum("cAa,cBa->cAB", g, g)
+    corner = [0, 1, 2]
+    diagonal = np.bincount(mesh.cells.ravel(),
+                           weights=Ke[:, corner, corner].ravel())
+    # the cell edges 0-1, 1-2, 2-0, each summed over its cells
+    _, edge = np.unique(mesh._cell_edge_keys(), return_inverse=True)
+    off = np.bincount(edge, weights=Ke[:, corner, [1, 2, 0]].ravel())
+    scale = max(np.max(np.abs(diagonal)), np.max(np.abs(off)))
+    return bool(np.max(off) <= 1e-12 * scale)
+
+
+def jittered_copy(mesh, seed, share):
+    """Same mesh with each interior vertex moved by up to `share` of the
+    smallest cell edge in each coordinate."""
+    rng = np.random.default_rng(seed)
+    edges = mesh.vertices[mesh.cells] - mesh.vertices[np.roll(mesh.cells, 1,
+                                                                axis=1)]
+    h = np.min(np.linalg.norm(edges, axis=-1))
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.facets.ravel()] = False
+    vertices = mesh.vertices.copy()
+    vertices[interior] += rng.uniform(-share * h, share * h,
+                                      size=(np.sum(interior), 2))
+    return Mesh(vertices, mesh.cells, mesh.facets,
+                mesh.facet_elastic_dirichlet, mesh.facet_nutrient_dirichlet)
+
+
+class TestDelaunayLike:
+    def test_matches_the_edge_sum_reference(self):
+        meshes = [rectangle_mesh(n, n, extent=((0.0, 0.0), corner),
+                                 mode=mode)
+                  for n in (1, 2, 5, 16)
+                  for corner in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.5))
+                  for mode in ("crossed", "diagonal")]
+        # jitter of 8% leaves no mesh Delaunay-like; one of 1e-14 moves
+        # the off-diagonals by rounding amounts, inside the tolerance
+        meshes += [jittered_copy(rectangle_mesh(n, n, mode=mode), seed,
+                                 share)
+                   for seed, (n, mode, share) in enumerate(
+                       (n, mode, share) for n in (3, 4, 6, 8, 12)
+                       for mode in ("crossed", "diagonal")
+                       for share in (0.08, 1e-14))]
+        verdicts = [fem.delaunay_like(mesh) for mesh in meshes]
+        assert verdicts == [delaunay_like_by_edges(mesh) for mesh in meshes]
+        assert set(verdicts) == {True, False}
+
+    def test_kept_and_built_only_for_a_dip(self, is_kept):
+        # a nutrient solve that stays non-negative never asks for it
+        mesh = rectangle_mesh(4, 4)
+        growth = np.broadcast_to(np.eye(2), (mesh.num_vertices, 2, 2))
+        solve_nutrient(NutrientProblem(
+            mesh, DetRatioNutrientModel(d0=1.0, beta0=0.5), growth,
+            mesh.vertices, dirichlet_data=lambda pts: np.ones(len(pts))))
+        assert not is_kept(mesh, "delaunay_like")
+        assert fem.delaunay_like(mesh) is fem.delaunay_like(mesh) is True
+        assert is_kept(mesh, "delaunay_like")
+
+
 def boundary_edges_by_set(mesh):
     """Per-cell loop counting edge owners in a dict (reference)."""
     edges = {}
@@ -305,7 +371,8 @@ def boundary_edges_by_set(mesh):
 
 
 def boundary_edges_by_keys(mesh):
-    keys = mesh._boundary_edge_keys()
+    keys, _, counts = mesh.edge_table()
+    keys = keys[counts == 1]
     n = mesh.num_vertices
     return {(int(k // n), int(k % n)) for k in keys}
 
@@ -386,6 +453,16 @@ GEOMETRY = ("cell_volumes", "cell_gradients", "quad_points", "quad_weights",
 OWN_ARRAYS = ("vertices", "cells", "facets", "facet_elastic_dirichlet",
               "facet_nutrient_dirichlet")
 SYSTEM_ARRAYS = ("edofs", "fixed", "free", "order", "indptr", "indices")
+GATHER_ARRAYS = ("gather", "indices", "indptr")
+
+
+def still_state(mesh, t=0.0):
+    """A snapshot at rest on `mesh`."""
+    n = mesh.num_vertices
+    return coupled.SystemState(
+        t=t, growth=np.broadcast_to(np.eye(2), (n, 2, 2)),
+        displacement=np.zeros((n, 2)), lifted=mesh.vertices,
+        nutrient=np.ones(n), stress_nodes=np.zeros(n))
 
 
 def run_mesh_tier(mesh):
@@ -406,6 +483,8 @@ def mesh_tier_arrays(mesh):
     """Every array of the mesh and of each value its tier keeps, by name."""
     arrays = {name: getattr(mesh, name) for name in OWN_ARRAYS}
     arrays.update((name, getattr(mesh, name)()) for name in GEOMETRY)
+    arrays.update(zip(("edge keys", "edge first", "edge counts"),
+                      mesh.edge_table()))
     N, arrays["N 1"] = fem._transfer(mesh, "averaging")
     operators = {"B": fem._transfer(mesh, "gradient"),
                  "S": fem._transfer(mesh, "sampling"), "N": N}
@@ -417,6 +496,13 @@ def mesh_tier_arrays(mesh):
         system = fem.dirichlet_system(mesh, components, nodes)
         arrays.update(("%s system %s" % (label, name), getattr(system, name))
                       for name in SYSTEM_ARRAYS)
+        for block, (_, *parts, _) in zip(("K_ff", "K_fc"), system._blocks):
+            arrays.update(("%s %s %s" % (label, block, name), part)
+                          for name, part in zip(GATHER_ARRAYS, parts))
+        # a returned K_ff shares its index arrays with the kept gather
+        Kff = system.ff(system.assemble(np.ones(system.order.shape)))
+        arrays.update(("%s returned K_ff.%s" % (label, name),
+                       getattr(Kff, name)) for name in ("indices", "indptr"))
     _, operators["K_fc"] = elasticity._lift_factor(
         mesh, fem.dirichlet_system(mesh, 1, elastic))
     for label, op in operators.items():
@@ -451,13 +537,31 @@ class TestMeshTier:
         for _ in range(2):
             run_mesh_tier(mesh)
             mesh_tier_arrays(mesh)
-            assert mesh.delaunay_like in (True, False)
+            assert fem.delaunay_like(mesh) in (True, False)
+            coupled._vtk_text(mesh, still_state(mesh))
         assert set(GEOMETRY) | {("transfer", kind) for kind in (
             "gradient", "sampling", "averaging")} | {
-            "delaunay_like", "lift_factor", "last_lift"} < set(builds)
+            "edge_table", "delaunay_like", "vtk_mesh_block", "lift_factor",
+            "last_lift"} < set(builds)
         assert sum(isinstance(key, tuple) and key[0] == "dirichlet_system"
                    for key in builds) == 3
         assert set(builds.values()) == {1}
+
+    def test_two_outputs_build_the_vtk_block_once(self, builds, tmp_path):
+        # two snapshots and the failure snapshot, written twice
+        mesh = rectangle_mesh(2, 2)
+        trajectory = coupled.Trajectory(
+            states=[still_state(mesh, t) for t in (0.0, 0.1)],
+            status="solver_failure", error="stopped")
+        files = []
+        for run in ("a", "b"):
+            paths = coupled.write_outputs(trajectory, mesh, OutputConfig(
+                directory=str(tmp_path / run)))
+            files.append([pathlib.Path(path).read_text() for path in paths])
+        assert builds["vtk_mesh_block"] == 1
+        assert files[0] == files[1] and len(files[0]) == 5
+        assert list(inspect.signature(coupled._vtk_text).parameters) == [
+            "mesh", "state"]
 
     def test_every_value_is_read_only(self):
         mesh = rectangle_mesh(4, 4, elastic_dirichlet="left,bottom",

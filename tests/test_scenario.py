@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from morphosim import benchmarks
+from morphosim.coupled import run_coupled, trajectory_csv
 from morphosim.errors import ParseError, ValidationError
 from morphosim.materials import (DetRatioNutrientModel, PolarWellEnergy,
                                  ProductGrowthLaw, StressModulatedGrowthLaw,
@@ -287,10 +289,12 @@ class TestLoadingErrors:
         ("time", MINIMAL.replace("t_end = 0.1", "t_end = inf")),
         ("time", MINIMAL.replace("dt = 0.05", "dt = nan")),
         ("guards", MINIMAL + "\n[guards]\ndet_min = nan\n"),
-        ("guards", MINIMAL + "\n[guards]\nnorm_max = -1\n")],
+        ("guards", MINIMAL + "\n[guards]\nnorm_max = -1\n"),
+        ("energy", MINIMAL + "\n[energy]\nadmissible_radius = 1e308\n")],
         ids=["mesh", "energy", "growth", "time", "guards", "output",
              "admissible_radius_nan", "p_inf", "gamma_nan", "mu_coeff_inf",
-             "t_end_inf", "dt_nan", "det_min_nan", "norm_max_negative"])
+             "t_end_inf", "dt_nan", "det_min_nan", "norm_max_negative",
+             "admissible_radius_1e308"])
     def test_rejected_value_names_its_section(self, tmp_path, section,
                                               text):
         path = write_cfg(tmp_path, text)
@@ -352,3 +356,23 @@ class TestValidation:
     def test_valid_scenario_passes(self, tmp_path):
         sc = load_scenario(write_cfg(tmp_path, MINIMAL))
         require_valid(validate_scenario(sc, samples=100))
+
+
+class TestBuiltInScenarios:
+    """`benchmarks.SCENARIOS` builds in Python the scenarios two shipped
+    files declare; both must run to the same bytes."""
+
+    @pytest.mark.parametrize("name,cfg,cut", [
+        ("stress_free_reference", "stress_free.cfg", {}),
+        ("analytic_growth", "analytic_growth.cfg", {"t_end": 0.01})],
+        ids=["stress_free", "analytic_growth"])
+    def test_matches_the_shipped_file(self, tmp_path, scenario_dir, name,
+                                      cfg, cut):
+        text = (scenario_dir / cfg).read_text()
+        if cut:
+            assert "\nt_end = 0.5\n" in text
+            text = text.replace("\nt_end = 0.5\n", "\nt_end = 0.01\n")
+        shipped = load_scenario(write_cfg(tmp_path, text, cfg))
+        built = benchmarks.SCENARIOS[name](**cut)
+        assert (trajectory_csv(run_coupled(built))
+                == trajectory_csv(run_coupled(shipped)))
