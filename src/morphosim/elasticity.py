@@ -214,13 +214,14 @@ class _Workspace:
         """Weak residual over all dofs, its norm on the free dofs, and the
         stress it was built from."""
         P = self.stress(state)
-        # einsum "cq,cqia,cAa->cAi" order: w P first, then q = 0, 1, 2
-        # each adding its 2-term sum over a
-        wP = self.weights[:, :, None, None] * P
-        g = self.grads
-        contrib = sum(wP[:, q, None, :, 0] * g[:, :, None, 0]
-                      + wP[:, q, None, :, 1] * g[:, :, None, 1]
-                      for q in range(3))
+        # einsum "cq,cqia,cAa->cAi" order: w P first, then from a zero
+        # start q = 0, 1, 2 each adding its 2-term sum over a, g (w P_q)^T
+        wP = np.empty(P.shape)
+        for i, a in np.ndindex(2, 2):
+            np.multiply(self.weights, P[..., i, a], out=wP[..., i, a])
+        contrib = np.zeros(self.grads.shape)
+        for q in range(3):
+            contrib += tensor.product(self.grads, tensor.transpose(wP[:, q]))
         # bincount adds in index order, as a scatter-add would
         r = np.bincount(self.system.edofs.ravel(), weights=contrib.ravel(),
                         minlength=2 * self.mesh.num_vertices)

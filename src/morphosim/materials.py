@@ -46,12 +46,12 @@ class EnergyModel:
         raise NotImplementedError
 
 
-# The largest admissible radius: each entry of a matrix in the ball is at
-# most 1 + radius in size, so |det F| <= 2 (1 + radius)^2 stays finite.
-MAX_ADMISSIBLE_RADIUS = np.sqrt(np.finfo(float).max) / 2.0
-
-# d F[i, j] / d F[k, l]
-_IDENTITY4 = np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2))
+def max_admissible_radius(p):
+    """The largest radius whose ball (|det F| <= 2 (1 + radius)^2) keeps det F
+    and det F^p finite, less 1e-12 relative against rounding."""
+    big = np.finfo(float).max
+    return min(np.sqrt(big) / 2.0,
+               (np.sqrt(big ** (1.0 / p) / 2.0) - 1.0) * (1.0 - 1e-12))
 
 
 class PolarWellEnergy(EnergyModel):
@@ -75,11 +75,12 @@ class PolarWellEnergy(EnergyModel):
         # tested as not in range, so that NaN fails too
         if not 1.0 <= self.p < np.inf:
             raise ValueError("volume exponent p must be finite and >= 1")
-        if not 0.0 < self.admissible_radius <= MAX_ADMISSIBLE_RADIUS:
+        bound = max_admissible_radius(self.p)
+        if not 0.0 < self.admissible_radius <= bound:
             raise ValueError(
                 "admissible_radius must be positive and at most %.6g, the "
-                "largest radius whose ball has finite determinants"
-                % MAX_ADMISSIBLE_RADIUS)
+                "largest radius whose ball has finite det F and det F^p at "
+                "p = %g" % (bound, self.p))
 
     # The unchecked polar kernels below run after `tensor.positive_det`,
     # here or in the caller that passes `det`, which is the check
@@ -97,8 +98,13 @@ class PolarWellEnergy(EnergyModel):
         d = tensor.positive_det(F) if det is None else det
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
-        R = tensor._polar_rotation_2d(F)
-        return 2.0 * (F - R) + hprime[..., None, None] * tensor.cofactor(F)
+        # + hprime cof F entry by entry, cof F = [[F11, -F10], [-F01, F00]]
+        DW = 2.0 * (F - tensor._polar_rotation_2d(F))
+        DW[..., 0, 0] += hprime * F[..., 1, 1]
+        DW[..., 0, 1] -= hprime * F[..., 1, 0]
+        DW[..., 1, 0] -= hprime * F[..., 0, 1]
+        DW[..., 1, 1] += hprime * F[..., 0, 0]
+        return DW
 
     def second_derivative(self, x, F, det=None):
         F = np.asarray(F, dtype=float)
@@ -106,24 +112,25 @@ class PolarWellEnergy(EnergyModel):
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
         hsecond = p * (p - 1) * d ** (p - 2) + p * (p + 1) * d ** (-p - 2)
-        DR = tensor._polar_rotation_derivative_2d(F)
-        cof = tensor.cofactor(F)
-        H = 2.0 * (_IDENTITY4 - DR)
-        H = H + hsecond[..., None, None, None, None] * np.einsum(
-            "...ij,...kl->...ijkl", cof, cof)
-        H = H + hprime[..., None, None, None, None] * tensor.cofactor_derivative(F)
+        H, cof = tensor._polar_rotation_derivative_2d(F), tensor.cofactor(F)
+        # I - DR is never -0.0, so einsum's zero start in cof cof is moot
+        for e in np.ndindex(2, 2, 2, 2):
+            h = 2.0 * (float(e[:2] == e[2:]) - H[(...,) + e])
+            h += hsecond * (cof[(...,) + e[:2]] * cof[(...,) + e[2:]])
+            np.add(h, hprime * tensor._COFACTOR_DERIVATIVE[e],
+                   out=H[(...,) + e])
         return H
 
 
 def elastic_factor(energy, F, Ginv):
     """``(F_el, det F_el)`` for the split ``F = F_el G`` over broadcast
-    stacks; each F_el entry is a 2-term sum from a zero start, as einsum's.
+    stacks, F_el by `tensor.product`.
 
     Raises OutsideAdmissibleBall, naming the worst stack index, where F_el
     leaves the energy's ball, then as `tensor.positive_det` does.
     """
-    Fel = sum(F[..., :, j, None] * Ginv[..., None, j, :] for j in range(2))
-    dev = tensor.max_abs(Fel - np.eye(2))
+    Fel = tensor.product(F, Ginv)
+    dev = tensor.max_abs(Fel, 1.0)
     worst = tuple(int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
     if dev[worst] >= energy.admissible_radius:
         raise OutsideAdmissibleBall(
@@ -136,10 +143,12 @@ def elastic_factor(energy, F, Ginv):
 
 def grown_stress(energy, x, Fel, det, Ginv, detG):
     """First Piola-Kirchhoff stress ``det(G) DW(x, F_el) G^-T`` from
-    `elastic_factor`'s output, added in einsum's order."""
-    DW = energy.first_derivative(x, Fel, det=det)
-    return detG[..., None, None] * sum(
-        DW[..., :, None, j] * Ginv[..., None, :, j] for j in range(2))
+    `elastic_factor`'s output, DW G^-T by `tensor.product`."""
+    P = tensor.product(energy.first_derivative(x, Fel, det=det),
+                       tensor.transpose(Ginv))
+    for i, k in np.ndindex(2, 2):
+        P[..., i, k] *= detG
+    return P
 
 
 def piola_kirchhoff(energy, x, G, Y):

@@ -365,7 +365,7 @@ def validate_scenario(scenario, samples=500, seed=0):
     # initial growth admissibility
     G0 = scenario.initial_growth_nodal()
     min_det = float(np.min(tensor.det(G0)))
-    dev = float(np.max(tensor.max_abs(G0 - np.eye(2))))
+    dev = float(np.max(tensor.max_abs(G0, 1.0)))
     radius = scenario.energy.admissible_radius
     reports.append(CheckReport(
         "initial_growth", min_det > 0.0 and dev <= 0.5 * radius + 1e-12,

@@ -32,11 +32,27 @@ def frobenius_norm(F):
     return np.sqrt(np.einsum("...ij,...ij->...", F, F))
 
 
-def max_abs(F):
-    """Largest absolute entry over the trailing two axes."""
-    A = np.abs(np.asarray(F))
-    return np.maximum(np.maximum(A[..., 0, 0], A[..., 0, 1]),
-                      np.maximum(A[..., 1, 0], A[..., 1, 1]))
+def max_abs(F, shift=0.0):
+    """Largest absolute entry of ``F - shift I`` over the trailing two
+    axes, one 1-D operation per entry."""
+    F = np.asarray(F)
+    return np.maximum(
+        np.maximum(np.abs(F[..., 0, 0] - shift), np.abs(F[..., 0, 1])),
+        np.maximum(np.abs(F[..., 1, 0]), np.abs(F[..., 1, 1] - shift)))
+
+
+def product(A, B):
+    """Stacked (m, 2) by (2, n) product, entry by entry as einsum sums it:
+    ``(0 + A[i, 0] B[0, k]) + A[i, 1] B[1, k]``, the zero start as +0.0
+    added last (a sum is -0.0 only where every term is)."""
+    C = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                 + (A.shape[-2], B.shape[-1]))
+    for i, k in np.ndindex(C.shape[-2:]):
+        c = A[..., i, 0] * B[..., 0, k]
+        c += A[..., i, 1] * B[..., 1, k]
+        C[..., i, k] = c
+    C += 0.0
+    return C
 
 
 def rotation(theta):
@@ -220,13 +236,8 @@ def cofactor(F):
 
 
 _EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+#: Derivative ``d cof(F)[i, j] / d F[k, l]``, the same for every F.
 _COFACTOR_DERIVATIVE = np.einsum("ik,jl->ijkl", _EPS2, _EPS2)
-
-
-def cofactor_derivative(F):
-    """Derivative ``d cof(F)[i, j] / d F[k, l]``: one constant, broadcast
-    read-only to shape (..., 2, 2, 2, 2)."""
-    return np.broadcast_to(_COFACTOR_DERIVATIVE, np.shape(F) + (2, 2))
 
 
 def polar_rotation(F):
@@ -258,21 +269,20 @@ def _polar_rotation_2d(F):
 def _polar_rotation_derivative_2d(F):
     """Derivative ``d R(F)[i, j] / d F[k, l]`` of `_polar_rotation_2d`,
     differentiating the closed form directly, under the same
-    preconditions."""
+    preconditions; one 1-D operation per entry."""
     p = F[..., 0, 0] + F[..., 1, 1]
     q = F[..., 0, 1] - F[..., 1, 0]
     r2 = p * p + q * q
     r = np.sqrt(r2)
-    dp = np.array([[1.0, 0.0], [0.0, 1.0]])
-    dq = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    dr = (p[..., None, None] * dp + q[..., None, None] * dq) / r[..., None, None]
-    dpr = dp / r[..., None, None] - (p / r2)[..., None, None] * dr
-    dqr = dq / r[..., None, None] - (q / r2)[..., None, None] * dr
+    p_r2, q_r2 = p / r2, q / r2
     DR = np.empty(F.shape[:-2] + (2, 2, 2, 2))
-    DR[..., 0, 0, :, :] = dpr
-    DR[..., 1, 1, :, :] = dpr
-    DR[..., 0, 1, :, :] = dqr
-    DR[..., 1, 0, :, :] = -dqr
+    # d p / d F[k, l] is the identity and d q / d F[k, l] is _EPS2
+    for k, l in np.ndindex(2, 2):
+        dp, dq = float(k == l), _EPS2[k, l]
+        dr = (p * dp + q * dq) / r
+        DR[..., 0, 0, k, l] = DR[..., 1, 1, k, l] = dp / r - p_r2 * dr
+        DR[..., 0, 1, k, l] = dqr = dq / r - q_r2 * dr
+        DR[..., 1, 0, k, l] = -dqr
     return DR
 
 

@@ -1,9 +1,11 @@
 """The explicit 2x2 contractions equal the `np.einsum` calls they replace,
-byte for byte, the fixed contraction paths equal `optimize=True`, the
-Dirichlet system's sums and gathers equal the COO scatter and sparse
-slicing they replace, the cached transfer operators equal the einsum
-and bincount forms they replace, and each caller of `tensor.inv` and
-`tensor.det` equals its value with `np.linalg.inv` and `np.linalg.det`.
+byte for byte, the per-entry kernels of the elastic hot path equal the
+broadcast forms they replace, the fixed contraction paths equal
+`optimize=True`, the Dirichlet system's sums and gathers equal the COO
+scatter and sparse slicing they replace, the cached transfer operators
+equal the einsum and bincount forms they replace, and each caller of
+`tensor.inv` and `tensor.det` equals its value with `np.linalg.inv` and
+`np.linalg.det`.
 
 Each case runs on the cell counts the benchmark workloads use, with random
 data and with two rest states (F_el = I, zero stress): the reference
@@ -156,6 +158,115 @@ class TestWorkspace:
                       optimize=True)
         assert_same_bytes(ws.coefficient_tensor(state),
                           ws.detGq[:, :, None, None, None, None] * A)
+
+
+# The two-wide broadcast forms the per-entry kernels replaced, kept as
+# references: each broadcasts a (cells, q) field against trailing (2, 2)
+# axes, so numpy's inner loop is two elements long.
+
+
+def polar_rotation_derivative_by_broadcast(F):
+    """`tensor._polar_rotation_derivative_2d` as a broadcast."""
+    p = F[..., 0, 0] + F[..., 1, 1]
+    q = F[..., 0, 1] - F[..., 1, 0]
+    r2 = p * p + q * q
+    r = np.sqrt(r2)
+    dp = np.array([[1.0, 0.0], [0.0, 1.0]])
+    dq = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    dr = (p[..., None, None] * dp + q[..., None, None] * dq) / r[..., None, None]
+    dpr = dp / r[..., None, None] - (p / r2)[..., None, None] * dr
+    dqr = dq / r[..., None, None] - (q / r2)[..., None, None] * dr
+    DR = np.empty(F.shape[:-2] + (2, 2, 2, 2))
+    DR[..., 0, 0, :, :] = dpr
+    DR[..., 1, 1, :, :] = dpr
+    DR[..., 0, 1, :, :] = dqr
+    DR[..., 1, 0, :, :] = -dqr
+    return DR
+
+
+def first_derivative_by_broadcast(energy, F, det):
+    """`PolarWellEnergy.first_derivative` with hprime broadcast against
+    the cofactor."""
+    p = energy.p
+    hprime = p * det ** (p - 1) - p * det ** (-p - 1)
+    R = tensor._polar_rotation_2d(F)
+    return 2.0 * (F - R) + hprime[..., None, None] * tensor.cofactor(F)
+
+
+def second_derivative_by_broadcast(energy, F, det):
+    """`PolarWellEnergy.second_derivative` over (..., 2, 2, 2, 2)
+    broadcasts, the outer product of the cofactor by einsum."""
+    p = energy.p
+    hprime = p * det ** (p - 1) - p * det ** (-p - 1)
+    hsecond = p * (p - 1) * det ** (p - 2) + p * (p + 1) * det ** (-p - 2)
+    DR = polar_rotation_derivative_by_broadcast(F)
+    cof = tensor.cofactor(F)
+    H = 2.0 * (np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2)) - DR)
+    H = H + hsecond[..., None, None, None, None] * np.einsum(
+        "...ij,...kl->...ijkl", cof, cof)
+    return H + hprime[..., None, None, None, None] * np.broadcast_to(
+        tensor._COFACTOR_DERIVATIVE, F.shape + (2, 2))
+
+
+def elastic_factor_by_broadcast(F, Ginv):
+    """`materials.elastic_factor`'s F_el as a generator of broadcast
+    products summed from sum()'s zero start, and its deviation from I."""
+    Fel = sum(F[..., :, j, None] * Ginv[..., None, j, :] for j in range(2))
+    return Fel, np.max(np.abs(Fel - np.eye(2)), axis=(-2, -1))
+
+
+def grown_stress_by_broadcast(energy, Fel, det, Ginv, detG):
+    """`materials.grown_stress` from the broadcast first derivative, det G
+    broadcast against the trailing axes."""
+    DW = first_derivative_by_broadcast(energy, Fel, det)
+    return detG[..., None, None] * sum(
+        DW[..., :, None, j] * Ginv[..., None, :, j] for j in range(2))
+
+
+class TestPerEntryKernels:
+    """The per-entry kernels of the elastic hot path against the broadcast
+    forms they replaced, byte for byte; the rest states carry zeros of
+    both signs, which a changed zero start or term order would show."""
+
+    def test_elastic_factor(self, mesh, case):
+        ws, u = workspace_and_state(mesh, case)
+        F = fem.interpolate_gradient(mesh, u) + ws.grad_ft
+        Fel, det = materials.elastic_factor(ws.energy, F[:, None], ws.Ginvq)
+        Fel_expected, dev_expected = elastic_factor_by_broadcast(F[:, None],
+                                                                 ws.Ginvq)
+        assert_same_bytes(Fel, Fel_expected)
+        assert_same_bytes(tensor.max_abs(Fel, 1.0), dev_expected)
+        assert_same_bytes(det, tensor.positive_det(Fel_expected))
+
+    def test_grown_stress(self, mesh, case):
+        ws, u = workspace_and_state(mesh, case)
+        state = ws.elastic_state(u)
+        assert_same_bytes(
+            materials.grown_stress(ws.energy, ws.qpoints, state.Fel,
+                                   state.det, ws.Ginvq, ws.detGq),
+            grown_stress_by_broadcast(ws.energy, state.Fel, state.det,
+                                      ws.Ginvq, ws.detGq))
+
+    def test_first_derivative(self, mesh, case):
+        ws, u = workspace_and_state(mesh, case)
+        state = ws.elastic_state(u)
+        assert_same_bytes(
+            ws.energy.first_derivative(ws.qpoints, state.Fel, det=state.det),
+            first_derivative_by_broadcast(ws.energy, state.Fel, state.det))
+
+    def test_polar_rotation_derivative(self, mesh, case):
+        ws, u = workspace_and_state(mesh, case)
+        Fel = ws.elastic_state(u).Fel
+        assert_same_bytes(tensor._polar_rotation_derivative_2d(Fel),
+                          polar_rotation_derivative_by_broadcast(Fel))
+
+    def test_second_derivative(self, mesh, case):
+        ws, u = workspace_and_state(mesh, case)
+        state = ws.elastic_state(u)
+        assert_same_bytes(
+            ws.energy.second_derivative(ws.qpoints, state.Fel,
+                                        det=state.det),
+            second_derivative_by_broadcast(ws.energy, state.Fel, state.det))
 
 
 def moved_mesh(mesh, case):
@@ -512,3 +623,5 @@ class TestMaxAbs:
         for stack in (F, F.reshape(768, 4, 2, 2), F[3]):
             assert_same_bytes(tensor.max_abs(stack),
                               np.max(np.abs(stack), axis=(-2, -1)))
+            assert_same_bytes(tensor.max_abs(stack, 1.0), np.max(
+                np.abs(stack - np.eye(2)), axis=(-2, -1)))

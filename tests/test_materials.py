@@ -11,7 +11,7 @@ from morphosim.materials import (ConstantNutrientModel, DetRatioNutrientModel,
                                  check_frame_indifference,
                                  check_nutrient_assumptions,
                                  check_nutrient_frame_indifference,
-                                 piola_kirchhoff)
+                                 max_admissible_radius, piola_kirchhoff)
 from morphosim.mesh import rectangle_mesh
 
 X0 = np.zeros(2)
@@ -59,6 +59,21 @@ class TestEnergyValues:
         e = PolarWellEnergy()
         with pytest.raises(SingularMatrix):
             e.evaluate(X0, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("p,bound", [(1, 6.7039e153), (1.5, 3.9908e102),
+                                         (2, 8.1877e76), (3, 1.6799e51),
+                                         (4, 2.4062e38), (7.3, 9.1796e20)])
+    def test_radius_bound_keeps_the_volume_term_finite(self, p, bound):
+        # a matrix of the ball has |det F| <= 2 (1 + r)^2; at the bound
+        # both it and its p-th power are finite, and just past the bound
+        # the constructor refuses the radius
+        r = max_admissible_radius(p)
+        assert r == pytest.approx(bound, rel=1e-4)
+        det = np.float64(2.0) * (1.0 + r) ** 2
+        assert np.isfinite(det) and np.isfinite(det ** float(p))
+        assert PolarWellEnergy(p=p, admissible_radius=r).admissible_radius == r
+        with pytest.raises(ValueError, match="at p = %g" % p):
+            PolarWellEnergy(p=p, admissible_radius=1.001 * r)
 
 
 class TestEnergyDerivatives:
@@ -398,7 +413,7 @@ class TestComputedOnce:
         H = H + hs[..., None, None, None, None] * np.einsum(
             "...ij,...kl->...ijkl", cof, cof)
         H = H + hp[..., None, None, None, None] * \
-            tensor.cofactor_derivative(F)
+            tensor._COFACTOR_DERIVATIVE
         assert np.array_equal(e.evaluate(X0, F), W)
         assert np.array_equal(e.first_derivative(X0, F), P)
         assert np.array_equal(e.second_derivative(X0, F), H)

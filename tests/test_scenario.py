@@ -290,11 +290,12 @@ class TestLoadingErrors:
         ("time", MINIMAL.replace("dt = 0.05", "dt = nan")),
         ("guards", MINIMAL + "\n[guards]\ndet_min = nan\n"),
         ("guards", MINIMAL + "\n[guards]\nnorm_max = -1\n"),
-        ("energy", MINIMAL + "\n[energy]\nadmissible_radius = 1e308\n")],
+        ("energy", MINIMAL + "\n[energy]\nadmissible_radius = 1e308\n"),
+        ("energy", MINIMAL + "\n[energy]\nadmissible_radius = 1e153\n")],
         ids=["mesh", "energy", "growth", "time", "guards", "output",
              "admissible_radius_nan", "p_inf", "gamma_nan", "mu_coeff_inf",
              "t_end_inf", "dt_nan", "det_min_nan", "norm_max_negative",
-             "admissible_radius_1e308"])
+             "admissible_radius_1e308", "admissible_radius_1e153"])
     def test_rejected_value_names_its_section(self, tmp_path, section,
                                               text):
         path = write_cfg(tmp_path, text)
