@@ -8,7 +8,10 @@ vertices (`dirichlet_system`).  It sums the assemblers' unconstrained
 operators bit for bit as a COO scatter does, and imposes strong
 Dirichlet values by row/column elimination with a symmetric
 right-hand-side correction, so the reduced operator stays symmetric
-positive definite, as the pivot check of its LU verifies.
+positive definite, as the pivot check of its LU verifies.  Its first
+factorization orders K_ff by MMD_AT_PLUS_A and keeps that column order;
+every later one factorizes K_ff gathered in the kept order, with no new
+ordering and the same factor bit for bit.
 
 Gradient transfer is one sparse product with an operator the mesh keeps,
 built on first use: B maps nodal values to per-cell gradients, S samples
@@ -45,11 +48,11 @@ def eliminate(K, fixed):
     return Kf[:, free].tocsc(), Kf, free
 
 
-def _factorize_spd(Kcsc):
+def _factorize_spd(Kcsc, permc_spec="MMD_AT_PLUS_A"):
     """LU of a (presumed) SPD matrix with symmetric pivoting disabled, so
     the U diagonal exposes the pivot signs."""
     try:
-        lu = spla.splu(Kcsc, permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(Kcsc, permc_spec=permc_spec,
                        diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # "Factor is exactly singular"
@@ -61,6 +64,22 @@ def _factorize_spd(Kcsc):
         raise SingularSystem("non-positive or vanishing pivot "
                              "(matrix not SPD on free dofs)")
     return lu
+
+
+class _KeptOrderFactor:
+    """The factor of K_ff given by the factor `lu` of its permuted copy
+    P K_ff P^T (`DirichletSystem.factor`): `solve` permutes the
+    right-hand side in and the solution out, and `U` has the pivots."""
+
+    def __init__(self, lu, perm):
+        self._lu, self._perm = lu, perm
+
+    U = property(lambda self: self._lu.U)
+
+    def solve(self, rhs):
+        permuted = np.empty_like(rhs)
+        permuted[self._perm] = rhs
+        return self._lu.solve(permuted)[self._perm]
 
 
 def _coo(n_dofs, edofs, Ke):
@@ -77,6 +96,15 @@ def _summed(data, indices, indptr, shape):
     K.has_sorted_indices = True
     K.sum_duplicates()
     return K
+
+
+def _shared(blocks):
+    """`blocks` of gathers, each one's arrays made read-only: the
+    operators it returns share its index arrays."""
+    for block in blocks:
+        for array in block[1:4]:
+            array.flags.writeable = False
+    return blocks
 
 
 def _scatter(n_dofs, edofs, Ke):
@@ -96,9 +124,19 @@ class DirichletSystem:
     and the sorted pattern; `assemble` lays the terms out in that order
     and leaves every addition to `sum_duplicates`.  K_ff and K_fc are
     gathers from an operator's data, found at the first `ff` or `fc` by
-    pushing entry positions through `eliminate`.  Every array is
-    read-only once the mesh keeps the system (`dirichlet_system`), the
-    sort and the gathers, built later, included.
+    pushing entry positions through `eliminate`.
+
+    The first `factor` orders K_ff by MMD_AT_PLUS_A and keeps only the
+    column order `perm_c`; the second builds `_plan`, K_ff's gather in
+    that order, and it and every later one factorize that permuted K_ff
+    by NATURAL.  SuperLU's depth-first search visits each column's rows
+    in stored order, so the plan renames rows but never sorts them: the
+    factor, and every solve, equal a fresh MMD factorization's bit for
+    bit.  The lift, the equilibrium sweeps and `solve` factorize through
+    the plan; a system whose `ff` nobody asks for (the elastic one) keeps
+    one K_ff gather.  Every array is read-only once the mesh keeps the
+    system (`dirichlet_system`), the sort, the gathers and the plan,
+    built later, included.
     """
 
     def __init__(self, n_dofs, edofs, fixed):
@@ -106,6 +144,7 @@ class DirichletSystem:
         mask[fixed] = False
         self.n_dofs, self.edofs, self.fixed = n_dofs, edofs, fixed
         self.free = np.nonzero(mask)[0]
+        self._perm = None    # K_ff's column order, kept at the first factor
 
     @functools.cached_property
     def _sort(self):
@@ -127,18 +166,36 @@ class DirichletSystem:
     indptr = property(lambda self: self._sort[2])
     indices = property(lambda self: self._sort[3])
 
-    @functools.cached_property
-    def _blocks(self):
+    def _gathers(self):
+        """The K_ff and K_fc gathers ``(kind, gather, indices, indptr,
+        shape)``, found by pushing entry positions through `eliminate`."""
         positions = sp.csr_matrix(
             (np.arange(len(self.indices), dtype=float), self.indices,
              self.indptr), shape=self._sort[1][2])
         Kff, Kf, _ = eliminate(positions, self.fixed)
-        blocks = [(type(b), b.data.astype(np.intp), b.indices, b.indptr,
-                   b.shape) for b in (Kff, Kf[:, self.fixed])]
-        for block in blocks:
-            for shared in block[1:4]:
-                shared.flags.writeable = False
-        return blocks
+        return [(type(b), b.data.astype(np.intp), b.indices, b.indptr,
+                 b.shape) for b in (Kff, Kf[:, self.fixed])]
+
+    @functools.cached_property
+    def _blocks(self):
+        return _shared(self._gathers())
+
+    @functools.cached_property
+    def _plan(self):
+        """``(perm, the K_ff gather in the kept order)``: column j of the
+        permuted K_ff is K_ff's column ``argsort(perm)[j]``, its rows
+        renamed through perm and left in their stored order."""
+        perm = self._perm
+        kind, gather, indices, indptr, shape = self._gathers()[0]
+        columns = np.argsort(perm)
+        counts = np.diff(indptr)[columns]
+        kept_indptr = np.zeros_like(indptr)
+        np.cumsum(counts, out=kept_indptr[1:])
+        entries = (np.repeat(indptr[columns] - kept_indptr[:-1], counts)
+                   + np.arange(kept_indptr[-1]))
+        block = (kind, gather[entries], perm[indices[entries]], kept_indptr,
+                 shape)
+        return perm, _shared([block])[0]
 
     def assemble(self, Ke):
         """CSR operator of the element matrices Ke (cells, nloc, nloc),
@@ -162,8 +219,20 @@ class DirichletSystem:
         return kind((K.data[gather], indices, indptr), shape=shape)
 
     def factor(self, K):
-        """Pivot-checked sparse LU of K_ff (SingularSystem unless SPD)."""
-        return _factorize_spd(self.ff(K))
+        """Pivot-checked sparse LU of K_ff (SingularSystem unless SPD), by
+        MMD_AT_PLUS_A the first time and in the kept order after."""
+        if self._perm is None:
+            lu = _factorize_spd(self._block(self._gathers()[0], K))
+            perm = lu.perm_c.copy()
+            perm.flags.writeable = False
+            self._perm = perm
+            return lu
+        perm, block = self._plan
+        Kff = self._block(block, K)
+        # flagged canonical, so that `splu` leaves the rows in stored
+        # order, the order SuperLU's search visits them in
+        Kff.has_canonical_format = True
+        return _KeptOrderFactor(_factorize_spd(Kff, "NATURAL"), perm)
 
     def solve(self, K, rhs, values):
         """Solve ``K x = rhs`` with ``x[fixed] = values`` by elimination
@@ -184,7 +253,7 @@ class DirichletSystem:
         if len(self.free):
             if not np.all(np.isfinite(bf)):
                 raise AssemblyError("non-finite right-hand side")
-            x_free = _factorize_spd(Kff).solve(bf)
+            x_free = self.factor(K).solve(bf)
             resid = float(np.linalg.norm(Kff @ x_free - bf))
             if (resid > 1e-12 * max(np.linalg.norm(bf), 1e-300) and
                     resid > 1e-11 * max(1.0, np.linalg.norm(x_free))):

@@ -76,6 +76,10 @@ class PolarWellEnergy(EnergyModel):
         if not 1.0 <= self.p < np.inf:
             raise ValueError("volume exponent p must be finite and >= 1")
         bound = max_admissible_radius(self.p)
+        if not bound > 0.0:
+            raise ValueError(
+                "no admissible radius keeps det F^p finite at p = %g: the "
+                "volume exponent must be below 1024" % self.p)
         if not 0.0 < self.admissible_radius <= bound:
             raise ValueError(
                 "admissible_radius must be positive and at most %.6g, the "
@@ -112,14 +116,30 @@ class PolarWellEnergy(EnergyModel):
         p = self.p
         hprime = p * d ** (p - 1) - p * d ** (-p - 1)
         hsecond = p * (p - 1) * d ** (p - 2) + p * (p + 1) * d ** (-p - 2)
-        H, cof = tensor._polar_rotation_derivative_2d(F), tensor.cofactor(F)
+        # the 16 entries at once, entry-major (4, 4, N) as
+        # `tensor._polar_rotation_derivative_entries` returns them; each
+        # entry is 2 (I - DR), then + h'' (cof_ij cof_kl), then + h' dcof.
         # I - DR is never -0.0, so einsum's zero start in cof cof is moot
-        for e in np.ndindex(2, 2, 2, 2):
-            h = 2.0 * (float(e[:2] == e[2:]) - H[(...,) + e])
-            h += hsecond * (cof[(...,) + e[:2]] * cof[(...,) + e[2:]])
-            np.add(h, hprime * tensor._COFACTOR_DERIVATIVE[e],
-                   out=H[(...,) + e])
-        return H
+        f = tensor._entries(F)
+        H = tensor._polar_rotation_derivative_entries(f)
+        np.subtract(_IDENTITY_ENTRIES, H, out=H)
+        H *= 2.0
+        # cof F = [[F11, -F10], [-F01, F00]], entries reversed, two negated
+        cof = f[::-1].copy()
+        np.negative(cof[1:3], out=cof[1:3])
+        term = np.multiply(cof[:, None], cof)
+        term *= np.reshape(hsecond, -1)
+        H += term
+        term[...] = _COFACTOR_DERIVATIVE_ENTRIES    # dcof h', in place
+        term *= np.reshape(hprime, -1)
+        H += term
+        return tensor._stacked(H, F.shape[:-2], buffer=term)
+
+
+#: The identity and `tensor._COFACTOR_DERIVATIVE` as entry-major (4, 4, 1)
+#: columns for `PolarWellEnergy.second_derivative`.
+_IDENTITY_ENTRIES = np.eye(4).reshape(4, 4, 1)
+_COFACTOR_DERIVATIVE_ENTRIES = tensor._COFACTOR_DERIVATIVE.reshape(4, 4, 1)
 
 
 def elastic_factor(energy, F, Ginv):

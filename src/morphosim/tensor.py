@@ -266,23 +266,57 @@ def _polar_rotation_2d(F):
     return R
 
 
+def _entries(F):
+    """The entries of a stack F (..., 2, 2) as one C-contiguous (4, N)
+    array, entry-major in row-major entry order, so that every operation
+    on it runs one inner loop N long per entry."""
+    return np.ascontiguousarray(np.reshape(F, (-1, 4)).T)
+
+
+def _stacked(E, shape, buffer=None):
+    """The entry-major (4, 4, N) array E of a fourth-order tensor as the
+    C-contiguous (shape..., 2, 2, 2, 2) stack, written into `buffer`, an
+    array of E's size whose values are spent, when one is given."""
+    stack = (np.empty(E.shape) if buffer is None else buffer).reshape(
+        shape + (2, 2, 2, 2))
+    np.copyto(np.moveaxis(stack.reshape(-1, 4, 4), 0, -1), E)
+    return stack
+
+
+#: Entry columns of the identity and of `_EPS2`: the derivatives of the
+#: p and q of `_polar_rotation_2d` by F[k, l], kl flattened.
+_DP = np.eye(2).reshape(4, 1)
+_DQ = _EPS2.reshape(4, 1)
+
+
 def _polar_rotation_derivative_2d(F):
     """Derivative ``d R(F)[i, j] / d F[k, l]`` of `_polar_rotation_2d`,
     differentiating the closed form directly, under the same
-    preconditions; one 1-D operation per entry."""
-    p = F[..., 0, 0] + F[..., 1, 1]
-    q = F[..., 0, 1] - F[..., 1, 0]
+    preconditions; computed entry-major by
+    `_polar_rotation_derivative_entries`."""
+    F = np.asarray(F, dtype=float)
+    return _stacked(_polar_rotation_derivative_entries(_entries(F)),
+                    F.shape[:-2])
+
+
+def _polar_rotation_derivative_entries(f):
+    """`_polar_rotation_derivative_2d` of the stack with entries f (4, N)
+    as a (4, 4, N) array, row ij and column kl: the 16 entries at once,
+    each by the same operations in the same order."""
+    p = f[0] + f[3]
+    q = f[1] - f[2]
     r2 = p * p + q * q
     r = np.sqrt(r2)
-    p_r2, q_r2 = p / r2, q / r2
-    DR = np.empty(F.shape[:-2] + (2, 2, 2, 2))
-    # d p / d F[k, l] is the identity and d q / d F[k, l] is _EPS2
-    for k, l in np.ndindex(2, 2):
-        dp, dq = float(k == l), _EPS2[k, l]
-        dr = (p * dp + q * dq) / r
-        DR[..., 0, 0, k, l] = DR[..., 1, 1, k, l] = dp / r - p_r2 * dr
-        DR[..., 0, 1, k, l] = dqr = dq / r - q_r2 * dr
-        DR[..., 1, 0, k, l] = -dqr
+    dr = p * _DP
+    dr += q * _DQ
+    dr /= r
+    DR = np.empty((4, 4, f.shape[1]))
+    np.divide(_DP, r, out=DR[0])
+    DR[0] -= (p / r2) * dr
+    DR[3] = DR[0]
+    np.divide(_DQ, r, out=DR[1])
+    DR[1] -= (q / r2) * dr
+    np.negative(DR[1], out=DR[2])
     return DR
 
 

@@ -59,7 +59,7 @@ MALFORMED = [("solver", "max_iterations", "ten"), ("guards", "det_min", "-1"),
              ("output", "every", "x"), ("energy", "p", "0.5"),
              ("growth", "eta", "cubic"), ("growth", "gamma", "fast"),
              ("mesh", "nx", "0"), ("mesh", "mode", "hex"),
-             ("output", "every", "0")]
+             ("output", "every", "0"), ("energy", "p", "2000")]
 
 
 class TestRun:

@@ -267,6 +267,20 @@ class TestPerEntryKernels:
             ws.energy.second_derivative(ws.qpoints, state.Fel,
                                         det=state.det),
             second_derivative_by_broadcast(ws.energy, state.Fel, state.det))
+        # the last block of cells `coefficient_tensor` slices, and the
+        # stride-0 identity stack `check_coercivity` passes
+        start = (mesh.num_cells - 1) // fem._BLOCK_CELLS * fem._BLOCK_CELLS
+        cells = slice(start, start + fem._BLOCK_CELLS)
+        assert_same_bytes(
+            ws.energy.second_derivative(ws.qpoints[cells], state.Fel[cells],
+                                        det=state.det[cells]),
+            second_derivative_by_broadcast(ws.energy, state.Fel[cells],
+                                           state.det[cells]))
+        eye = np.broadcast_to(np.eye(2), state.Fel.shape)
+        assert_same_bytes(
+            ws.energy.second_derivative(ws.qpoints, eye),
+            second_derivative_by_broadcast(ws.energy, eye,
+                                           tensor.positive_det(eye)))
 
 
 def moved_mesh(mesh, case):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from morphosim import fem
+from morphosim import benchmarks, elasticity, fem
 from morphosim.errors import (AssemblyError, EllipticityViolation,
-                              SingularSystem)
+                              SingularJacobian, SingularSystem)
 from morphosim.materials import PolarWellEnergy
 from morphosim.mesh import rectangle_mesh
 
@@ -374,3 +374,123 @@ class TestComputedOnce:
         bf = rhs[free] - Kf[:, nodes] @ values
         assert np.array_equal(x[nodes], values)
         assert resid == float(np.linalg.norm(Kff @ x[free] - bf))
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def kept_order_factor(system, K):
+    """The factor `system` gives K after its first factorization, which
+    keeps the column order: the kept-order path."""
+    system.factor(K)
+    lu = system.factor(K)
+    assert isinstance(lu, fem._KeptOrderFactor)
+    return lu
+
+
+def negated_diagonal(system, K, dof):
+    """K with the diagonal entry of the free dof `system.free[dof]`
+    negated."""
+    K = K.copy()
+    i = system.free[dof]
+    row = slice(K.indptr[i], K.indptr[i + 1])
+    K.data[row][K.indices[row] == i] *= -1.0
+    return K
+
+
+class TestKeptOrder:
+    """A Dirichlet system's first factorization orders K_ff by
+    MMD_AT_PLUS_A and keeps its column order; every later one factorizes
+    K_ff gathered in that order, its rows in stored order, by NATURAL.
+    Solutions and pivots equal a fresh MMD factorization of the same K_ff,
+    byte for byte: SuperLU's depth-first search visits rows in stored
+    order, so sorting them would change the factor."""
+
+    def assert_fresh_bytes(self, lu, Kff):
+        expected = fem._factorize_spd(Kff)
+        rhs = np.random.default_rng(Kff.shape[0]).standard_normal(
+            Kff.shape[0])
+        assert_same_bytes(lu.solve(rhs), expected.solve(rhs))
+        assert_same_bytes(lu.U.diagonal(), expected.U.diagonal())
+
+    def test_lift_system(self):
+        # the Laplacian the lift factorizes, on its scalar system
+        mesh = rectangle_mesh(12, 12, elastic_dirichlet="left,bottom")
+        system = fem.dirichlet_system(mesh, 1, mesh.elastic_dirichlet_nodes())
+        w, g = mesh.quad_weights(), mesh.cell_gradients()
+        K = system.assemble(np.einsum("cq,cAa,cBa->cAB", w, g, g))
+        self.assert_fresh_bytes(kept_order_factor(system, K), system.ff(K))
+
+    def test_nutrient_system_with_dirichlet_values(self):
+        mesh = rectangle_mesh(12, 12, nutrient_dirichlet="left,top")
+        nodes = mesh.nutrient_dirichlet_nodes()
+        system = fem.dirichlet_system(mesh, 1, nodes)
+        K = fem.assemble_scalar_operator(mesh, np.diag([1.5, 0.5]),
+                                         reaction=0.7)
+        rhs = np.random.default_rng(3).standard_normal(mesh.num_vertices)
+        values = 1.0 + mesh.vertices[nodes, 0]
+        Kff = system.ff(K)
+        bf = rhs[system.free] - system.fc(K) @ values
+        expected = fem._factorize_spd(Kff).solve(bf)
+        for _ in range(2):    # the second solve takes the kept order
+            x, resid = system.solve(K, rhs, values)
+            assert_same_bytes(x[system.free], expected)
+            assert resid == float(np.linalg.norm(Kff @ expected - bf))
+        assert "_plan" in vars(system)
+        self.assert_fresh_bytes(system.factor(K), Kff)
+
+    @pytest.mark.parametrize("n", [12, 16, 32, 64])
+    @pytest.mark.parametrize("method", ["fixed_point", "newton"])
+    def test_chord_and_newton_tangents(self, n, method):
+        problem = benchmarks.contraction_problem(n, method=method)
+        ws = problem.workspace
+        u = np.zeros((ws.mesh.num_vertices, 2))
+        if method == "newton":
+            # a tangent away from the chord's point u = 0
+            u = 1e-3 * np.sin(3.0 * ws.mesh.vertices[:, ::-1])
+            u.reshape(-1)[ws.system.fixed] = 0.0
+        K = ws.stiffness(ws.elastic_state(u))
+        self.assert_fresh_bytes(kept_order_factor(ws.system, K),
+                                ws.system.ff(K))
+
+    def test_negated_diagonal_raises(self):
+        problem = benchmarks.contraction_problem(12, method="newton")
+        ws = problem.workspace
+        K = ws.stiffness(ws.elastic_state(np.zeros((ws.mesh.num_vertices,
+                                                    2))))
+        ws.system.factor(K)    # keeps the column order
+        with pytest.raises(SingularSystem):
+            ws.system.factor(negated_diagonal(ws.system, K, 7))
+        assert isinstance(ws.system.factor(K), fem._KeptOrderFactor)
+
+    def test_newton_sweep_on_the_kept_order_raises(self, monkeypatch):
+        # the second sweep's tangent, one diagonal entry negated, is
+        # factorized in the order kept by the first sweep (or earlier)
+        problem = benchmarks.contraction_problem(8, method="newton")
+        stiffness = elasticity._Workspace.stiffness
+        calls = []
+
+        def negated_after_one(ws, state):
+            K = stiffness(ws, state)
+            calls.append(1)
+            return K if len(calls) < 2 else negated_diagonal(ws.system, K, 3)
+        monkeypatch.setattr(elasticity._Workspace, "stiffness",
+                            negated_after_one)
+        with pytest.raises(SingularJacobian, match="at sweep 2"):
+            elasticity.solve_newton(problem)
+        assert "_plan" in vars(problem.workspace.system)
+
+    @pytest.mark.parametrize("diagonal", [[3.0, 1e-14, 2.0],
+                                          [3.0, -0.5, 2.0],
+                                          [3.0, 0.0, 2.0]])
+    def test_bad_pivot_raises(self, diagonal):
+        system = diagonal_system(NONE, 3)
+        system.factor(system.assemble(np.array([3.0, 5.0, 2.0])[:, None,
+                                                                 None]))
+        with pytest.raises(SingularSystem):
+            system.factor(system.assemble(np.array(diagonal)[:, None, None]))
+        with pytest.raises(SingularSystem):
+            system.solve(system.assemble(np.array(diagonal)[:, None, None]),
+                         np.ones(3), np.zeros(0))

@@ -75,6 +75,23 @@ class TestEnergyValues:
         with pytest.raises(ValueError, match="at p = %g" % p):
             PolarWellEnergy(p=p, admissible_radius=1.001 * r)
 
+    @pytest.mark.parametrize("p", [1024, 2000, 10000])
+    def test_no_radius_from_p_1024_on(self, p):
+        # big^(1/p) <= 2 there, so even a ball of radius 0 would not keep
+        # |det F|^p finite; the constructor says so instead of naming a
+        # negative bound
+        assert max_admissible_radius(p) <= 0.0
+        with pytest.raises(ValueError, match=r"^no admissible radius keeps "
+                           r"det F\^p finite at p = %g" % p):
+            PolarWellEnergy(p=p, admissible_radius=1e-6)
+
+    def test_default_radius_above_p_472_names_the_bound(self):
+        # the ball shrinks below the default 0.5 between p = 471 and 472
+        assert max_admissible_radius(471) > 0.5 > max_admissible_radius(472)
+        PolarWellEnergy(p=471)
+        with pytest.raises(ValueError, match="at most 0.499775"):
+            PolarWellEnergy(p=472)
+
 
 class TestEnergyDerivatives:
     @pytest.mark.parametrize("dim,p", [(2, 2), (2, 3)])

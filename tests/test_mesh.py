@@ -499,6 +499,13 @@ def mesh_tier_arrays(mesh):
         for block, (_, *parts, _) in zip(("K_ff", "K_fc"), system._blocks):
             arrays.update(("%s %s %s" % (label, block, name), part)
                           for name, part in zip(GATHER_ARRAYS, parts))
+        # the kept order once factorized, and its gather once built
+        if system._perm is not None:
+            arrays["%s kept order" % label] = system._perm
+        if "_plan" in vars(system):
+            _, (_, *parts, _) = system._plan
+            arrays.update(("%s kept K_ff %s" % (label, name), part)
+                          for name, part in zip(GATHER_ARRAYS, parts))
         # a returned K_ff shares its index arrays with the kept gather
         Kff = system.ff(system.assemble(np.ones(system.order.shape)))
         arrays.update(("%s returned K_ff.%s" % (label, name),
@@ -567,10 +574,35 @@ class TestMeshTier:
         mesh = rectangle_mesh(4, 4, elastic_dirichlet="left,bottom",
                               nutrient_dirichlet="right")
         run_mesh_tier(mesh)
-        for name, array in mesh_tier_arrays(mesh).items():
+        arrays = mesh_tier_arrays(mesh)
+        # the Newton solve factorized its system more than once
+        assert "elastic kept K_ff gather" in arrays
+        for name, array in arrays.items():
             assert array.size and not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = array
+
+    def test_kept_order_is_built_once(self):
+        # a system keeps its column order at its first factorization and
+        # builds the gather in that order at its second, never again; the
+        # lift factorizes once and builds none
+        mesh = rectangle_mesh(4, 4, elastic_dirichlet="left,bottom",
+                              nutrient_dirichlet="right")
+        elastic = mesh.elastic_dirichlet_nodes()
+        systems = {label: fem.dirichlet_system(mesh, components, nodes)
+                   for label, components, nodes in (
+                       ("lift", 1, elastic), ("elastic", 2, elastic),
+                       ("nutrient", 1, mesh.nutrient_dirichlet_nodes()))}
+        run_mesh_tier(mesh)
+        run_mesh_tier(mesh)
+        lift = systems.pop("lift")
+        assert lift._perm is not None and "_plan" not in vars(lift)
+        plans = {label: vars(system)["_plan"]
+                 for label, system in systems.items()}
+        run_mesh_tier(mesh)
+        for label, system in systems.items():
+            assert vars(system)["_plan"] is plans[label], label
+            assert plans[label][0] is system._perm, label
 
     def test_moving_a_vertex_in_place_is_refused(self):
         mesh = rectangle_mesh(3, 3)

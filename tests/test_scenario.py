@@ -291,11 +291,12 @@ class TestLoadingErrors:
         ("guards", MINIMAL + "\n[guards]\ndet_min = nan\n"),
         ("guards", MINIMAL + "\n[guards]\nnorm_max = -1\n"),
         ("energy", MINIMAL + "\n[energy]\nadmissible_radius = 1e308\n"),
-        ("energy", MINIMAL + "\n[energy]\nadmissible_radius = 1e153\n")],
+        ("energy", MINIMAL + "\n[energy]\nadmissible_radius = 1e153\n"),
+        ("energy", MINIMAL + "\n[energy]\np = 2000\n")],
         ids=["mesh", "energy", "growth", "time", "guards", "output",
              "admissible_radius_nan", "p_inf", "gamma_nan", "mu_coeff_inf",
              "t_end_inf", "dt_nan", "det_min_nan", "norm_max_negative",
-             "admissible_radius_1e308", "admissible_radius_1e153"])
+             "admissible_radius_1e308", "admissible_radius_1e153", "p_2000"])
     def test_rejected_value_names_its_section(self, tmp_path, section,
                                               text):
         path = write_cfg(tmp_path, text)
