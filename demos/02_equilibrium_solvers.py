@@ -27,7 +27,7 @@ def make_problem(traction):
 
 
 print("=== frozen-linearization sweeps (traction 0.01 * n) ===")
-print("k,increment,residual,rho_hat")
+print("k,increment,residual,rho_hat,cg")
 fp = solve_fixed_point(make_problem(0.01))
 print()
 print("converged in %d sweeps, max |u| = %.4e, contraction ratio %.3f"

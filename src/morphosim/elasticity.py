@@ -10,6 +10,10 @@ residual(u)``, and differ only in when the operator L is refreshed:
 * `newton` (`solve_newton`) reassembles the tangent at every sweep and
   backtracks on the potential.
 
+Each solve factorizes its first sweep's operator once.  The chord
+iteration solves with that factor alone; a later Newton sweep solves its
+tangent by conjugate gradients preconditioned with it (Newton-Krylov),
+and factorizes only a tangent that CG cannot solve within its budget.
 Both converge to the same discrete solution; the residual of each is the
 weak form of the stress divergence plus traction terms.
 """
@@ -25,6 +29,11 @@ from .errors import (AssemblyError, ContractionLost, LiftDegenerate,
                      SingularMatrix, SingularSystem, ValidationError)
 
 METHODS = ("fixed_point", "newton")
+
+# A later Newton sweep's CG stops at a residual of KRYLOV_TOL relative to
+# its right-hand side; after KRYLOV_BUDGET iterations it refactorizes.
+KRYLOV_TOL = 1e-12
+KRYLOV_BUDGET = 20
 
 
 @dataclass
@@ -80,6 +89,8 @@ class EquilibriumSolution:
     rho_hat: float                # largest observed increment ratio (0 if <2)
     method: str
     stress: np.ndarray            # Piola stress of u at the quadrature points
+    factorizations: int = 0       # sparse LU factorizations of the solve
+    krylov_iterations: int = 0    # CG iterations of its Newton sweeps
 
     @property
     def deformation(self):
@@ -226,7 +237,7 @@ class _Workspace:
         r = np.bincount(self.system.edofs.ravel(), weights=contrib.ravel(),
                         minlength=2 * self.mesh.num_vertices)
         r -= self.traction_load
-        return r, float(np.linalg.norm(r[self.system.free])), P
+        return r, tensor.norm(r[self.system.free]), P
 
     def coefficient_tensor(self, state, cells=slice(None)):
         """Fourth-order stiffness coefficients at the quadrature points of
@@ -257,7 +268,7 @@ class _Workspace:
     def potential(self, state):
         """Elastic energy minus traction work (Newton line-search merit)."""
         y = (state.u + self.f_tilde).ravel()
-        return self.energy_value(state) - float(self.traction_load @ y)
+        return self.energy_value(state) - tensor.dot(self.traction_load, y)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +311,10 @@ def _tolerances(ws, K):
             1e-10 * max(scale, 1e-12))
 
 
-def _diag_line(opts, k, inc, rn, rho):
+def _diag_line(opts, k, inc, rn, rho, krylov):
     if opts.diagnostics is not None:
-        opts.diagnostics.write("%d,%.17g,%.17g,%.17g\n" % (k, inc, rn, rho))
+        opts.diagnostics.write("%d,%.17g,%.17g,%.17g,%d\n"
+                               % (k, inc, rn, rho, krylov))
 
 
 def _initial_guess(ws, initial):
@@ -323,23 +335,61 @@ def _stepped(state, free, step):
     return u.reshape(-1, 2)
 
 
+def _krylov_solve(system, Kff, lu, b):
+    """Solve ``K_ff x = b`` by conjugate gradients preconditioned with the
+    factor `lu` of an earlier K_ff, started from ``lu.solve(b)``; Kff is
+    the `kept_ff` gather.  Returns ``(x, iterations)``, x None after a
+    breakdown (``p^T K p <= 0``, not SPD) or when the residual is not
+    below ``KRYLOV_TOL * |b|`` within KRYLOV_BUDGET iterations.  Every dot
+    and norm is `tensor`'s, so the iterates do not depend on the BLAS."""
+    x = lu.solve(b)
+    r = b - system.kept_product(Kff, x)
+    target = KRYLOV_TOL * tensor.norm(b)
+    if tensor.norm(r) <= target:
+        return x, 0
+    z = lu.solve(r)
+    p = z
+    rz = tensor.dot(r, z)
+    for i in range(1, KRYLOV_BUDGET + 1):
+        Kp = system.kept_product(Kff, p)
+        pKp = tensor.dot(p, Kp)
+        if not pKp > 0.0:
+            return None, i
+        alpha = rz / pKp
+        x += alpha * p
+        r -= alpha * Kp
+        if tensor.norm(r) <= target:
+            return x, i
+        z = lu.solve(r)
+        rz, rz_last = tensor.dot(r, z), rz
+        p = z + (rz / rz_last) * p
+    return None, KRYLOV_BUDGET
+
+
 def _iterate(problem, initial, method):
     """The sweep loop of every method: ``u += step * delta`` with
     ``L delta = -residual(u)`` (see the module docstring).
 
-    The chord iteration factorizes the operator at u = 0 once, takes full
-    steps, and raises ContractionLost after three consecutive
-    non-contracting sweeps.  Newton factorizes the tangent at every
-    sweep's iterate and backtracks on the potential; an accepted trial's
-    elastic state and potential are the next sweep's, so each iterate's
-    elastic state is computed once and the state is dropped on return.
-    An operator is dropped once factorized, and the last factor before
-    the next tangent is assembled, so a solve holds one factor at a time.
-    Convergence needs the increment and the residual below their
-    tolerances at once; `rho_hat` is the largest observed increment ratio.
+    Both methods factorize their first sweep's operator, and that factor
+    is the solve's.  The chord iteration solves every later sweep with it
+    too, takes full steps, and raises ContractionLost after three
+    consecutive non-contracting sweeps.  A later Newton sweep assembles
+    the tangent at its iterate and solves it by `_krylov_solve`, CG
+    preconditioned with the solve's factor; a breakdown or a spent budget
+    factorizes that tangent instead, which becomes the solve's factor
+    (the chord iteration is this loop with a Krylov budget of zero and no
+    new tangent).  Newton backtracks on the potential; an accepted
+    trial's elastic state and potential are the next sweep's, so each
+    iterate's elastic state is computed once and the state is dropped on
+    return.  The full operator is dropped once K_ff is gathered, and the
+    old factor before a new one is made, so a solve holds one factor at a
+    time; no factor outlives its solve.  Convergence needs the increment
+    and the residual below their tolerances at once; `rho_hat` is the
+    largest observed increment ratio.
     """
     ws = problem.workspace
     opts = problem.options
+    system = ws.system
     newton = method == "newton"
     state = ws.elastic_state(_initial_guess(ws, initial))
     r, rn, P = ws.residual(state)
@@ -350,10 +400,10 @@ def _iterate(problem, initial, method):
              else assemble_linearized_at_zero(problem))
         tol_inc, tol_res = _tolerances(ws, K)
         done = rn <= tol_res
-    free = ws.system.free
+    free = system.free
     increments = []
     rho_hat = 0.0
-    bad = k = 0
+    bad = k = factorizations = krylov = 0
     base = None
     while not done:
         if k >= opts.max_iterations:
@@ -365,23 +415,29 @@ def _iterate(problem, initial, method):
                                 "the contraction regime" % (k, rn),
                                 iterations=k)
         k += 1
-        if k == 1 or newton:
-            if k > 1:
-                # one factor at a time: drop the last before the next
-                lu = None
-                K = ws.stiffness(state)
+        rf = r[free]
+        solved = None
+        sweep_krylov = 0
+        if k > 1 and newton:
+            Kff = system.kept_ff(ws.stiffness(state))
+            solved, sweep_krylov = _krylov_solve(system, Kff, lu, rf)
+            krylov += sweep_krylov
+        if k == 1 or (newton and solved is None):
+            # one factor at a time: drop the last before the next
+            lu = None
             try:
-                lu = ws.system.factor(K)
+                lu = system.factor(K) if k == 1 else system.factor_kept(Kff)
             except SingularSystem as exc:
                 if not newton:
                     raise
                 raise SingularJacobian("Newton tangent singular at sweep %d: "
                                        "%s" % (k, exc))
-            K = None
-        delta = -lu.solve(r[free])
+            factorizations += 1
+        K = Kff = None
+        delta = -(lu.solve(rf) if solved is None else solved)
         step = 1.0
         if newton:
-            slope = float(r[free] @ delta)
+            slope = tensor.dot(rf, delta)
             if base is None:
                 base = ws.potential(state)
             # absolute slack keeps the test meaningful once energy
@@ -401,7 +457,7 @@ def _iterate(problem, initial, method):
                 raise NoConvergence("line search failed at sweep %d" % k,
                                     iterations=k)
             base = value
-        inc = step * float(np.linalg.norm(delta))
+        inc = step * tensor.norm(delta)
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 1e-300:
             ratio = inc / increments[-2]
@@ -414,10 +470,10 @@ def _iterate(problem, initial, method):
         state = (trial if newton
                  else ws.elastic_state(_stepped(state, free, step * delta)))
         r, rn, P = ws.residual(state)
-        _diag_line(opts, k, inc, rn, rho_hat)
+        _diag_line(opts, k, inc, rn, rho_hat, sweep_krylov)
         done = inc <= tol_inc and rn <= tol_res
     return EquilibriumSolution(state.u, ws.f_tilde, k, increments, rn,
-                               rho_hat, method, P)
+                               rho_hat, method, P, factorizations, krylov)
 
 
 def solve_fixed_point(problem, initial=None):
@@ -430,7 +486,8 @@ def solve_fixed_point(problem, initial=None):
 
 def solve_newton(problem, initial=None):
     """Newton's method with the tangent reassembled at every sweep and
-    backtracking on the potential."""
+    backtracking on the potential; the first tangent is factorized and
+    preconditions CG on the later ones."""
     return _iterate(problem, initial, "newton")
 
 

@@ -11,7 +11,8 @@ right-hand-side correction, so the reduced operator stays symmetric
 positive definite, as the pivot check of its LU verifies.  Its first
 factorization orders K_ff by MMD_AT_PLUS_A and keeps that column order;
 every later one factorizes K_ff gathered in the kept order, with no new
-ordering and the same factor bit for bit.
+ordering and the same factor bit for bit, and Newton's conjugate
+gradients multiply by that same gather.
 
 Gradient transfer is one sparse product with an operator the mesh keeps,
 built on first use: B maps nodal values to per-cell gradients, S samples
@@ -28,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import tensor
 from .errors import (AssemblyError, EllipticityViolation, NoConvergence,
                      SingularSystem)
 from .mesh import EDGE_POINTS, EDGE_WEIGHTS, TRI_POINTS
@@ -133,7 +135,9 @@ class DirichletSystem:
     in stored order, so the plan renames rows but never sorts them: the
     factor, and every solve, equal a fresh MMD factorization's bit for
     bit.  The lift, the equilibrium sweeps and `solve` factorize through
-    the plan; a system whose `ff` nobody asks for (the elastic one) keeps
+    the plan.  `kept_ff` gathers K_ff in the kept order for `factor_kept`
+    and for `kept_product`, the product that Newton's conjugate gradients
+    take, so a system whose `ff` nobody asks for (the elastic one) keeps
     one K_ff gather.  Every array is read-only once the mesh keeps the
     system (`dirichlet_system`), the sort, the gathers and the plan,
     built later, included.
@@ -227,12 +231,27 @@ class DirichletSystem:
             perm.flags.writeable = False
             self._perm = perm
             return lu
-        perm, block = self._plan
-        Kff = self._block(block, K)
+        return self.factor_kept(self.kept_ff(K))
+
+    def kept_ff(self, K):
+        """K_ff of the CSR operator K gathered in the kept order (CSC),
+        for `factor_kept` and `kept_product`; needs a first `factor`."""
+        Kff = self._block(self._plan[1], K)
         # flagged canonical, so that `splu` leaves the rows in stored
         # order, the order SuperLU's search visits them in
         Kff.has_canonical_format = True
-        return _KeptOrderFactor(_factorize_spd(Kff, "NATURAL"), perm)
+        return Kff
+
+    def factor_kept(self, Kff):
+        """`factor` of the `kept_ff` gather Kff."""
+        return _KeptOrderFactor(_factorize_spd(Kff, "NATURAL"), self._perm)
+
+    def kept_product(self, Kff, v):
+        """K_ff v for the `kept_ff` gather Kff and v on the free dofs in
+        their original order: v is permuted in and the product out."""
+        permuted = np.empty_like(v)
+        permuted[self._perm] = v
+        return (Kff @ permuted)[self._perm]
 
     def solve(self, K, rhs, values):
         """Solve ``K x = rhs`` with ``x[fixed] = values`` by elimination
@@ -254,9 +273,9 @@ class DirichletSystem:
             if not np.all(np.isfinite(bf)):
                 raise AssemblyError("non-finite right-hand side")
             x_free = self.factor(K).solve(bf)
-            resid = float(np.linalg.norm(Kff @ x_free - bf))
-            if (resid > 1e-12 * max(np.linalg.norm(bf), 1e-300) and
-                    resid > 1e-11 * max(1.0, np.linalg.norm(x_free))):
+            resid = tensor.norm(Kff @ x_free - bf)
+            if (resid > 1e-12 * max(tensor.norm(bf), 1e-300) and
+                    resid > 1e-11 * max(1.0, tensor.norm(x_free))):
                 raise NoConvergence("linear solve residual %.3e exceeds "
                                     "tolerance" % resid)
             x[self.free] = x_free

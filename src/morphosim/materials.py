@@ -397,12 +397,19 @@ def _fmt(v):
     return str(v)
 
 
-def _sample_admissible(rng, n, radius, min_det=0.15):
-    """n random matrices in the entrywise ball around 1 with safe det."""
+def _sample_admissible(rng, n, radius, min_det=0.15, smallest=None):
+    """n random matrices in the entrywise ball around 1 with safe det; with
+    `smallest`, each in a ball of its own radius, drawn log-uniformly from
+    [smallest, radius]."""
     out = np.empty((n, 2, 2))
     k = 0
     while k < n:
-        batch = np.eye(2) + rng.uniform(-radius, radius, size=(2 * (n - k), 2, 2))
+        size = (2 * (n - k), 2, 2)
+        scale = radius
+        if smallest is not None:
+            scale = np.exp(rng.uniform(np.log(smallest), np.log(radius),
+                                       size=size[:1] + (1, 1)))
+        batch = np.eye(2) + rng.uniform(-scale, scale, size=size)
         good = tensor.det(batch) > min_det
         take = batch[good][: n - k]
         out[k:k + len(take)] = take
@@ -458,7 +465,9 @@ def check_coercivity(model, samples=1000, seed=0):
     """Estimate the coercivity constant and test the induced Hessian bound.
 
     Estimates ``c_hat = min W / dist(F, SO(2))^2`` over admissible samples
-    (ignoring near-rotations where the quotient degenerates) and verifies
+    (ignoring near-rotations where the quotient degenerates), each drawn
+    in a ball whose radius is log-uniform from min(1e-3, 0.8 R) to 0.8 R,
+    R the admissible radius, and verifies
     ``D_p^2 W(x, 1)[B, B] >= (c_hat / 2) |B + B^T|^2 - tol`` on random
     directions, with ``tol = 0.05 * (1 + |B + B^T|^2)``.  The slack
     absorbs the upward bias of the sampled minimum (c_hat can only
@@ -467,7 +476,12 @@ def check_coercivity(model, samples=1000, seed=0):
     found or the Hessian bound is violated beyond the slack.
     """
     rng = np.random.default_rng(seed)
-    F = _sample_admissible(rng, samples, 0.8 * model.admissible_radius)
+    # sample scales spread log-uniformly up to 0.8 of the radius: at one
+    # scale near a large radius, det F^p dominates W and c_hat says
+    # nothing about the well at the identity that the Hessian bound tests
+    largest = 0.8 * model.admissible_radius
+    F = _sample_admissible(rng, samples, largest,
+                           smallest=min(1e-3, largest))
     x = rng.uniform(0.0, 1.0, size=(samples, 2))
     dist2 = tensor.dist_so(F) ** 2
     keep = dist2 > 1e-8

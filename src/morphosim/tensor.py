@@ -1,6 +1,7 @@
-"""Dense 2-by-2 matrix kernels and rotation-group geometry.
+"""Dense 2-by-2 matrix kernels and rotation-group geometry, and the one
+dot product and norm of 1-D vectors (`dot`, `norm`).
 
-All functions accept stacked operands of shape ``(..., 2, 2)`` and
+The 2-by-2 functions accept stacked operands of shape ``(..., 2, 2)`` and
 broadcast over the leading axes.  Everything here is a pure function of
 its arguments, so concurrent use is safe.
 
@@ -19,6 +20,34 @@ SINGULARITY_REL = 1e-12
 
 #: Smallest normal double: OpenBLAS divides by a pivot below it.
 _TINY = np.finfo(float).tiny
+
+#: A sum of squares at least this large lost no digit to underflow.
+_SAFE_SQUARES = _TINY / np.finfo(float).eps
+
+
+def dot(x, y):
+    """Dot product of two 1-D vectors by numpy's pairwise `add.reduce`.
+
+    `x @ y` calls BLAS ``ddot``, whose summation order follows the BLAS
+    thread count on long vectors; this sum's order depends on the length
+    alone, so reruns give the same bits at any thread count.
+    """
+    return float(np.add.reduce(np.multiply(x, y)))
+
+
+def norm(x):
+    """Euclidean norm of a 1-D vector from `dot`'s pairwise sum, scaled by
+    max|x| where the plain squares would overflow or underflow."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        squares = dot(x, x)
+    if _SAFE_SQUARES <= squares < np.inf:
+        return float(np.sqrt(squares))
+    scale = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return scale    # zero, or an inf or NaN entry
+    x = x / scale
+    return scale * float(np.sqrt(dot(x, x)))
 
 
 def transpose(F):

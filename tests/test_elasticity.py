@@ -2,6 +2,10 @@ import dataclasses
 import functools
 import gc
 import io
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
@@ -453,7 +457,10 @@ class TestFixedPoint:
         solve_fixed_point(problem)
         lines = [ln for ln in sink.getvalue().splitlines() if ln]
         assert len(lines) >= 1
-        assert all(len(ln.split(",")) == 4 for ln in lines)
+        # k, increment, residual, rho_hat and the sweep's CG iterations,
+        # none for the chord iteration
+        assert all(len(ln.split(",")) == 5 for ln in lines)
+        assert all(ln.endswith(",0") for ln in lines)
 
 
 def chord_by_the_book(problem):
@@ -470,7 +477,7 @@ def chord_by_the_book(problem):
     for _ in range(problem.options.max_iterations):
         delta = lu.solve(r[free])
         u.reshape(-1)[free] -= delta
-        increments.append(float(np.linalg.norm(delta)))
+        increments.append(tensor.norm(delta))
         r, rn = residual(problem, u)
         if increments[-1] <= tol_inc and rn <= tol_res:
             return u, increments
@@ -611,25 +618,33 @@ def newton_recomputing_base(problem, newton=True):
     """Newton with line search, or with ``newton=False`` the chord
     iteration, written so that every value is recomputed where it is used:
     each potential, residual, stress and tangent takes an elastic state of
-    its own, the base potential is evaluated afresh at every sweep, and
-    `fem.eliminate` splits each operator.  Returns (u, increments,
-    residual norm, potential calls, stress, rho_hat)."""
+    its own, and the base potential is evaluated afresh at every sweep.
+    The first sweep factorizes its operator (the system's first
+    factorization, which also keeps the order the Krylov product reads);
+    a later Newton sweep solves its tangent by `elasticity._krylov_solve`
+    with that factor, and factorizes the tangent when CG gives up.
+    Returns (u, increments, residual norm, potential calls, stress,
+    rho_hat)."""
     ws = problem.workspace
+    system = ws.system
+    free = system.free
     u = np.zeros((problem.mesh.num_vertices, 2))
     r, rn = residual(problem, u)
     K = ws.stiffness(ws.elastic_state(u))
     tol_inc, tol_res = elasticity._tolerances(ws, K)
     increments, calls, rho_hat = [], 0, 0.0
+    lu = system.factor(K)
     for k in range(1, problem.options.max_iterations + 1):
-        if k == 1 or newton:
-            if k > 1:
-                K = ws.stiffness(ws.elastic_state(u))
-            Kff, _, free = fem.eliminate(K, ws.system.fixed)
-            lu = fem._factorize_spd(Kff)
-        delta = -lu.solve(r[free])
+        x = None
+        if k > 1 and newton:
+            Kff = system.kept_ff(ws.stiffness(ws.elastic_state(u)))
+            x, _ = elasticity._krylov_solve(system, Kff, lu, r[free])
+            if x is None:
+                lu = system.factor_kept(Kff)
+        delta = -(lu.solve(r[free]) if x is None else x)
         step = 1.0
         if newton:
-            slope = float(r[free] @ delta)
+            slope = tensor.dot(r[free], delta)
             base = ws.potential(ws.elastic_state(u))
             slack = 64.0 * np.finfo(float).eps * (1.0 + abs(base))
             calls += 1
@@ -646,7 +661,7 @@ def newton_recomputing_base(problem, newton=True):
                     break
                 step *= 0.5
         u.reshape(-1)[free] += step * delta
-        increments.append(step * float(np.linalg.norm(delta)))
+        increments.append(step * tensor.norm(delta))
         if len(increments) >= 2 and increments[-2] > 1e-300:
             rho_hat = max(rho_hat, increments[-1] / increments[-2])
         r, rn = residual(problem, u)
@@ -776,7 +791,7 @@ class TestComputedOnce:
         np.add.at(expected, ws.system.edofs, contrib.reshape(-1, 6))
         expected -= ws.traction_load
         assert np.array_equal(r, expected)
-        assert rn == float(np.linalg.norm(expected[ws.system.free]))
+        assert rn == tensor.norm(expected[ws.system.free])
 
     def test_workspace_takes_the_lift_gradient(self):
         problem = self.contraction("fixed_point")
@@ -820,14 +835,16 @@ class TestWorkingSet:
         chord = benchmarks.contraction_problem(10)
         newton = benchmarks.contraction_problem(10, method="newton")
         assert chord.mesh is newton.mesh
-        solve_fixed_point(chord)
+        first = solve_fixed_point(chord)
         sol = solve_newton(newton)
         # one vector system and one scalar for the lift's dof split; the
         # identity data build no lift factor, so the chord's operator and
-        # one tangent per Newton sweep
+        # Newton's first tangent, whose factor preconditions CG on the
+        # later ones
         n = chord.mesh.num_vertices
         assert sorted(systems) == [n, 2 * n]
-        assert len(factors) == 1 + sol.iterations
+        assert sol.iterations > 1
+        assert len(factors) == first.factorizations + sol.factorizations == 2
 
     def test_zero_sweep_solve_builds_no_vector_sort(self, monkeypatch):
         # a solve that returns at iterate 0 reads the vector system's dof
@@ -869,6 +886,18 @@ class TestWorkingSet:
         assert peak <= 16e6
 
     def test_newton_holds_one_factor_and_one_operator(self, monkeypatch):
+        self.check_one_factor_and_one_operator(monkeypatch,
+                                               elasticity.KRYLOV_BUDGET)
+
+    def test_refactorizing_newton_holds_one_factor_at_a_time(self,
+                                                             monkeypatch):
+        # with a budget of 0 every sweep factorizes its tangent, and the
+        # last factor is dropped before the next is made
+        self.check_one_factor_and_one_operator(monkeypatch, 0)
+
+    @staticmethod
+    def check_one_factor_and_one_operator(monkeypatch, budget):
+        monkeypatch.setattr(elasticity, "KRYLOV_BUDGET", budget)
         problem = benchmarks.contraction_problem(8, method="newton")
         problem.workspace  # the lift factor stays cached with the mesh
 
@@ -890,4 +919,131 @@ class TestWorkingSet:
             "operator", fem.assemble_vector_operator, operators))
         sol = solve_newton(problem)
         assert sol.iterations >= 2
-        assert len(factors) == len(operators) == sol.iterations
+        assert len(operators) == sol.iterations
+        assert len(factors) == sol.factorizations == (
+            1 if budget else sol.iterations)
+
+
+def direct_newton(problem, monkeypatch):
+    """`solve_newton` with a Krylov budget of 0: every sweep factorizes its
+    tangent, as a direct refactorization does."""
+    with monkeypatch.context() as patched:
+        patched.setattr(elasticity, "KRYLOV_BUDGET", 0)
+        return solve_newton(problem)
+
+
+class TestNewtonKrylov:
+    """A Newton solve factorizes its first tangent once and solves every
+    later tangent by CG preconditioned with that factor; a breakdown or a
+    spent budget factorizes the tangent instead."""
+
+    @pytest.mark.parametrize("n", [12, 16, 32, 64])
+    def test_same_sweeps_as_direct_refactorization(self, n, monkeypatch):
+        sol = solve_newton(benchmarks.contraction_problem(n, 0.0096,
+                                                          method="newton"))
+        direct = direct_newton(benchmarks.contraction_problem(
+            n, 0.0096, method="newton"), monkeypatch)
+        assert sol.iterations == direct.iterations > 1
+        assert direct.factorizations == direct.iterations
+        assert direct.krylov_iterations == 0
+        scale = np.max(np.abs(direct.displacement))
+        assert (np.max(np.abs(sol.displacement - direct.displacement))
+                <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("traction", [0.01, 0.35])
+    def test_converged_krylov_solve_factorizes_once(self, traction):
+        problem = TestComputedOnce.contraction("newton", traction)
+        sink = io.StringIO()
+        problem.options.diagnostics = sink
+        sol = solve_newton(problem)
+        assert sol.iterations > 2
+        assert sol.factorizations == 1
+        # the first sweep is a direct solve; every later one takes at
+        # least one CG iteration, and the streamed counts add up
+        counts = [int(ln.split(",")[-1])
+                  for ln in sink.getvalue().splitlines()]
+        assert counts[0] == 0 and min(counts[1:]) >= 1
+        assert sum(counts) == sol.krylov_iterations
+        assert (sol.krylov_iterations
+                <= elasticity.KRYLOV_BUDGET * (sol.iterations - 1))
+        # CG multiplies by the kept-order gather: the elastic system
+        # builds no original-order K_ff gather
+        assert "_blocks" not in vars(problem.workspace.system)
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_spent_budget_refactorizes(self, budget, monkeypatch):
+        reference = solve_newton(benchmarks.contraction_problem(
+            16, 0.0096, method="newton"))
+        monkeypatch.setattr(elasticity, "KRYLOV_BUDGET", budget)
+        sol = solve_newton(benchmarks.contraction_problem(16, 0.0096,
+                                                          method="newton"))
+        assert sol.iterations == reference.iterations
+        assert 1 < sol.factorizations <= sol.iterations
+        assert sol.krylov_iterations <= budget * (sol.iterations - 1)
+        scale = np.max(np.abs(reference.displacement))
+        assert (np.max(np.abs(sol.displacement - reference.displacement))
+                <= 1e-12 * scale)
+
+    def test_indefinite_tangent_gives_up(self):
+        # one diagonal entry negated: CG on the kept factor breaks down or
+        # runs out, so the sweep falls back to a factorization, which
+        # raises (`test_fem.py::TestKeptOrder`)
+        problem = benchmarks.contraction_problem(8, method="newton")
+        ws = problem.workspace
+        K = ws.stiffness(ws.elastic_state(np.zeros((ws.mesh.num_vertices,
+                                                    2))))
+        lu = ws.system.factor(K)
+        rhs = np.ones(len(ws.system.free))
+        x, iterations = elasticity._krylov_solve(
+            ws.system, ws.system.kept_ff(K), lu, rhs)
+        assert iterations == 0
+        assert (tensor.norm(ws.system.ff(K) @ x - rhs)
+                <= elasticity.KRYLOV_TOL * tensor.norm(rhs))
+        i = ws.system.free[3]
+        row = slice(K.indptr[i], K.indptr[i + 1])
+        K.data[row][K.indices[row] == i] *= -1.0
+        x, iterations = elasticity._krylov_solve(
+            ws.system, ws.system.kept_ff(K), lu, rhs)
+        assert x is None and iterations >= 1
+
+    def test_chord_takes_no_krylov_iteration(self):
+        sol = solve_fixed_point(benchmarks.contraction_problem(16))
+        assert sol.iterations > 1
+        assert sol.factorizations == 1 and sol.krylov_iterations == 0
+
+    def test_zero_sweep_solve_factorizes_nothing(self):
+        sol = solve_newton(make_problem(rectangle_mesh(4, 4),
+                                        method="newton"))
+        assert sol.iterations == sol.factorizations == 0
+        assert sol.krylov_iterations == 0
+
+
+# Solves the 64^2 Newton contraction problem and prints the hashes of its
+# displacement, increment history and residual norm.
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from morphosim import benchmarks, elasticity
+sol = elasticity.solve_newton(
+    benchmarks.contraction_problem(64, 0.0096, method="newton"))
+for value in (sol.displacement, sol.increment_history, sol.residual_norm):
+    print(hashlib.sha256(np.asarray(value, dtype=float).tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_newton_reruns_do_not_depend_on_the_thread_count(self):
+        # the solve's dots and norms are `tensor`'s pairwise sums, not
+        # BLAS ddot, whose summation order follows the thread count
+        src = str(pathlib.Path(elasticity.__file__).resolve().parents[1])
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            hashes.append(out.stdout.split())
+        assert len(hashes[0]) == 3
+        assert hashes[0] == hashes[1]

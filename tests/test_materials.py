@@ -265,6 +265,23 @@ class TestCheckers:
         report = check_coercivity(_ZeroEnergy(), samples=200)
         assert not report.passed
 
+    @pytest.mark.parametrize("radius", [0.5, 10.0, 1e6, 8.1e76])
+    def test_coercivity_passes_at_every_radius(self, radius):
+        # sample scales spread from 1e-3 to 0.8 of the radius, so det F^p
+        # at the largest cannot hide the well at the identity
+        report = check_coercivity(PolarWellEnergy(admissible_radius=radius))
+        assert report.passed, report.details
+        assert 1.0 <= report.details["c_hat"] <= 1.02
+
+    @pytest.mark.parametrize("radius", [0.5, 1e6, 8.1e76])
+    def test_coercivity_fails_without_coercivity_at_every_radius(self,
+                                                                 radius):
+        energy = _ZeroEnergy()
+        energy.admissible_radius = radius
+        report = check_coercivity(energy, samples=200)
+        assert not report.passed
+        assert report.details["c_hat"] == 0.0
+
     def test_nutrient_assumptions_pass(self):
         model = DetRatioNutrientModel(d0=1.0, beta0=0.5)
         report = check_nutrient_assumptions(model, samples=500)
